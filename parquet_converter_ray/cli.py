@@ -672,8 +672,6 @@ def main(argv: list[str] | None = None) -> int:
                 ).to_pylist()
             print(json.dumps(out, default=str))
         elif args.cmd == "scan":
-            from .zonemap import scan_store
-
             if not args.where and not args.where_any:
                 raise ValueError("scan needs --where and/or --where-any")
             common = [_parse_where(w) for w in (args.where or [])]
@@ -689,30 +687,18 @@ def main(argv: list[str] | None = None) -> int:
                 # recorded row counts without opening; only boundary
                 # containers decode (storeagg's three-class plan). Counts are
                 # additive, so a family folds per-store metadata answers.
-                if len(args.encoded_dir) == 1:
-                    from .storeagg import store_agg
+                from .storeagg import store_agg_multi
 
-                    result, aplan = store_agg(args.encoded_dir[0], ["count"],
-                                              predicate, return_plan=True)
-                else:
-                    from .storeagg import store_agg_multi
-
-                    result, aplan = store_agg_multi(args.encoded_dir, ["count"],
-                                                    predicate, return_plan=True)
+                result, aplan = store_agg_multi(args.encoded_dir, ["count"],
+                                                predicate, return_plan=True)
                 print(json.dumps({"plan": aplan, "rows": result["count"]}))
                 return 0
-            if len(args.encoded_dir) == 1:
-                ds, plan = scan_store(
-                    args.encoded_dir[0], predicate, columns=args.columns,
-                    return_plan=True,
-                )
-            else:
-                from .zonemap import scan_store_multi
+            from .zonemap import scan_store_multi
 
-                ds, plan = scan_store_multi(
-                    args.encoded_dir, predicate, columns=args.columns,
-                    return_plan=True,
-                )
+            ds, plan = scan_store_multi(
+                args.encoded_dir, predicate, columns=args.columns,
+                return_plan=True,
+            )
             if args.output:
                 ds.write_parquet(args.output, compression=cfg.compression)
                 rows = ray.data.read_parquet(args.output).count()
@@ -736,8 +722,6 @@ def main(argv: list[str] | None = None) -> int:
                 prof = store_profile_multi(args.encoded_dir)
             print(json.dumps(prof, default=str))
         elif args.cmd == "agg":
-            from .storeagg import store_agg
-
             common = [_parse_where(w) for w in args.where]
             if args.where_any:
                 predicate = ("or", [
@@ -747,28 +731,16 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 predicate = common or None
             if args.group_by:
-                from .storegroup import store_agg_group, store_agg_group_multi
+                from .storegroup import store_agg_group_multi
 
                 gb = [c.strip() for c in args.group_by.split(",") if c.strip()]
-                if len(args.encoded_dir) == 1:
-                    tbl, plan = store_agg_group(
-                        args.encoded_dir[0], gb, args.agg, predicate,
-                        return_plan=True,
-                    )
-                else:
-                    tbl, plan = store_agg_group_multi(
-                        args.encoded_dir, gb, args.agg, predicate,
-                        return_plan=True,
-                    )
+                tbl, plan = store_agg_group_multi(
+                    args.encoded_dir, gb, args.agg, predicate, return_plan=True,
+                )
                 tbl = tbl.sort_by([(c, "ascending") for c in gb])
                 print(json.dumps({"plan": plan}, default=str))
                 for row in tbl.to_pylist():
                     print(json.dumps(row, default=str))
-            elif len(args.encoded_dir) == 1:
-                result, plan = store_agg(
-                    args.encoded_dir[0], args.agg, predicate, return_plan=True
-                )
-                print(json.dumps({"plan": plan, "result": result}, default=str))
             else:
                 from .storeagg import store_agg_multi
 

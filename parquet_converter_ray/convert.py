@@ -346,7 +346,9 @@ def _commit_converted(
 
         shutil.rmtree(out)
     ds.write_parquet(out, compression=cfg.compression)
-    written = ray.data.read_parquet(out)
+    from .pipelines._util import read_parquet_clean
+
+    written = read_parquet_clean(out)
     stats.output_path = out
     stats.rows_processed = stats.rows_converted = written.count()
     stats.column_stats = _column_stats(written, cfg.profiling_column_limit)

@@ -14,8 +14,6 @@ import re
 import numpy as np
 import pyarrow as pa
 
-import ray.data
-
 from ..decode import decode_dataset
 from ..encode import encode_dataset
 from ..synth import write_transcripts
@@ -106,11 +104,9 @@ def convert_csv_roundtrip(sf_dir: str | None = None) -> pa.Table:
     stats = convert_file(csv_path, out_dir, EngineConfig())
     if stats.errors:
         raise RuntimeError(f"conversion failed: {stats.errors}")
-    tbl = (
-        ray.data.read_parquet(stats.output_path)
-        .sort("id")
-        .to_pandas()
-    )
+    from ._util import read_parquet_clean
+
+    tbl = read_parquet_clean(stats.output_path).sort("id").to_pandas()
     return pa.Table.from_pandas(tbl, preserve_index=False)
 
 
@@ -140,7 +136,9 @@ def convert_jsonl_roundtrip(sf_dir: str) -> pa.Table:
     stats = convert_file(jsonl_path, out_dir, EngineConfig())
     if stats.errors:
         raise RuntimeError(f"jsonl conversion failed: {stats.errors}")
-    tbl = ray.data.read_parquet(stats.output_path).sort("doc_id").to_pandas()
+    from ._util import read_parquet_clean
+
+    tbl = read_parquet_clean(stats.output_path).sort("doc_id").to_pandas()
     return pa.Table.from_pandas(tbl, preserve_index=False)
 
 
@@ -1696,7 +1694,7 @@ def store_family_agg(sf_dir: str) -> pa.Table:
         return_plan=True,
     )
     new = plan["stores"][dirs[1]]
-    assert new["pruned"] == new["parts_total"], f"post-split store should prune fully: {new}"
+    assert new["pruned_stats"] == new["parts_total"], f"post-split store should prune fully: {new}"
     r2 = lambda v: float(sql_round(np.array([float(v)]), 2)[0])  # noqa: E731
     return pa.table(
         {
@@ -1725,7 +1723,7 @@ def store_distinct_pushdown(sf_dir: str) -> pa.Table:
         [("l_shipdate", ">=", "1997-01-01")],
         return_plan=True,
     )
-    assert plan["pruned"] > 0, f"range clustering should prune the pre-band: {plan}"
+    assert plan["pruned_stats"] > 0, f"range clustering should prune the pre-band: {plan}"
     assert plan["footer_answered"] > 0, f"dict footers should answer: {plan}"
     return tbl
 
@@ -1948,7 +1946,7 @@ def store_group_agg(sf_dir: str) -> pa.Table:
         [("l_shipdate", ">=", "1997-01-01")],
         return_plan=True,
     )
-    assert plan["pruned"] > 0, f"range clustering should prune the pre-band: {plan}"
+    assert plan["pruned_stats"] > 0, f"range clustering should prune the pre-band: {plan}"
     tbl = tbl.rename_columns(
         ["l_returnflag", "l_linestatus", "n_rows", "sum_l_quantity",
          "min_l_extendedprice", "max_l_shipdate"]
@@ -1977,7 +1975,7 @@ def store_family_group_agg(sf_dir: str) -> pa.Table:
         return_plan=True,
     )
     new = plan["stores"][dirs[1]]
-    assert new["pruned"] == new["parts_total"], f"post-split store should prune fully: {new}"
+    assert new["pruned_stats"] == new["parts_total"], f"post-split store should prune fully: {new}"
     import pandas as pd
 
     df = tbl.to_pandas().sort_values("o_orderpriority").reset_index(drop=True)

@@ -2,9 +2,10 @@
 
 ``store_agg`` answers ``count / count(col) / min / max / sum`` — optionally
 under a predicate — by splitting the store's containers into three classes
-from manifest zone maps alone (JSON already on hand, no file opens):
+over the shared ``zonemap.PrunedScan`` read path:
 
-* **pruned** — ``record_may_match`` proves no row matches: skipped.
+* **pruned** — hash routing, ``record_may_match`` or the membership footer
+  probe proves no row matches: skipped.
 * **metadata-answered** — ``record_all_match`` proves EVERY row matches
   every conjunct, and the lineage record's stats carry what the aggregate
   needs (rows, per-column null counts, exact min/max, the exact per-column
@@ -13,11 +14,7 @@ from manifest zone maps alone (JSON already on hand, no file opens):
 * **scanned** — everything else streams through the normal pruned decode
   (``zonemap._ScanDecoder``: sorted-lead ranges, page pruning, late
   materialization) and folds per-batch partials; only the predicate and
-  aggregated columns are ever decoded. Before that decode, membership-style
-  predicates (==/in/prefix/hastok/hasphrase/hasany on every DNF branch) get the
-  same FOOTER-PROBE level ``scan_store`` runs — one Ray job of KB-ranged
-  dictionary + Bloom reads over the remainder — so a rare-token or point
-  aggregate prunes containers the min/max stats never could.
+  aggregated columns are ever decoded.
 
 On a range-clustered store a band aggregate thus opens ONLY the (at most
 two) boundary containers — interior containers are proven fully matching
@@ -50,19 +47,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .codecs import str_to_type
-from .zonemap import (
-    _coerce,
-    _int_physical,
-    _normalize_dnf,
-    _prefix_upper,
-    _probe_applies,
-    _ScanDecoder,
-    _store_schema,
-    exact_int_sum,
-    probe_verdicts,
-    record_may_match,
-)
+from .zonemap import PrunedScan, _int_physical, exact_int_sum
+from .zonemap import record_all_match  # noqa: F401  re-exported for callers of storeagg
 
 AGG_FNS = ("count", "nn", "min", "max", "sum", "avg")
 
@@ -119,71 +105,12 @@ def _normalize_aggs(aggs) -> list[tuple[str, str | None]]:
     return out
 
 
-def record_all_match(stats: dict, rows: int, clauses) -> bool:
-    """True ONLY when the zone map PROVES every row satisfies every conjunct
-    (the dual of ``record_may_match``'s "no row can"). Conservative: any
-    missing stat, null, NaN, un-coercible literal, or unprovable bound
-    returns False — the container then simply scans."""
-    if rows <= 0:
-        return False
-    for col, op, val in clauses:
-        st = stats.get(col)
-        if st is None or int(st.get("nulls", 0)) != 0:
-            return False
-        if st.get("nan"):  # NaN rows fail every comparison
-            return False
-        t = st.get("t", "")
-        if ("float" in t or "double" in t) and "nan" not in st:
-            return False  # pre-NaN-count container: presence unknowable
-        mn, mx = st.get("min"), st.get("max")
-        try:
-            if op == "in":
-                vs = [_coerce(v, st["t"]) for v in val]
-            elif op == "between":
-                vs = [_coerce(val[0], st["t"]), _coerce(val[1], st["t"])]
-            else:
-                vs = [_coerce(val, st["t"])]
-        except (TypeError, ValueError, pa.ArrowInvalid, pa.ArrowTypeError):
-            return False
-        if op == "==":
-            # approximate (truncated) bounds are OUTER bounds — widened
-            # equality doesn't prove true equality
-            if st.get("approx") or mn is None or mx is None or not (mn == vs[0] == mx):
-                return False
-        elif op == "!=":
-            if not ((mx is not None and mx < vs[0]) or (mn is not None and mn > vs[0])):
-                return False
-        elif op == "<":
-            if mx is None or not mx < vs[0]:
-                return False
-        elif op == "<=":
-            if mx is None or not mx <= vs[0]:
-                return False
-        elif op == ">":
-            if mn is None or not mn > vs[0]:
-                return False
-        elif op == ">=":
-            if mn is None or not mn >= vs[0]:
-                return False
-        elif op == "between":
-            if mn is None or mx is None or not (vs[0] <= mn and mx <= vs[1]):
-                return False
-        elif op == "in":
-            if st.get("approx") or mn is None or not (mn == mx and mn in vs):
-                return False
-        elif op == "prefix":
-            # rows with prefix p live exactly in [p, _prefix_upper(p));
-            # containment proofs stay sound under widened (truncated)
-            # bounds: widened ⊆ [p, up) ⇒ true ⊆ [p, up)
-            if not isinstance(vs[0], str) or mn is None or mx is None:
-                return False
-            up = _prefix_upper(vs[0])
-            if not (mn >= vs[0] and (up is None or mx < up)):
-                return False
-        else:
-            # unknown op: never vacuously prove — force the scan path
-            return False
-    return True
+def _check_sums(aggs, schema: dict) -> None:
+    for fn, col in aggs:
+        if fn == "sum" and not (
+            pa.types.is_integer(schema[col]) or pa.types.is_floating(schema[col])
+        ):
+            raise ValueError(f"sum over non-numeric column {col!r} ({schema[col]})")
 
 
 def _meta_answer(rec: dict, aggs, acc: dict) -> bool:
@@ -291,110 +218,11 @@ def store_agg(
     """Aggregate an encoded store, answering from metadata wherever the zone
     maps prove it sound and scanning (pruned, late-materialized) only the
     containers they can't decide. Returns ``{agg_name: value}`` with min/max
-    in the column's logical type; ``return_plan=True`` also returns
-    ``{parts_total, pruned, meta_answered, scanned}``."""
-    from . import manifest as mf
-    from .decode import container_files
-
-    requested = _normalize_aggs(aggs)
-    aggs, _ = _expand_avg(requested)
-    dnf = _normalize_dnf(predicate) if predicate else []
-    clauses = [cl for br in dnf for cl in br]  # flat view: column collection
-    recs = mf.load_records(out_dir)
-    if not recs:
-        raise FileNotFoundError(f"no manifest records under {out_dir}")
-    container_files(out_dir)  # stray-container guard (same as scan_store)
-    schema = dict(_store_schema(out_dir, recs))
-    for _, col in aggs:
-        if col is not None and col not in schema:
-            raise ValueError(f"aggregate column {col!r} not in store schema {sorted(schema)}")
-    for col, _, _ in clauses:
-        if col not in schema:
-            raise ValueError(f"predicate column {col!r} not in store schema {sorted(schema)}")
-    for fn, col in aggs:
-        if fn == "sum" and not (
-            pa.types.is_integer(schema[col]) or pa.types.is_floating(schema[col])
-        ):
-            raise ValueError(f"sum over non-numeric column {col!r} ({schema[col]})")
-
-    acc: dict = {}
-    plan = {"parts_total": len(recs), "pruned": 0, "meta_answered": 0, "scanned": 0}
-    scan_paths = _plan_meta(out_dir, recs, aggs, dnf, acc, plan)
-    scan_paths = _probe_scan_paths(scan_paths, dnf, plan)
-    if scan_paths:
-        partials = scan_agg_partials(scan_paths, aggs, schema, dnf, clauses,
-                                     verify_crc)
-        _merge_partials(partials, aggs, acc)
-    result = _attach_avgs(_finalize_agg(aggs, acc, schema), requested)
-    return (result, plan) if return_plan else result
-
-
-def _probe_scan_paths(scan_paths: list[str], dnf, plan: dict) -> list[str]:
-    """Footer-probe level for aggregates — the same dictionary + Bloom
-    container pruning ``scan_store`` runs, applied to the zone-map-undecided
-    remainder before it decodes: a rare-token ``hastok`` or a point ``==``
-    on a bloom'd key answers an aggregate after KB-ranged footer reads
-    instead of decoding every container the min/max stats can't rule out.
-    One Ray job over ALL candidate paths (family callers pass every
-    member's remainder at once). Only sound-to-prune membership ops apply
-    (``_probe_applies``); comparison-only predicates pass through."""
-    if not scan_paths or not dnf or not _probe_applies(dnf):
-        return scan_paths
-    verdicts = probe_verdicts(scan_paths, dnf)
-    plan["pruned_dict"] = sum(1 for v in verdicts.values() if v == "dict")
-    plan["pruned_bloom"] = sum(1 for v in verdicts.values() if v == "bloom")
-    kept = [p for p in scan_paths if verdicts.get(p) == "keep"]
-    plan["scanned"] = len(kept)
-    return kept
-
-
-def _plan_meta(out_dir: str, recs, aggs, dnf, acc: dict, plan: dict) -> list[str]:
-    """Driver-side three-class split of one store's containers: pruned /
-    metadata-answered (folded into ``acc``) / to-scan (returned paths).
-    Manifest JSON only — no file opens, no Ray tasks."""
-    from .decode import resolve_container_path
-
-    scan_paths: list[str] = []
-    for r in recs:
-        st = r.get("stats") or {}
-        rows = int(r.get("rows", 0))
-        # disjunction semantics: prune when NO branch may match; a container
-        # is fully matching when SOME branch provably matches every row
-        # (every row matching branch A matches the OR)
-        if dnf and st and not any(record_may_match(st, rows, br) for br in dnf):
-            plan["pruned"] += 1
-            continue
-        full = (not dnf) or (
-            st and any(record_all_match(st, rows, br) for br in dnf)
-        )
-        if full and _meta_answer(r, aggs, acc):
-            plan["meta_answered"] += 1
-        else:
-            scan_paths.append(resolve_container_path(out_dir, r))
-    plan["scanned"] = len(scan_paths)
-    return scan_paths
-
-
-def scan_agg_partials(scan_paths, aggs, schema, dnf, clauses, verify_crc):
-    """ONE distributed job: pruned decode of undecidable containers + per-
-    batch aggregate partials. Partials are store-agnostic (they depend only
-    on aggs/schema/predicate), so ``store_agg_multi`` batches every member's
-    paths into a single call — never one Ray job per delivery."""
-    import ray.data
-
-    agg_cols = list(dict.fromkeys(c for _, c in aggs if c is not None))
-    pred_cols = [c for c, _, _ in clauses]
-    out_cols = agg_cols or pred_cols[:1] or [next(iter(schema))]
-    read_cols = list(dict.fromkeys(out_cols + pred_cols))
-    ds = ray.data.read_binary_files(scan_paths)
-    ds = ds.map_batches(
-        _ScanDecoder(read_cols, out_cols, dnf, verify_crc),
-        batch_format="pyarrow",
-        batch_size=1,
-    )
-    return ds.map_batches(
-        _AggPartial(aggs, schema), batch_format="pyarrow", batch_size=None
-    ).take_all()
+    in the column's logical type; ``return_plan=True`` also returns the
+    ``PrunedScan`` plan counters plus ``meta_answered``."""
+    result, plan = store_agg_multi([out_dir], aggs, predicate, verify_crc=verify_crc,
+                                   return_plan=True)
+    return (result, plan["stores"][out_dir]) if return_plan else result
 
 
 def _merge_partials(partials, aggs, acc: dict) -> None:
@@ -448,85 +276,32 @@ def store_agg_multi(
 
     Every supported aggregate is decomposable — ``count``/``nn``/``sum`` are
     additive, ``min``/``max`` combine by comparison — so the family answer
-    folds the per-store answers exactly; no member decodes anything beyond
-    what its own three-class plan (pruned / metadata-answered / scanned)
-    requires. Aggregate and predicate columns must carry the SAME type in
-    every member (min/max comparisons and sums across type families would be
-    silently wrong) — refused loudly with per-store detail. The merged plan
-    sums each class and keeps the per-store breakdown under ``"stores"``.
-
-    Scale shape: the three-class split is driver-side manifest JSON per
-    member; the scan remainder — the only Ray job — batches every member's
-    undecidable containers into ONE partials job (partials depend only on
-    aggs/predicate, not on which store a container came from), so aggregate
-    cost does not grow a per-member Ray-job latency with family size."""
-    from . import manifest as mf
-    from .decode import container_files
-
-    if not dirs:
-        raise ValueError("store_agg_multi needs at least one store directory")
+    folds the per-container answers exactly: fully-matching containers
+    answer from their recorded stats (the ``meta_answered`` class of the
+    ``PrunedScan`` plan) and the undecidable remainder of EVERY member runs
+    in one partials job. Aggregate and predicate columns must carry the SAME
+    type in every member (min/max comparisons and sums across type families
+    would be silently wrong) — refused loudly with per-store detail; columns
+    the aggregate never touches may drift freely."""
     requested = _normalize_aggs(aggs)
-    aggs_n, _ = _expand_avg(requested)
-    dnf = _normalize_dnf(predicate) if predicate else []
-    clauses = [cl for br in dnf for cl in br]
-    need = sorted(
-        {c for _, c in aggs_n if c is not None}
-        | {c for br in dnf for c, _, _ in br}
-    )
-    typed = []
-    member_recs = []
-    schema0: dict = {}
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        container_files(d)  # stray-container guard (same as store_agg)
-        schema = dict(_store_schema(d, recs))
-        if not schema0:
-            schema0 = schema
-        member_recs.append(recs)
-        typed.append({c: schema.get(c) for c in need})
-    if any(t != typed[0] for t in typed[1:]):
-        detail = "; ".join(
-            f"{d}: {{{', '.join(f'{c}: {t}' for c, t in tt.items())}}}"
-            for d, tt in zip(dirs, typed)
-        )
-        raise ValueError(
-            "family members disagree on aggregate/predicate column types — "
-            f"conform them via compact_family first: {detail}"
-        )
-    if any(t is None for t in typed[0].values()):
-        missing = [c for c, t in typed[0].items() if t is None]
-        raise ValueError(f"columns {missing} not in store schema {sorted(schema0)}")
-    for fn, col in aggs_n:
-        if fn == "sum" and not (
-            pa.types.is_integer(schema0[col]) or pa.types.is_floating(schema0[col])
-        ):
-            raise ValueError(f"sum over non-numeric column {col!r} ({schema0[col]})")
+    aggs, _ = _expand_avg(requested)
+    agg_cols = list(dict.fromkeys(c for _, c in aggs if c is not None))
+    scan = PrunedScan(dirs, predicate, dict.fromkeys(agg_cols, "aggregate"),
+                      what="aggregate/predicate")
+    schema = scan.schema
+    _check_sums(aggs, schema)
 
-    # driver-side three-class split per member, folding meta answers into
-    # ONE shared accumulator (the fold is identical either way)
     acc: dict = {}
-    merged = {"parts_total": 0, "pruned": 0, "meta_answered": 0, "scanned": 0,
-              "stores": {}}
-    all_paths: list[str] = []
-    for d, recs in zip(dirs, member_recs):
-        plan = {"parts_total": len(recs), "pruned": 0, "meta_answered": 0,
-                "scanned": 0}
-        all_paths.extend(_plan_meta(d, recs, aggs_n, dnf, acc, plan))
-        for k in ("parts_total", "pruned", "meta_answered", "scanned"):
-            merged[k] += plan[k]
-        merged["stores"][d] = plan
-
-    # ONE footer-probe job over every member's remainder (dict + Bloom
-    # pruning, same as store_agg), then ONE partials job over survivors
-    all_paths = _probe_scan_paths(all_paths, dnf, merged)
-    if all_paths:
-        partials = scan_agg_partials(all_paths, aggs_n, schema0, dnf, clauses,
-                                     verify_crc)
-        _merge_partials(partials, aggs_n, acc)
-    result = _attach_avgs(_finalize_agg(aggs_n, acc, schema0), requested)
-    return (result, merged) if return_plan else result
+    paths, plan = scan.candidates(
+        lambda rec, _: "meta_answered" if _meta_answer(rec, aggs, acc) else None,
+        answered=("meta_answered",),
+    )
+    pred_cols = [c for br in scan.dnf for c, _, _ in br]
+    work_cols = agg_cols or pred_cols[:1] or [next(iter(schema))]
+    for part in scan.run(paths, _AggPartial(aggs, schema), work_cols, verify_crc):
+        _merge_partials(part.to_pylist(), aggs, acc)
+    result = _attach_avgs(_finalize_agg(aggs, acc, schema), requested)
+    return (result, plan) if return_plan else result
 
 
 def store_quantiles(
@@ -554,16 +329,11 @@ def store_quantiles(
     ONE column (plus predicate columns) — 2-3 pruned scans at any store size
     vs the all-to-all exchange ``Dataset.sort`` would pay."""
     from .profile import exact_quantiles
-    from .zonemap import scan_store, scan_store_multi
+    from .zonemap import scan_store_multi
 
-    if isinstance(dirs, str):
-        dirs = [dirs]
-    if len(dirs) == 1:
-        ds, plan = scan_store(dirs[0], predicate or [], columns=[col],
-                              verify_crc=verify_crc, return_plan=True)
-    else:
-        ds, plan = scan_store_multi(dirs, predicate or [], columns=[col],
-                                    verify_crc=verify_crc, return_plan=True)
+    ds, plan = scan_store_multi([dirs] if isinstance(dirs, str) else dirs,
+                                predicate or [], columns=[col],
+                                verify_crc=verify_crc, return_plan=True)
     vals = exact_quantiles(ds, col, list(qs), n_bins=n_bins,
                            collect_cap=collect_cap)
     return (vals, plan) if return_plan else vals

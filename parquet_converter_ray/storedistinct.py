@@ -4,7 +4,8 @@
 with a four-class container plan — the dictionary codec makes most of a
 low-cardinality DISTINCT a metadata question:
 
-* **pruned** — no DNF branch may match (zone maps): skipped.
+* **pruned** — hash routing, zone maps or the footer probe prove no DNF
+  branch matches: skipped.
 * **metadata-answered** — manifest JSON alone: an all-null column
   contributes ``{NULL}``; a provably single-valued column (zone-map
   ``min == max``, exact bounds, no NaN) contributes ``{min}`` (plus NULL
@@ -21,8 +22,7 @@ low-cardinality DISTINCT a metadata question:
   dictionary, so the default's membership in the real data is unknowable
   from the dictionary alone (``codecs.encode_array``).
 * **scanned** — everything else (free-text codecs, null-bearing dict
-  containers, partially-matching containers) runs the membership footer
-  probe (``storeagg._probe_scan_paths``) and then ONE distributed job of
+  containers, partially-matching containers) runs ONE distributed job of
   pruned, late-materialized decode of only the target + predicate columns
   with a per-block ``pc.unique`` partial.
 
@@ -46,16 +46,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .storeagg import _probe_scan_paths, record_all_match
 from .storegroup import _group_physical, _to_physical
-from .zonemap import (
-    _int_physical,
-    _normalize_dnf,
-    _ScanDecoder,
-    _store_schema,
-    container_dict_values,
-    record_may_match,
-)
+from .zonemap import PrunedScan, _int_physical, container_dict_values
 
 DEFAULT_MAX_VALUES = 2_000_000
 
@@ -156,24 +148,6 @@ def _footer_distinct_job(paths: "list[str]", col: str, physical: pa.DataType):
     return out
 
 
-def _scan_distinct_partials(scan_paths, col, t, physical, dnf, clauses, verify_crc):
-    """ONE distributed job: pruned decode + per-block unique partials.
-    Store-agnostic, so the family variant batches every member's paths."""
-    import ray.data
-
-    pred_cols = [c for c, _, _ in clauses]
-    read_cols = list(dict.fromkeys([col] + pred_cols))
-    ds = ray.data.read_binary_files(scan_paths)
-    ds = ds.map_batches(
-        _ScanDecoder(read_cols, [col], dnf, verify_crc),
-        batch_format="pyarrow",
-        batch_size=1,
-    ).map_batches(
-        _DistinctPartial(col, t, physical), batch_format="pyarrow", batch_size=None
-    )
-    return [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
-
-
 def _fold_distinct(
     chunks: "list[pa.Array]", singles: "list", physical: pa.DataType, max_values: int
 ) -> "tuple[pa.Array, bool]":
@@ -224,38 +198,6 @@ def _finalize_distinct(
     return pa.table({col: u})
 
 
-def _plan_distinct(out_dir, recs, col, t, dnf):
-    """Driver-side four-class split of one store's containers from manifest
-    JSON: pruned / metadata-answered (values returned) / footer-class paths
-    / scan-class paths."""
-    from .decode import resolve_container_path
-
-    plan = {"parts_total": len(recs), "pruned": 0, "meta_answered": 0,
-            "footer_answered": 0, "scanned": 0}
-    singles: list = []
-    footer_paths: list[str] = []
-    scan_paths: list[str] = []
-    for r in recs:
-        st = r.get("stats") or {}
-        rows = int(r.get("rows", 0))
-        if dnf and st and not any(record_may_match(st, rows, br) for br in dnf):
-            plan["pruned"] += 1
-            continue
-        full = (not dnf) or (st and any(record_all_match(st, rows, br) for br in dnf))
-        if full:
-            mv = _meta_distinct(r, col, t)
-            if mv is not None:
-                singles.extend(mv)
-                plan["meta_answered"] += 1
-                continue
-            ent = st.get(col) or {}
-            if (r.get("codecs") or {}).get(col) == "dict" and not int(ent.get("nulls", 1) or 0):
-                footer_paths.append(resolve_container_path(out_dir, r))
-                continue  # counted once the footer job confirms
-        scan_paths.append(resolve_container_path(out_dir, r))
-    return plan, singles, footer_paths, scan_paths
-
-
 def store_distinct(
     out_dir: str,
     col: str,
@@ -293,93 +235,49 @@ def store_distinct_multi(
     the SAME type in every member (refused loudly). Scale shape: the class
     split is driver-side manifest JSON per member; the footer job and the
     scan job each batch EVERY member's containers into one Ray job."""
-    from . import manifest as mf
-    from .decode import container_files
-
-    if not dirs:
-        raise ValueError("store_distinct_multi needs at least one store directory")
-    dnf = _normalize_dnf(predicate) if predicate else []
-    clauses = [cl for br in dnf for cl in br]
-    member_recs = []
-    types = []
-    schema0: dict = {}
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        container_files(d)  # stray-container guard (same as scan_store)
-        schema = dict(_store_schema(d, recs))
-        if not schema0:
-            schema0 = schema
-        if col not in schema:
-            raise ValueError(f"column {col!r} not in store schema {sorted(schema)}")
-        for c, _, _ in clauses:
-            if c not in schema:
-                raise ValueError(f"predicate column {c!r} not in store schema {sorted(schema)}")
-        member_recs.append(recs)
-        types.append(schema[col])
-    if any(t != types[0] for t in types[1:]):
-        detail = "; ".join(f"{d}: {t}" for d, t in zip(dirs, types))
-        raise ValueError(
-            f"family members disagree on {col!r}'s type — conform them via "
-            f"compact_family first: {detail}"
-        )
-    t = types[0]
+    scan = PrunedScan(dirs, predicate, [col], what=f"{col!r}")
+    t = scan.schema[col]
     physical = _group_physical(t)  # raises for unsupported (binary) columns
 
-    merged = {"parts_total": 0, "pruned": 0, "meta_answered": 0,
-              "footer_answered": 0, "scanned": 0, "stores": {}}
     singles: list = []
     footer_paths: list[str] = []
-    scan_paths: list[str] = []
-    plans = []
-    for d, recs in zip(dirs, member_recs):
-        plan, sv, fp, sp = _plan_distinct(d, recs, col, t, dnf)
-        singles.extend(sv)
-        footer_paths.extend(fp)
-        scan_paths.extend(sp)
-        plans.append((d, plan, fp))
-        for k in ("parts_total", "pruned", "meta_answered"):
-            merged[k] += plan[k]
+
+    def on_full(rec, path):
+        mv = _meta_distinct(rec, col, t)
+        if mv is not None:
+            singles.extend(mv)
+            return "meta_answered"
+        ent = (rec.get("stats") or {}).get(col) or {}
+        if (rec.get("codecs") or {}).get(col) == "dict" and not int(ent.get("nulls", 1) or 0):
+            footer_paths.append(path)  # confirmed by the footer job below
+            return "footer_answered"
+        return None
+
+    paths, plan = scan.candidates(on_full, answered=("meta_answered", "footer_answered"))
 
     # ONE footer job over every member's dict-class containers
     chunks: list[pa.Array] = []
-    if footer_paths:
-        fv = _footer_distinct_job(footer_paths, col, physical)
-        for p in footer_paths:
-            vals = fv.get(p)
-            if vals is None:
-                scan_paths.append(p)  # codec drift: fall through to the scan
-            else:
-                chunks.append(pa.array(vals, type=physical))
-        merged["footer_answered"] = sum(1 for p in footer_paths if fv.get(p) is not None)
-        for d, plan, fp in plans:
-            plan["footer_answered"] = sum(1 for p in fp if fv.get(p) is not None)
-            plan["scanned"] = plan["parts_total"] - plan["pruned"] - \
-                plan["meta_answered"] - plan["footer_answered"]
-    else:
-        for d, plan, fp in plans:
-            plan["scanned"] = plan["parts_total"] - plan["pruned"] - plan["meta_answered"]
-    for d, plan, _ in plans:
-        merged["stores"][d] = plan
+    fv = _footer_distinct_job(footer_paths, col, physical) if footer_paths else {}
+    store_of = {p: d for d, _, ps in scan.members for p in ps}
+    for p in footer_paths:
+        if fv.get(p) is not None:
+            chunks.append(pa.array(fv[p], type=physical))
+            continue
+        paths.append(p)  # codec drift: the container scans after all
+        for pl in (plan, plan["stores"][store_of[p]]):
+            pl["footer_answered"] -= 1
+            pl["scanned"] += 1
 
-    # footer probe (dict + Bloom membership pruning) then ONE scan job
-    scan_paths = _probe_scan_paths(scan_paths, dnf, merged)
-    merged["scanned"] = len(scan_paths)
-    if scan_paths:
-        partials = _scan_distinct_partials(
-            scan_paths, col, t, physical, dnf, clauses, verify_crc
-        )
-        for p in partials:
-            arr = p["v"]
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            chunks.append(arr.cast(physical))
+    for part in scan.run(paths, _DistinctPartial(col, t, physical), [col], verify_crc):
+        arr = part["v"]
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        chunks.append(arr.cast(physical))
 
     u, had_null = _fold_distinct(chunks, singles, physical, max_values)
     out = _finalize_distinct(u, had_null, col, t)
-    merged["n_values"] = out.num_rows
-    return (out, merged) if return_plan else out
+    plan["n_values"] = out.num_rows
+    return (out, plan) if return_plan else out
 
 
 def store_approx_distinct(
@@ -399,15 +297,10 @@ def store_approx_distinct(
     fine here and loudly refused in the exact path). ~1% typical error
     (accuracy pytest-pinned in tests/test_profile.py for the sketch)."""
     from .profile import approx_distinct
-    from .zonemap import scan_store, scan_store_multi
+    from .zonemap import scan_store_multi
 
-    if isinstance(dirs, str):
-        dirs = [dirs]
-    if len(dirs) == 1:
-        ds, plan = scan_store(dirs[0], predicate or [], columns=[col],
-                              verify_crc=verify_crc, return_plan=True)
-    else:
-        ds, plan = scan_store_multi(dirs, predicate or [], columns=[col],
-                                    verify_crc=verify_crc, return_plan=True)
+    ds, plan = scan_store_multi([dirs] if isinstance(dirs, str) else dirs,
+                                predicate or [], columns=[col],
+                                verify_crc=verify_crc, return_plan=True)
     n = approx_distinct(ds, col)
     return (n, plan) if return_plan else n

@@ -4,7 +4,8 @@
 FROM store [WHERE pred] GROUP BY group_cols`` with the same three-class
 container plan ``storeagg.store_agg`` uses for scalar aggregates:
 
-* **pruned** — no DNF branch may match (zone maps): skipped.
+* **pruned** — hash routing, zone maps or the footer probe prove no DNF
+  branch matches: skipped.
 * **metadata-answered** — every row provably matches the predicate AND every
   group column is provably SINGLE-VALUED in the container (zone-map
   ``min == max`` with zero nulls and exact bounds, or all-null → the SQL
@@ -13,8 +14,7 @@ container plan ``storeagg.store_agg`` uses for scalar aggregates:
   opened. On a store range-clustered by the grouping column (the common
   rollup layout: one tenant / one day / one source per container), a whole
   GROUP BY answers from manifest JSON alone.
-* **scanned** — everything else runs the membership footer probe
-  (dictionary + Bloom, one Ray job) and then ONE distributed job: pruned,
+* **scanned** — everything else runs ONE distributed job: pruned,
   late-materialized decode of only the group + aggregate + predicate
   columns, then a vectorized Arrow ``group_by`` partial per block.
 
@@ -50,17 +50,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .storeagg import _expand_avg, _meta_answer, _normalize_aggs, record_all_match
-from .zonemap import (
-    _int_physical,
-    _is_strlike,
-    _normalize_dnf,
-    _probe_applies,
-    _ScanDecoder,
-    _store_schema,
-    probe_verdicts,
-    record_may_match,
-)
+from .storeagg import _check_sums, _expand_avg, _meta_answer, _normalize_aggs
+from .zonemap import PrunedScan, _int_physical, _is_strlike
 
 _SUM_DEC = pa.decimal128(38, 0)
 
@@ -201,41 +192,6 @@ def _meta_group_row(rec: dict, group_by, aggs, schema) -> dict | None:
     return row
 
 
-def _scan_group_partials(
-    scan_paths, group_by, aggs, schema, dnf, clauses, verify_crc, max_partial_rows
-):
-    """ONE distributed job: pruned decode of undecidable containers + a
-    vectorized grouped partial per block, streamed back as Arrow tables.
-    Store-agnostic (family callers batch every member's paths)."""
-    import ray.data
-
-    agg_cols = [c for _, c in aggs if c is not None]
-    pred_cols = [c for c, _, _ in clauses]
-    out_cols = list(dict.fromkeys(list(group_by) + agg_cols))
-    read_cols = list(dict.fromkeys(out_cols + pred_cols))
-    ds = ray.data.read_binary_files(scan_paths)
-    ds = ds.map_batches(
-        _ScanDecoder(read_cols, out_cols, dnf, verify_crc),
-        batch_format="pyarrow",
-        batch_size=1,
-    ).map_batches(
-        _GroupPartial(group_by, aggs, schema), batch_format="pyarrow", batch_size=None
-    )
-    partials: list[pa.Table] = []
-    n = 0
-    for b in ds.iter_batches(batch_format="pyarrow"):
-        n += b.num_rows
-        if n > max_partial_rows:
-            raise ValueError(
-                f"grouped partials exceed max_partial_rows={max_partial_rows} — "
-                "the GROUP BY key cardinality is beyond the driver-fold "
-                "contract; aggregate via decode_dataset(...).groupby(...) "
-                "(distributed exchange) or raise max_partial_rows"
-            )
-        partials.append(b)
-    return partials
-
-
 def _finalize_group(merged: pa.Table, group_by, aggs, schema) -> pa.Table:
     """Leave the physical partial domain: group keys and min/max cast back
     to their logical column types, counts to int64, exact decimal sums to
@@ -289,58 +245,20 @@ def _merge_group_partials(partials: list[pa.Table], group_by, aggs) -> pa.Table:
     return res.rename_columns([renames.get(n, n) for n in res.column_names])
 
 
-def _validate(group_by, aggs, clauses, schema):
-    if not group_by:
-        raise ValueError("store_agg_group needs at least one group column")
-    for c in group_by:
-        if c not in schema:
-            raise ValueError(f"group column {c!r} not in store schema {sorted(schema)}")
-        _group_physical(schema[c])  # raises on ungroupable types
-    for _, col in aggs:
-        if col is not None and col not in schema:
-            raise ValueError(f"aggregate column {col!r} not in store schema {sorted(schema)}")
-    for col, _, _ in clauses:
-        if col not in schema:
-            raise ValueError(f"predicate column {col!r} not in store schema {sorted(schema)}")
-    for fn, col in aggs:
-        if fn == "sum" and not (
-            pa.types.is_integer(schema[col]) or pa.types.is_floating(schema[col])
-        ):
-            raise ValueError(f"sum over non-numeric column {col!r} ({schema[col]})")
-
-
-def _plan_group_meta(out_dir, recs, group_by, aggs, dnf, schema, meta_rows, plan):
-    """Driver-side three-class split for one store (manifest JSON only):
-    pruned / metadata-answered (one partial row appended) / to-scan paths."""
-    from .decode import resolve_container_path
-
-    scan_paths: list[str] = []
-    for r in recs:
-        st = r.get("stats") or {}
-        rows = int(r.get("rows", 0))
-        if dnf and st and not any(record_may_match(st, rows, br) for br in dnf):
-            plan["pruned"] += 1
-            continue
-        full = (not dnf) or (st and any(record_all_match(st, rows, br) for br in dnf))
-        row = _meta_group_row(r, group_by, aggs, schema) if full else None
-        if row is not None:
-            meta_rows.append(row)
-            plan["meta_answered"] += 1
-        else:
-            scan_paths.append(resolve_container_path(out_dir, r))
-    plan["scanned"] = len(scan_paths)
-    return scan_paths
-
-
-def _probe_group_paths(scan_paths, dnf, plan):
-    if not scan_paths or not dnf or not _probe_applies(dnf):
-        return scan_paths
-    verdicts = probe_verdicts(scan_paths, dnf)
-    plan["pruned_dict"] = sum(1 for v in verdicts.values() if v == "dict")
-    plan["pruned_bloom"] = sum(1 for v in verdicts.values() if v == "bloom")
-    kept = [p for p in scan_paths if verdicts.get(p) == "keep"]
-    plan["scanned"] = len(kept)
-    return kept
+def _capped(partials, max_rows: int, what: str, alternative: str) -> list:
+    """Collect streamed partials under the driver-fold contract: refuse
+    LOUDLY, naming the distributed alternative, once they exceed
+    ``max_rows`` rows (shared by the grouped pushdowns)."""
+    out, n = [], 0
+    for b in partials:
+        n += b.num_rows
+        if n > max_rows:
+            raise ValueError(
+                f"{what} partials exceed max_partial_rows={max_rows} — beyond "
+                f"the driver-fold contract; {alternative} or raise max_partial_rows"
+            )
+        out.append(b)
+    return out
 
 
 def _attach_group_avgs(tbl: pa.Table, group_by, requested) -> pa.Table:
@@ -378,46 +296,10 @@ def store_agg_group(
     plan semantics). Returns a pyarrow Table with the group columns (logical
     types) plus one column per aggregate, named ``count`` / ``{fn}_{col}``;
     group order is unspecified (sort on the result if you need one)."""
-    from . import manifest as mf
-    from .decode import container_files
-
-    group_by = list(group_by)
-    requested = list(dict.fromkeys(_normalize_aggs(aggs)))
-    aggs, _ = _expand_avg(requested)
-    dnf = _normalize_dnf(predicate) if predicate else []
-    clauses = [cl for br in dnf for cl in br]
-    recs = mf.load_records(out_dir)
-    if not recs:
-        raise FileNotFoundError(f"no manifest records under {out_dir}")
-    container_files(out_dir)  # stray-container guard (same as scan_store)
-    schema = dict(_store_schema(out_dir, recs))
-    _validate(group_by, aggs, clauses, schema)
-
-    plan = {"parts_total": len(recs), "pruned": 0, "meta_answered": 0, "scanned": 0}
-    meta_rows: list[dict] = []
-    scan_paths = _plan_group_meta(out_dir, recs, group_by, aggs, dnf, schema, meta_rows, plan)
-    scan_paths = _probe_group_paths(scan_paths, dnf, plan)
-
-    pschema = _partial_schema(group_by, aggs, schema)
-    partials: list[pa.Table] = []
-    if meta_rows:
-        partials.append(
-            pa.Table.from_pylist(meta_rows, schema=pschema)
-        )
-    if scan_paths:
-        partials.extend(
-            _scan_group_partials(
-                scan_paths, group_by, aggs, schema, dnf, clauses, verify_crc,
-                max_partial_rows,
-            )
-        )
-    if not partials:
-        partials = [pschema.empty_table()]
-    merged = _merge_group_partials(partials, group_by, aggs)
-    result = _attach_group_avgs(
-        _finalize_group(merged, group_by, aggs, schema), group_by, requested
-    )
-    return (result, plan) if return_plan else result
+    tbl, plan = store_agg_group_multi([out_dir], group_by, aggs, predicate,
+                                      verify_crc=verify_crc, return_plan=True,
+                                      max_partial_rows=max_partial_rows)
+    return (tbl, plan["stores"][out_dir]) if return_plan else tbl
 
 
 def store_agg_group_multi(
@@ -432,83 +314,43 @@ def store_agg_group_multi(
 ) -> pa.Table | tuple[pa.Table, dict]:
     """GROUP BY aggregate over a store FAMILY: grouped partials are additive
     across members exactly like the scalar folds, so the family answer is
-    one shared partial pool — per-member driver-side three-class splits, ONE
-    batched footer-probe job, ONE scan job over every member's remainder,
-    one driver fold. Group / aggregate / predicate columns must carry the
-    same type in every member (refused loudly with per-store detail —
-    ``compact_family`` conforms)."""
-    from . import manifest as mf
-    from .decode import container_files
-
-    if not dirs:
-        raise ValueError("store_agg_group_multi needs at least one store directory")
+    one shared partial pool — metadata rows from every member's
+    fully-matching single-valued containers, ONE batched footer-probe job,
+    ONE scan job over every member's remainder, one driver fold. Group /
+    aggregate / predicate columns must carry the same type in every member
+    (refused loudly with per-store detail — ``compact_family`` conforms)."""
     group_by = list(group_by)
+    if not group_by:
+        raise ValueError("store_agg_group needs at least one group column")
     requested = list(dict.fromkeys(_normalize_aggs(aggs)))
     aggs, _ = _expand_avg(requested)
-    dnf = _normalize_dnf(predicate) if predicate else []
-    clauses = [cl for br in dnf for cl in br]
-    need = sorted(
-        set(group_by)
-        | {c for _, c in aggs if c is not None}
-        | {c for br in dnf for c, _, _ in br}
-    )
-    member_recs = []
-    typed = []
-    schema0: dict = {}
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        container_files(d)
-        schema = dict(_store_schema(d, recs))
-        if not schema0:
-            schema0 = schema
-        member_recs.append(recs)
-        typed.append({c: schema.get(c) for c in need})
-    if any(t != typed[0] for t in typed[1:]):
-        detail = "; ".join(
-            f"{d}: {{{', '.join(f'{c}: {t}' for c, t in tt.items())}}}"
-            for d, tt in zip(dirs, typed)
-        )
-        raise ValueError(
-            "family members disagree on group/aggregate/predicate column "
-            f"types — conform them via compact_family first: {detail}"
-        )
-    if any(t is None for t in typed[0].values()):
-        missing = [c for c, t in typed[0].items() if t is None]
-        raise ValueError(f"columns {missing} not in store schema {sorted(schema0)}")
-    _validate(group_by, aggs, clauses, schema0)
+    work_cols = list(dict.fromkeys(group_by + [c for _, c in aggs if c is not None]))
+    scan = PrunedScan(dirs, predicate, {**dict.fromkeys(work_cols, "aggregate"),
+                                        **dict.fromkeys(group_by, "group")},
+                      what="group/aggregate/predicate")
+    schema = scan.schema
+    for c in group_by:
+        _group_physical(schema[c])  # raises on ungroupable types
+    _check_sums(aggs, schema)
 
-    merged_plan = {
-        "parts_total": 0, "pruned": 0, "meta_answered": 0, "scanned": 0, "stores": {},
-    }
     meta_rows: list[dict] = []
-    all_paths: list[str] = []
-    for d, recs in zip(dirs, member_recs):
-        plan = {"parts_total": len(recs), "pruned": 0, "meta_answered": 0, "scanned": 0}
-        all_paths.extend(
-            _plan_group_meta(d, recs, group_by, aggs, dnf, schema0, meta_rows, plan)
-        )
-        for k in ("parts_total", "pruned", "meta_answered", "scanned"):
-            merged_plan[k] += plan[k]
-        merged_plan["stores"][d] = plan
-    all_paths = _probe_group_paths(all_paths, dnf, merged_plan)
 
-    pschema = _partial_schema(group_by, aggs, schema0)
-    partials: list[pa.Table] = []
-    if meta_rows:
-        partials.append(pa.Table.from_pylist(meta_rows, schema=pschema))
-    if all_paths:
-        partials.extend(
-            _scan_group_partials(
-                all_paths, group_by, aggs, schema0, dnf, clauses, verify_crc,
-                max_partial_rows,
-            )
-        )
-    if not partials:
-        partials = [pschema.empty_table()]
+    def on_full(rec, _path):
+        row = _meta_group_row(rec, group_by, aggs, schema)
+        if row is None:
+            return None
+        meta_rows.append(row)
+        return "meta_answered"
+
+    paths, plan = scan.candidates(on_full, answered=("meta_answered",))
+    partials = [pa.Table.from_pylist(meta_rows, schema=_partial_schema(group_by, aggs, schema))]
+    partials += _capped(
+        scan.run(paths, _GroupPartial(group_by, aggs, schema), work_cols, verify_crc),
+        max_partial_rows, "grouped",
+        "aggregate via decode_dataset(...).groupby(...) (distributed exchange)",
+    )
     merged = _merge_group_partials(partials, group_by, aggs)
     result = _attach_group_avgs(
-        _finalize_group(merged, group_by, aggs, schema0), group_by, requested
+        _finalize_group(merged, group_by, aggs, schema), group_by, requested
     )
-    return (result, merged_plan) if return_plan else result
+    return (result, plan) if return_plan else result

@@ -40,14 +40,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .storeagg import _probe_scan_paths
-from .zonemap import (
-    _is_strlike,
-    _normalize_dnf,
-    _ScanDecoder,
-    _store_schema,
-    record_may_match,
-)
+from .storegroup import _capped
+from .storetopk import _group_run_starts
+from .zonemap import PrunedScan, _is_strlike, and_clause
 
 MAX_N = 100_000
 
@@ -126,81 +121,26 @@ def store_sample_multi(
 ):
     """Deterministic n-row sample over a FAMILY of stores as one logical
     table (key uniqueness must hold across members)."""
-    import ray.data
-
-    from . import manifest as mf
-    from .decode import container_files, resolve_container_path
-    from .zonemap import scan_store_multi
-
-    if not dirs:
-        raise ValueError("store_sample_multi needs at least one store directory")
     if not (1 <= n <= MAX_N):
         raise ValueError(
             f"n={n} outside [1, {MAX_N}] — larger samples exceed the driver-fold "
             "contract; sample via decode_dataset(...).random_sample() instead"
         )
-    dnf = _normalize_dnf(predicate) if predicate else []
-    clauses = [cl for br in dnf for cl in br]
-
-    member_recs = []
-    types0: dict = {}
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        container_files(d)
-        schema = dict(_store_schema(d, recs))
-        if not types0:
-            types0 = schema
-        for c in {key, *(c for c, _, _ in clauses), *(columns or [])}:
-            if c not in schema:
-                raise ValueError(f"column {c!r} not in store schema {sorted(schema)}")
-        if schema[key] != types0[key]:
-            raise ValueError(
-                f"family members disagree on {key!r}'s type — conform them "
-                f"via compact_family first"
-            )
-        member_recs.append(recs)
-    kt = types0[key]
+    scan = PrunedScan(dirs, predicate, [key, *(columns or [])],
+                      all_columns=columns is None, what="sample")
+    kt = scan.schema[key]
     if not (pa.types.is_integer(kt) or _is_strlike(kt)):
         raise ValueError(
             f"sample key must be an int or string column (str(key) must match "
             f"SQL CAST AS VARCHAR); {key!r} is {kt}"
         )
+    out_cols = list(columns) if columns is not None else list(scan.schema)
 
     # --- pass 1: key-only bottom-n by digest -------------------------------
-    plan = {"parts_total": 0, "pruned_stats": 0, "pruned_dict": 0,
-            "pruned_bloom": 0, "scanned": 0}
-    paths: list[str] = []
-    for d, recs in zip(dirs, member_recs):
-        plan["parts_total"] += len(recs)
-        for r in recs:
-            st = r.get("stats") or {}
-            rows = int(r.get("rows", 0))
-            if dnf and st and not any(record_may_match(st, rows, br) for br in dnf):
-                plan["pruned_stats"] += 1
-                continue
-            paths.append(resolve_container_path(d, r))
-    paths = _probe_scan_paths(paths, dnf, plan)
-    plan["scanned"] = len(paths)
-
-    read_cols = list(dict.fromkeys([key] + [c for c, _, _ in clauses]))
-    partials: list[pa.Table] = []
-    if paths:
-        ds = ray.data.read_binary_files(paths)
-        ds = ds.map_batches(
-            _ScanDecoder(read_cols, [key], dnf, verify_crc),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).map_batches(
-            _BottomNPartial(key, n, seed, kt),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        partials = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
+    paths, plan = scan.candidates()
+    partials = list(scan.run(paths, _BottomNPartial(key, n, seed, kt), [key], verify_crc))
     if not partials:
-        out_cols = list(columns) if columns is not None else list(types0)
-        empty = pa.table({c: pa.array([], type=types0[c]) for c in out_cols})
+        empty = pa.table({c: pa.array([], type=scan.schema[c]) for c in out_cols})
         return (empty, plan) if return_plan else empty
 
     merged = pa.concat_tables(partials).combine_chunks()
@@ -214,23 +154,8 @@ def store_sample_multi(
         )
 
     # --- pass 2: point-lookup scan for the winners' rows --------------------
-    in_cl = (key, "in", wk)
-    pred2 = ("or", [br + [in_cl] for br in dnf]) if dnf else [in_cl]
-    out_cols = list(columns) if columns is not None else list(types0)
     fetch_cols = list(dict.fromkeys(out_cols + [key]))
-    if len(dirs) == 1:
-        from .zonemap import scan_store
-
-        ds2, plan2 = scan_store(dirs[0], pred2, columns=fetch_cols,
-                                verify_crc=verify_crc, return_plan=True)
-    else:
-        ds2, plan2 = scan_store_multi(dirs, pred2, columns=fetch_cols,
-                                      verify_crc=verify_crc, return_plan=True)
-    batches = [b for b in ds2.iter_batches(batch_format="pyarrow") if b.num_rows]
-    plan["row_pass"] = {k: v for k, v in plan2.items() if k != "stores"}
-    tbl = pa.concat_tables(batches).combine_chunks() if batches else pa.table(
-        {c: pa.array([], type=types0[c]) for c in fetch_cols}
-    )
+    tbl, plan["row_pass"] = _fetch_winners(scan, key, wk, fetch_cols, verify_crc)
 
     # exact re-rank so boundary ties resolve identically to the SQL
     keys2 = tbl[key]
@@ -245,21 +170,33 @@ def store_sample_multi(
     return (tbl, plan) if return_plan else tbl
 
 
+def _fetch_winners(scan: PrunedScan, key: str, winners: list, fetch_cols, verify_crc):
+    """Pass 2 of both samplers: the winning keys become a ``key in (...)``
+    clause AND-ed into the predicate, and the same scan's full pruning
+    stack fetches only their rows. Returns the rows and the pass's plan."""
+    scan.dnf = and_clause(scan.dnf, (key, "in", winners))
+    paths, plan = scan.candidates()
+    ds = scan.dataset(paths, fetch_cols, verify_crc)
+    batches = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
+    tbl = pa.concat_tables(batches).combine_chunks() if batches else pa.table(
+        {c: pa.array([], type=scan.schema[c]) for c in fetch_cols}
+    )
+    plan.pop("stores")
+    return tbl, plan
+
+
 class _GroupBottomNPartial:
     """Per-block per-group bottom-n (digest, key) pairs: one multi-key sort
     (group, digest, key) + the vectorized rank-within-run filter."""
 
-    def __init__(self, key, group_by, n, seed, key_type, group_types):
+    def __init__(self, key, group_by, n, seed, key_type):
         self.key = key
         self.group_by = list(group_by)
         self.n = n
         self.seed = seed
         self.key_type = key_type
-        self.group_types = group_types
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .storetopk import _group_run_starts
-
         keys = batch[self.key]
         if isinstance(keys, pa.ChunkedArray):
             keys = keys.combine_chunks()
@@ -304,99 +241,33 @@ def store_sample_stratified(
     rollup-grade driver contract, guarded by ``max_partial_rows``); pass 2
     fetches winners through the point-lookup scan stack and re-ranks
     exactly. ``dirs`` may be one store (str) or a family (list)."""
-    import ray.data
-
-    from . import manifest as mf
-    from .decode import container_files, resolve_container_path
-    from .storetopk import _group_run_starts
-    from .zonemap import scan_store, scan_store_multi
-
     if isinstance(dirs, str):
         dirs = [dirs]
-    if not dirs:
-        raise ValueError("store_sample_stratified needs at least one store")
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n={n} outside [1, {MAX_N}] (per-group sample size)")
     group_by = list(group_by)
     if not group_by:
         raise ValueError("store_sample_stratified needs at least one group column")
-    dnf = _normalize_dnf(predicate) if predicate else []
-    clauses = [cl for br in dnf for cl in br]
-
-    member_recs = []
-    types0: dict = {}
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        container_files(d)
-        schema = dict(_store_schema(d, recs))
-        if not types0:
-            types0 = schema
-        for c in {key, *group_by, *(c for c, _, _ in clauses), *(columns or [])}:
-            if c not in schema:
-                raise ValueError(f"column {c!r} not in store schema {sorted(schema)}")
-        for c in [key, *group_by]:
-            if schema[c] != types0[c]:
-                raise ValueError(
-                    f"family members disagree on {c!r}'s type — conform them "
-                    "via compact_family first"
-                )
-        member_recs.append(recs)
-    kt = types0[key]
+    scan = PrunedScan(dirs, predicate, [key, *group_by, *(columns or [])],
+                      what="sample key/group")
+    kt = scan.schema[key]
     if not (pa.types.is_integer(kt) or _is_strlike(kt)):
         raise ValueError(
             f"sample key must be an int or string column; {key!r} is {kt}"
         )
 
-    plan = {"parts_total": 0, "pruned_stats": 0, "pruned_dict": 0,
-            "pruned_bloom": 0, "scanned": 0}
-    paths: list[str] = []
-    for d, recs in zip(dirs, member_recs):
-        plan["parts_total"] += len(recs)
-        for r in recs:
-            st = r.get("stats") or {}
-            rows = int(r.get("rows", 0))
-            if dnf and st and not any(record_may_match(st, rows, br) for br in dnf):
-                plan["pruned_stats"] += 1
-                continue
-            paths.append(resolve_container_path(d, r))
-    paths = _probe_scan_paths(paths, dnf, plan)
-    plan["scanned"] = len(paths)
-
-    read_cols = list(dict.fromkeys([key] + group_by + [c for c, _, _ in clauses]))
-    partials: list[pa.Table] = []
-    if paths:
-        ds = ray.data.read_binary_files(paths)
-        ds = ds.map_batches(
-            _ScanDecoder(read_cols, list(dict.fromkeys([key] + group_by)), dnf,
-                         verify_crc),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).map_batches(
-            _GroupBottomNPartial(key, group_by, n, seed, kt,
-                                 {c: types0[c] for c in group_by}),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        rows_seen = 0
-        for b in ds.iter_batches(batch_format="pyarrow"):
-            if not b.num_rows:
-                continue
-            rows_seen += b.num_rows
-            if rows_seen > max_partial_rows:
-                raise ValueError(
-                    f"stratified-sample partials exceed max_partial_rows="
-                    f"{max_partial_rows} — group cardinality × n is beyond "
-                    "the driver-fold contract; lower n or sample per group "
-                    "via decode_dataset(...).groupby"
-                )
-            partials.append(b)
+    paths, plan = scan.candidates()
+    partials = _capped(
+        scan.run(paths, _GroupBottomNPartial(key, group_by, n, seed, kt),
+                 list(dict.fromkeys([key] + group_by)), verify_crc),
+        max_partial_rows, "stratified-sample",
+        "lower n or sample per group via decode_dataset(...).groupby",
+    )
     out_cols = list(columns) if columns is not None else list(
         dict.fromkeys(group_by + [key])
     )
     if not partials:
-        empty = pa.table({c: pa.array([], type=types0[c]) for c in out_cols})
+        empty = pa.table({c: pa.array([], type=scan.schema[c]) for c in out_cols})
         return (empty, plan) if return_plan else empty
 
     merged = pa.concat_tables(partials).combine_chunks()
@@ -416,17 +287,8 @@ def store_sample_stratified(
             "per-group boundary row set engine-dependent"
         )
 
-    in_cl = (key, "in", wk)
-    pred2 = ("or", [br + [in_cl] for br in dnf]) if dnf else [in_cl]
     fetch_cols = list(dict.fromkeys(out_cols + [key] + group_by))
-    if len(dirs) == 1:
-        ds2 = scan_store(dirs[0], pred2, columns=fetch_cols, verify_crc=verify_crc)
-    else:
-        ds2 = scan_store_multi(dirs, pred2, columns=fetch_cols, verify_crc=verify_crc)
-    batches = [b for b in ds2.iter_batches(batch_format="pyarrow") if b.num_rows]
-    tbl = pa.concat_tables(batches).combine_chunks() if batches else pa.table(
-        {c: pa.array([], type=types0[c]) for c in fetch_cols}
-    )
+    tbl, _ = _fetch_winners(scan, key, wk, fetch_cols, verify_crc)
     keys2 = tbl[key]
     if isinstance(keys2, pa.ChunkedArray):
         keys2 = keys2.combine_chunks()

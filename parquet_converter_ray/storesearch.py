@@ -44,14 +44,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .bloom import _TOKEN_SPLIT, query_tokens
-from .storeagg import _probe_scan_paths
 from .storetopk import MAX_K, _topk_take
-from .zonemap import (
-    _normalize_dnf,
-    _ScanDecoder,
-    _store_schema,
-    record_may_match,
-)
+from .zonemap import PrunedScan, _normalize_dnf, and_clause
 
 
 class _DFPartial:
@@ -156,15 +150,18 @@ class _ScoreTopK:
 def _snippets(texts: pa.Array, tokens, width: int = 40) -> pa.Array:
     """±width-char context around the FIRST query-token hit per row —
     driver-side over the final k rows only (k is small by contract), so a
-    Python loop here is fine where one in the scan would not be."""
-    pats = [re.compile("(^|[^a-z0-9])(" + "|".join(re.escape(t) for t in tokens)
-                       + ")([^a-z0-9]|$)")]
+    Python loop here is fine where one in the scan would not be. Matching
+    runs case-insensitively on the ORIGINAL string: lowercasing first can
+    change a string's length (``'İ'.lower()`` is two code points), which
+    would shift every offset sliced back out of it."""
+    pat = re.compile("(^|[^a-z0-9])(" + "|".join(re.escape(t) for t in tokens)
+                     + ")([^a-z0-9]|$)", re.IGNORECASE)
     out = []
     for v in texts.to_pylist():
         if v is None:
             out.append(None)
             continue
-        m = pats[0].search(v.lower())
+        m = pat.search(v)
         if not m:
             out.append(v[: 2 * width])
             continue
@@ -221,13 +218,6 @@ def store_search_multi(
     """Ranked search over a FAMILY of stores as one corpus (one probe job +
     one scan job across members). ``snippet=True`` appends a ``snippet``
     column: ±40 chars around each hit's first matched token."""
-    import ray.data
-
-    from . import manifest as mf
-    from .decode import container_files, resolve_container_path
-
-    if not dirs:
-        raise ValueError("store_search_multi needs at least one store directory")
     if not (1 <= k <= MAX_K):
         raise ValueError(f"k={k} outside [1, {MAX_K}]")
     if mode not in ("any", "all", "bm25"):
@@ -237,56 +227,22 @@ def store_search_multi(
         raise ValueError(f"query {query!r} holds no tokens")
     tiebreak = list(tiebreak)
 
+    # the query itself is a text clause AND-ed into every branch, so the
+    # scan's own type check refuses a non-text ``col``
     op = "hastok" if mode == "all" else "hasany"
-    dnf = _normalize_dnf(predicate) if predicate else []
-    text_cl = (col, op, query)
-    scan_dnf = [br + [text_cl] for br in dnf] if dnf else [[text_cl]]
-
-    member_recs = []
-    types0: dict = {}
-    need = sorted({col, *tiebreak, *(c for br in scan_dnf for c, _, _ in br),
-                   *(columns or [])})
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        container_files(d)
-        schema = dict(_store_schema(d, recs))
-        if not types0:
-            types0 = schema
-        missing = [c for c in need if c not in schema]
-        if missing:
-            raise ValueError(f"columns {missing} not in store schema {sorted(schema)}")
-        if not (pa.types.is_string(schema[col]) or pa.types.is_large_string(schema[col])):
-            raise ValueError(f"search needs a text column; {col!r} is {schema[col]}")
-        member_recs.append(recs)
-
-    plan = {"parts_total": 0, "pruned_stats": 0, "pruned_dict": 0,
-            "pruned_bloom": 0, "scanned": 0}
-    paths: list[str] = []
-    for d, recs in zip(dirs, member_recs):
-        plan["parts_total"] += len(recs)
-        for r in recs:
-            st = r.get("stats") or {}
-            rows = int(r.get("rows", 0))
-            if scan_dnf and st and not any(
-                record_may_match(st, rows, br) for br in scan_dnf
-            ):
-                plan["pruned_stats"] += 1
-                continue
-            paths.append(resolve_container_path(d, r))
-    paths = _probe_scan_paths(paths, scan_dnf, plan)
-    plan["scanned"] = len(paths)
+    user = _normalize_dnf(predicate) if predicate else []
+    scan = PrunedScan(dirs, ("or", and_clause(user, (col, op, query))),
+                      [col, *tiebreak, *(columns or [])],
+                      all_columns=columns is None, what="search/predicate")
+    paths, plan = scan.candidates()
 
     out_cols = list(columns) if columns is not None else [
-        c for c in types0 if c != col
+        c for c in scan.schema if c != col
     ]
     work_cols = list(dict.fromkeys(out_cols + [col] + tiebreak))
-    read_cols = list(dict.fromkeys(work_cols + [c for br in scan_dnf for c, _, _ in br]))
 
-    scorer = None
     is_float_score = mode == "bm25"
-    if mode == "bm25" and paths:
+    if mode == "bm25":
         # pass A — exact per-token document frequencies + candidate length
         # stats in one tiny-partial scan; N from manifest row counts alone
         import math
@@ -294,43 +250,21 @@ def store_search_multi(
         dfs = np.zeros(len(tokens), dtype=np.int64)
         n_cand = 0
         sumlen = 0
-        dfp = ray.data.read_binary_files(paths).map_batches(
-            _ScanDecoder([col] + [c for br in scan_dnf for c, _, _ in br
-                                  if c != col], [col], scan_dnf, verify_crc),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).map_batches(_DFPartial(col, tokens), batch_format="pyarrow",
-                      batch_size=None)
-        for b in dfp.iter_batches(batch_format="pyarrow"):
-            if not b.num_rows:
-                continue
+        for b in scan.run(paths, _DFPartial(col, tokens), [col], verify_crc):
             n_cand += int(pc.sum(b["_n"]).as_py() or 0)
             sumlen += int(pc.sum(b["_sumlen"]).as_py() or 0)
             for i in range(len(tokens)):
                 dfs[i] += int(pc.sum(b[f"df_{i}"]).as_py() or 0)
-        n_total = sum(int(r.get("rows", 0)) for recs in member_recs for r in recs)
+        n_total = sum(int(r.get("rows", 0)) for _, recs, _ in scan.members for r in recs)
         plan["bm25"] = {"n_total": n_total, "candidates": n_cand,
                         "df": {t: int(d) for t, d in zip(tokens, dfs)}}
         idf = [math.log((n_total - int(d) + 0.5) / (int(d) + 0.5) + 1.0)
                for d in dfs]
         avgdl = (sumlen / n_cand) if n_cand else 1.0
         scorer = _BM25TopK(col, tokens, idf, avgdl, k, tiebreak)
-    elif paths:
+    else:
         scorer = _ScoreTopK(col, tokens, k, tiebreak)
-
-    partials: list[pa.Table] = []
-    if paths:
-        ds = ray.data.read_binary_files(paths)
-        ds = ds.map_batches(
-            _ScanDecoder(read_cols, work_cols, scan_dnf, verify_crc),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).map_batches(
-            scorer,
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        partials = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
+    partials = list(scan.run(paths, scorer, work_cols, verify_crc))
 
     want = out_cols + ["score"]
     if partials:
@@ -343,7 +277,7 @@ def store_search_multi(
             top = top.append_column("snippet", _snippets(texts, tokens))
         out = top.select(want + (["snippet"] if snippet else []))
     else:
-        cols = {c: pa.array([], type=types0[c]) for c in out_cols}
+        cols = {c: pa.array([], type=scan.schema[c]) for c in out_cols}
         cols["score"] = pa.array(
             [], type=pa.float64() if is_float_score else pa.int32()
         )

@@ -47,13 +47,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .storeagg import _probe_scan_paths, record_all_match
-from .zonemap import (
-    _normalize_dnf,
-    _ScanDecoder,
-    _store_schema,
-    record_may_match,
-)
+from .storegroup import _capped
+from .zonemap import PrunedScan, and_clause, record_all_match, record_may_match
 
 MAX_K = 100_000
 
@@ -193,110 +188,42 @@ def store_topk_multi(
     """Top-k over a FAMILY of stores as one logical table: the τ guarantee
     pool spans every member (top-k is a global question), then one footer
     probe + one scan job batch all members' candidates."""
-    import ray.data
-
-    from . import manifest as mf
-    from .decode import container_files, resolve_container_path
-
-    if not dirs:
-        raise ValueError("store_topk_multi needs at least one store directory")
     if not (1 <= k <= MAX_K):
         raise ValueError(
             f"k={k} outside [1, {MAX_K}] — larger top-k exceeds the driver-fold "
             "contract; sort via decode_dataset(...).sort(...) instead"
         )
-    dnf = _normalize_dnf(predicate) if predicate else []
     tiebreak = list(tiebreak)
+    # with an explicit column list only the involved columns must agree; a
+    # full-row top-k needs full schema agreement across members
+    scan = PrunedScan(dirs, predicate, [order_by, *tiebreak, *(columns or [])],
+                      all_columns=columns is None, what="ordering/predicate")
+    t = scan.schema[order_by]
 
-    member_recs = []
-    types0: dict = {}
-    typed = []
-    need_typed = sorted({order_by, *tiebreak, *(c for br in dnf for c, _, _ in br),
-                         *(columns or [])})
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        container_files(d)  # stray-container guard (same as scan_store)
-        schema = dict(_store_schema(d, recs))
-        if not types0:
-            types0 = schema
-        missing = [c for c in need_typed if c not in schema]
-        if missing:
-            raise ValueError(f"columns {missing} not in store schema {sorted(schema)}")
-        member_recs.append(recs)
-        # with an explicit column list only the involved columns must agree;
-        # a full-row top-k needs full schema agreement across members
-        typed.append({c: schema[c] for c in need_typed} if columns is not None
-                     else schema)
-    if any(tt != typed[0] for tt in typed[1:]):
-        detail = "; ".join(
-            f"{d}: {{{', '.join(f'{c}: {t}' for c, t in tt.items())}}}"
-            for d, tt in zip(dirs, typed)
-        )
-        raise ValueError(
-            "family members disagree on ordering/predicate column types — "
-            f"conform them via compact_family first: {detail}"
-        )
-    t = typed[0][order_by]
-
-    # 1. threshold from the cross-member guarantee pool
-    tau, guaranteed = _tau_from_records(member_recs, order_by, t, dnf, k, desc)
-    scan_dnf = dnf
+    # 1. threshold from the cross-member guarantee pool, AND-ed into the
+    # predicate: zone maps, page masks and sorted ranges all fire on it
+    # (footers can't prune on a comparison — the probe still runs for the
+    # user's own membership clauses)
+    tau, guaranteed = _tau_from_records(
+        [recs for _, recs, _ in scan.members], order_by, t, scan.dnf, k, desc
+    )
     if tau is not None:
-        syn = (order_by, ">=" if desc else "<=", tau)
-        scan_dnf = [br + [syn] for br in dnf] if dnf else [[syn]]
+        scan.dnf = and_clause(scan.dnf, (order_by, ">=" if desc else "<=", tau))
+    paths, plan = scan.candidates()
+    plan.update(tau=tau, guaranteed_rows=guaranteed)
 
-    # 2. zone-map candidate selection under (predicate AND τ-clause)
-    plan = {"parts_total": 0, "pruned_stats": 0, "pruned_dict": 0,
-            "pruned_bloom": 0, "scanned": 0, "tau": tau,
-            "guaranteed_rows": guaranteed}
-    paths: list[str] = []
-    for d, recs in zip(dirs, member_recs):
-        plan["parts_total"] += len(recs)
-        for r in recs:
-            st = r.get("stats") or {}
-            rows = int(r.get("rows", 0))
-            if scan_dnf and st and not any(
-                record_may_match(st, rows, br) for br in scan_dnf
-            ):
-                plan["pruned_stats"] += 1
-                continue
-            paths.append(resolve_container_path(d, r))
-
-    # membership footer probe for the USER's clauses (the τ clause is a
-    # comparison — footers can't prune on it, _probe_applies handles that)
-    paths = _probe_scan_paths(paths, scan_dnf, plan)
-    plan["scanned"] = len(paths)
-
+    # 2. one scan job + per-block top-k partials
     is_float = pa.types.is_floating(t)
-    out_cols = list(columns) if columns is not None else list(types0)
+    out_cols = list(columns) if columns is not None else list(scan.schema)
     work_cols = list(dict.fromkeys(out_cols + [order_by] + tiebreak))
-    read_cols = list(dict.fromkeys(work_cols + [c for br in scan_dnf for c, _, _ in br]))
-
-    # 3. one scan job + per-block top-k partials
-    partials: list[pa.Table] = []
-    if paths:
-        ds = ray.data.read_binary_files(paths)
-        ds = ds.map_batches(
-            _ScanDecoder(read_cols, work_cols, scan_dnf, verify_crc),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).map_batches(
-            _TopKPartial(order_by, desc, tiebreak, k, is_float),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        partials = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
-
+    partials = list(scan.run(paths, _TopKPartial(order_by, desc, tiebreak, k, is_float),
+                             work_cols, verify_crc))
     if partials:
         merged = pa.concat_tables(partials).combine_chunks()
         out = _topk_take(merged, order_by, desc, tiebreak, k, is_float)
         out = out.select(out_cols)
     else:
-        out = pa.table(
-            {c: pa.array([], type=types0[c]) for c in out_cols}
-        )
+        out = pa.table({c: pa.array([], type=scan.schema[c]) for c in out_cols})
     return (out, plan) if return_plan else out
 
 
@@ -311,6 +238,8 @@ def _group_run_starts(tbl: pa.Table, group_by) -> "np.ndarray":
     import numpy as np
 
     n = tbl.num_rows
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)  # a block emptied by the filter
     change = np.zeros(n, dtype=bool)
     change[0] = True
     for c in group_by:
@@ -431,13 +360,6 @@ def store_group_topk_multi(
     """Grouped top-k over a FAMILY of stores as one logical table (one
     probe job + one scan job across members; involved column types must
     agree)."""
-    import ray.data
-
-    from . import manifest as mf
-    from .decode import container_files, resolve_container_path
-
-    if not dirs:
-        raise ValueError("store_group_topk_multi needs at least one store directory")
     if not (1 <= k <= MAX_K):
         raise ValueError(
             f"k={k} outside [1, {MAX_K}] — larger per-group top-k exceeds the "
@@ -447,90 +369,25 @@ def store_group_topk_multi(
     group_by = list(group_by)
     if not group_by:
         raise ValueError("store_group_topk needs at least one group column")
-    dnf = _normalize_dnf(predicate) if predicate else []
     tiebreak = list(tiebreak)
+    scan = PrunedScan(dirs, predicate, [*group_by, order_by, *tiebreak, *(columns or [])],
+                      all_columns=columns is None, what="involved")
+    is_float = pa.types.is_floating(scan.schema[order_by])
+    paths, plan = scan.candidates()
 
-    member_recs = []
-    types0: dict = {}
-    typed = []
-    need_typed = sorted({*group_by, order_by, *tiebreak,
-                         *(c for br in dnf for c, _, _ in br), *(columns or [])})
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        container_files(d)
-        schema = dict(_store_schema(d, recs))
-        if not types0:
-            types0 = schema
-        missing = [c for c in need_typed if c not in schema]
-        if missing:
-            raise ValueError(f"columns {missing} not in store schema {sorted(schema)}")
-        member_recs.append(recs)
-        typed.append({c: schema[c] for c in need_typed} if columns is not None
-                     else schema)
-    if any(tt != typed[0] for tt in typed[1:]):
-        detail = "; ".join(
-            f"{d}: {{{', '.join(f'{c}: {t}' for c, t in tt.items())}}}"
-            for d, tt in zip(dirs, typed)
-        )
-        raise ValueError(
-            "family members disagree on involved column types — conform them "
-            f"via compact_family first: {detail}"
-        )
-    t = typed[0][order_by]
-    is_float = pa.types.is_floating(t)
-
-    plan = {"parts_total": 0, "pruned_stats": 0, "pruned_dict": 0,
-            "pruned_bloom": 0, "scanned": 0}
-    paths: list[str] = []
-    for d, recs in zip(dirs, member_recs):
-        plan["parts_total"] += len(recs)
-        for r in recs:
-            st = r.get("stats") or {}
-            rows = int(r.get("rows", 0))
-            if dnf and st and not any(record_may_match(st, rows, br) for br in dnf):
-                plan["pruned_stats"] += 1
-                continue
-            paths.append(resolve_container_path(d, r))
-    paths = _probe_scan_paths(paths, dnf, plan)
-    plan["scanned"] = len(paths)
-
-    out_cols = list(columns) if columns is not None else list(types0)
+    out_cols = list(columns) if columns is not None else list(scan.schema)
     work_cols = list(dict.fromkeys(out_cols + group_by + [order_by] + tiebreak))
-    read_cols = list(dict.fromkeys(work_cols + [c for br in dnf for c, _, _ in br]))
-
-    partials: list[pa.Table] = []
-    if paths:
-        ds = ray.data.read_binary_files(paths)
-        ds = ds.map_batches(
-            _ScanDecoder(read_cols, work_cols, dnf, verify_crc),
-            batch_format="pyarrow",
-            batch_size=1,
-        ).map_batches(
-            _GroupTopKPartial(group_by, order_by, desc, tiebreak, k, is_float),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        n = 0
-        for b in ds.iter_batches(batch_format="pyarrow"):
-            if not b.num_rows:
-                continue
-            n += b.num_rows
-            if n > max_partial_rows:
-                raise ValueError(
-                    f"grouped top-k partials exceed max_partial_rows="
-                    f"{max_partial_rows} — the group cardinality is beyond the "
-                    "driver-fold contract; use a distributed window over "
-                    "decode_dataset(...) or raise max_partial_rows"
-                )
-            partials.append(b)
-
+    partials = _capped(
+        scan.run(paths, _GroupTopKPartial(group_by, order_by, desc, tiebreak, k, is_float),
+                 work_cols, verify_crc),
+        max_partial_rows, "grouped top-k",
+        "use a distributed window over decode_dataset(...)",
+    )
     if partials:
         merged = pa.concat_tables(partials).combine_chunks()
         out = _group_topk_take(merged, group_by, order_by, desc, tiebreak, k,
                                is_float)
         out = out.select(out_cols)
     else:
-        out = pa.table({c: pa.array([], type=types0[c]) for c in out_cols})
+        out = pa.table({c: pa.array([], type=scan.schema[c]) for c in out_cols})
     return (out, plan) if return_plan else out

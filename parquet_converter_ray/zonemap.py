@@ -500,6 +500,73 @@ def record_may_match(stats: dict, rows: int, clauses) -> bool:
     return True
 
 
+def record_all_match(stats: dict, rows: int, clauses) -> bool:
+    """True ONLY when the zone map PROVES every row satisfies every conjunct
+    (the dual of ``record_may_match``'s "no row can"). Conservative: any
+    missing stat, null, NaN, un-coercible literal, or unprovable bound
+    returns False — the container then simply scans."""
+    if rows <= 0:
+        return False
+    for col, op, val in clauses:
+        st = stats.get(col)
+        if st is None or int(st.get("nulls", 0)) != 0:
+            return False
+        if st.get("nan"):  # NaN rows fail every comparison
+            return False
+        t = st.get("t", "")
+        if ("float" in t or "double" in t) and "nan" not in st:
+            return False  # pre-NaN-count container: presence unknowable
+        mn, mx = st.get("min"), st.get("max")
+        try:
+            if op == "in":
+                vs = [_coerce(v, st["t"]) for v in val]
+            elif op == "between":
+                vs = [_coerce(val[0], st["t"]), _coerce(val[1], st["t"])]
+            else:
+                vs = [_coerce(val, st["t"])]
+        except (TypeError, ValueError, pa.ArrowInvalid, pa.ArrowTypeError):
+            return False
+        if op == "==":
+            # approximate (truncated) bounds are OUTER bounds — widened
+            # equality doesn't prove true equality
+            if st.get("approx") or mn is None or mx is None or not (mn == vs[0] == mx):
+                return False
+        elif op == "!=":
+            if not ((mx is not None and mx < vs[0]) or (mn is not None and mn > vs[0])):
+                return False
+        elif op == "<":
+            if mx is None or not mx < vs[0]:
+                return False
+        elif op == "<=":
+            if mx is None or not mx <= vs[0]:
+                return False
+        elif op == ">":
+            if mn is None or not mn > vs[0]:
+                return False
+        elif op == ">=":
+            if mn is None or not mn >= vs[0]:
+                return False
+        elif op == "between":
+            if mn is None or mx is None or not (vs[0] <= mn and mx <= vs[1]):
+                return False
+        elif op == "in":
+            if st.get("approx") or mn is None or not (mn == mx and mn in vs):
+                return False
+        elif op == "prefix":
+            # rows with prefix p live exactly in [p, _prefix_upper(p));
+            # containment proofs stay sound under widened (truncated)
+            # bounds: widened ⊆ [p, up) ⇒ true ⊆ [p, up)
+            if not isinstance(vs[0], str) or mn is None or mx is None:
+                return False
+            up = _prefix_upper(vs[0])
+            if not (mn >= vs[0] and (up is None or mx < up)):
+                return False
+        else:
+            # unknown op: never vacuously prove — force the scan path
+            return False
+    return True
+
+
 def _outside(v, lo, hi) -> bool:
     if lo is not None and v < lo:
         return True
@@ -932,49 +999,10 @@ def _store_schema(out_dir: str, recs: list[dict]) -> list[tuple[str, pa.DataType
     return [(c["name"], str_to_type(c["type"])) for c in footer["columns"]]
 
 
-def _candidate_paths(out_dir: str, dnf, plan: dict) -> "tuple[list[str], list]":
-    """Driver-side pruning levels of a store scan — manifest zone maps and
-    hash routing, all from JSON already on hand (no file opens, no Ray
-    tasks). Mutates ``plan`` counters; returns surviving container paths and
-    the store schema. Shared by ``scan_store`` and ``scan_store_multi``."""
-    from . import manifest as mf
-    from .decode import container_files, resolve_container_path
-
-    recs = mf.load_records(out_dir)
-    if recs:
-        container_files(out_dir)  # stray-container guard
-        # hash routing over a disjunction: a container is reachable if ANY
-        # branch routes to it; one unroutable branch forfeits the level
-        hash_pids: "set[int] | None" = set()
-        for br in dnf:
-            pids = _hash_route_parts(out_dir, recs, br)
-            if pids is None:
-                hash_pids = None
-                break
-            hash_pids |= pids
-        paths = []
-        for r in recs:
-            plan["parts_total"] += 1
-            if hash_pids is not None and int(r["part_id"]) not in hash_pids:
-                plan["pruned_hash"] += 1
-                continue
-            st = r.get("stats") or {}
-            if st and not any(
-                record_may_match(st, int(r.get("rows", 0)), br) for br in dnf
-            ):
-                plan["pruned_stats"] += 1
-                continue
-            paths.append(resolve_container_path(out_dir, r))
-        schema = _store_schema(out_dir, recs)
-    else:
-        paths = container_files(out_dir)
-        if not paths:
-            raise FileNotFoundError(f"no container files under {out_dir}")
-        from .container import read_footer_file
-
-        plan["parts_total"] = len(paths)
-        schema = [(c["name"], str_to_type(c["type"])) for c in read_footer_file(paths[0])["columns"]]
-    return paths, schema
+def and_clause(dnf, clause) -> list:
+    """AND one conjunct into every branch of a normalized DNF (an empty DNF
+    — no predicate — becomes the lone conjunct)."""
+    return [br + [clause] for br in dnf] if dnf else [[clause]]
 
 
 def _probe_applies(dnf) -> bool:
@@ -992,8 +1020,8 @@ def probe_verdicts(paths: "list[str]", dnf) -> "dict[str, str]":
     dictionary probe (low-card dict-encoded columns) and the Bloom probe
     (high-card int/string columns encoded with bloom_cols). Per-path and
     predicate-only, so candidates from MANY stores batch into one job
-    (``scan_store_multi`` relies on this — one probe job per family, not
-    per member). Returns ``{path: "keep" | "dict" | "bloom"}``."""
+    (``PrunedScan`` relies on this — one probe job per family, not per
+    member). Returns ``{path: "keep" | "dict" | "bloom"}``."""
     import ray.data
 
     from .bloom import bloom_probe_footer
@@ -1025,6 +1053,180 @@ def probe_verdicts(paths: "list[str]", dnf) -> "dict[str, str]":
             for r in pds.map_batches(_probe, batch_format="pyarrow").take_all()}
 
 
+_TEXT_OPS = ("hastok", "hasphrase", "hasany")
+
+
+class PrunedScan:
+    """The read path every pushdown operator shares, over a store FAMILY (a
+    single store is a family of one).
+
+    Construction loads each member's lineage records once, runs the
+    stray-container guard, reads the schema and refuses loudly — never
+    coerces — when a named or predicate column is missing, when members
+    disagree on those columns' types (on the whole schema with
+    ``all_columns``: the operator emits every column), or when an op does
+    not fit its column's type. ``columns`` may map each name to its kind
+    ("group", ...) for the missing-column error; ``what`` names the columns
+    in the disagreement error.
+
+    ``candidates`` runs the pruning levels in order — hash routing of
+    ``==``/``in`` on the partition column, manifest zone maps, the
+    operator's ``on_full`` hook, then ONE distributed footer probe over
+    every member's remainder — and ``run`` is the one decode + per-block
+    partial job over the survivors. An operator keeps only its partial,
+    its driver fold and its finalize.
+
+    ``dnf`` is the normalized predicate (``[]`` = none); an operator may
+    AND a synthesized clause into it (``and_clause``) before calling
+    ``candidates`` — top-k's threshold, a sample's winning keys."""
+
+    def __init__(self, dirs, predicate, columns=(), *, all_columns=False,
+                 what="involved"):
+        from . import manifest as mf
+        from .container import read_footer_file
+        from .decode import container_files, resolve_container_path
+
+        if not dirs:
+            raise ValueError("pushdown needs at least one store directory")
+        self.dnf = _normalize_dnf(predicate) if predicate else []
+        self.members = []  # (dir, records, paths); no records = glob-only store
+        schemas = []
+        for d in dirs:
+            recs = mf.load_records(d)
+            files = container_files(d)  # stray-container guard
+            paths = [resolve_container_path(d, r) for r in recs] if recs else files
+            if not paths:
+                raise FileNotFoundError(f"no container files under {d}")
+            self.members.append((d, recs, paths))
+            footer = read_footer_file(paths[0])
+            schemas.append([(c["name"], str_to_type(c["type"])) for c in footer["columns"]])
+        self.schema = dict(schemas[0])
+
+        clauses = [cl for br in self.dnf for cl in br]
+        kinds = {**dict.fromkeys((c for c, _, _ in clauses), "predicate"),
+                 **(columns if isinstance(columns, dict) else dict.fromkeys(columns, ""))}
+        for s in schemas:
+            names = [n for n, _ in s]
+            for c, kind in kinds.items():
+                if c not in names:
+                    raise ValueError(f"{kind} column {c!r} not in store schema {names}".lstrip())
+        typed = [s if all_columns else [(c, dict(s)[c]) for c in kinds] for s in schemas]
+        if any(t != typed[0] for t in typed[1:]):
+            detail = "; ".join(
+                f"{d}: {[(n, str(t)) for n, t in tt]}" for (d, _, _), tt in zip(self.members, typed)
+            )
+            raise ValueError(
+                f"store family schemas differ — members disagree on {what} column "
+                f"types; conform them via compact_family (drop/add columns) first: {detail}"
+            )
+        for col, op, _ in clauses:
+            t = self.schema[col]
+            if op == "prefix" and not _is_strlike(t):
+                raise ValueError(f"prefix predicate needs a string column; {col!r} is {t}")
+            if op in _TEXT_OPS and not (pa.types.is_string(t) or pa.types.is_large_string(t)):
+                raise ValueError(f"{op} predicate needs a text column; {col!r} is {t}")
+
+    def _hash_pids(self, d: str, recs) -> "set[int] | None":
+        """Level 0 for one member: a container is reachable if ANY branch
+        routes to it; one unroutable branch forfeits the level."""
+        if not self.dnf:
+            return None
+        pids: "set[int]" = set()
+        for br in self.dnf:
+            got = _hash_route_parts(d, recs, br)
+            if got is None:
+                return None
+            pids |= got
+        return pids
+
+    def candidates(self, on_full=None, answered=(), probe=True):
+        """Surviving container paths plus the plan.
+
+        ``on_full(rec, path)`` sees each surviving container whose zone maps
+        prove EVERY row matches (``record_all_match`` on some branch; every
+        container when there is no predicate) and returns the plan key of
+        the class that answered it without a scan — one of ``answered`` —
+        or None to leave it to the scan. The plan counts
+        ``parts_total, pruned_hash, pruned_stats, pruned_dict, pruned_bloom``,
+        the ``answered`` classes and ``scanned``; the classes partition
+        ``parts_total`` exactly, and ``stores`` holds the same counters per
+        member. ``probe=False`` skips the footer probe."""
+        keys = ("parts_total", "pruned_hash", "pruned_stats", "pruned_dict",
+                "pruned_bloom", *answered, "scanned")
+        plan: dict = dict.fromkeys(keys, 0)
+        plan["stores"] = {}
+        owner: dict = {}  # surviving path -> its member's plan
+        for d, recs, paths in self.members:
+            sp = plan["stores"][d] = dict.fromkeys(keys, 0)
+            sp["parts_total"] = len(paths)
+            if not recs:
+                owner.update(dict.fromkeys(paths, sp))
+                continue
+            pids = self._hash_pids(d, recs)
+            for r, p in zip(recs, paths):
+                st = r.get("stats") or {}
+                rows = int(r.get("rows", 0))
+                if pids is not None and int(r["part_id"]) not in pids:
+                    sp["pruned_hash"] += 1
+                elif self.dnf and st and not any(
+                    record_may_match(st, rows, br) for br in self.dnf
+                ):
+                    sp["pruned_stats"] += 1
+                elif on_full is not None and (not self.dnf or (st and any(
+                    record_all_match(st, rows, br) for br in self.dnf
+                ))) and (key := on_full(r, p)):
+                    sp[key] += 1
+                else:
+                    owner[p] = sp
+        paths = list(owner)
+        if paths and probe and self.dnf and _probe_applies(self.dnf):
+            verdicts = probe_verdicts(paths, self.dnf)
+            for p in paths:
+                if verdicts[p] != "keep":
+                    owner[p]["pruned_" + verdicts[p]] += 1
+            paths = [p for p in paths if verdicts[p] == "keep"]
+        for p in paths:
+            owner[p]["scanned"] += 1
+        for k in keys:
+            plan[k] = sum(sp[k] for sp in plan["stores"].values())
+        return paths, plan
+
+    def dataset(self, paths, work_cols=None, verify_crc=False):
+        """The decoded, exactly filtered rows of ``paths`` as a streaming
+        Dataset: one ``_ScanDecoder`` call per container (``batch_size=1``)
+        reading ``work_cols`` plus the predicate columns and emitting
+        ``work_cols`` (every column when None). A typed empty Dataset when
+        nothing survived."""
+        import ray.data
+
+        if not paths:
+            names = list(self.schema) if work_cols is None else work_cols
+            return ray.data.from_arrow(
+                pa.table({n: pa.array([], type=self.schema[n]) for n in names})
+            )
+        read_cols = None if work_cols is None else list(
+            dict.fromkeys([*work_cols, *(c for br in self.dnf for c, _, _ in br)])
+        )
+        return ray.data.read_binary_files(paths).map_batches(
+            _ScanDecoder(read_cols, work_cols, self.dnf, verify_crc),
+            batch_format="pyarrow",
+            batch_size=1,
+        )
+
+    def run(self, paths, partial, work_cols, verify_crc=False):
+        """The one decode + partial job: ``partial`` runs once per decoded
+        block (``batch_size=None``) and the non-empty partials stream back
+        to the driver. No job at all when nothing survived."""
+        if not paths:
+            return
+        ds = self.dataset(paths, work_cols, verify_crc).map_batches(
+            partial, batch_format="pyarrow", batch_size=None
+        )
+        for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+            if b.num_rows:
+                yield b
+
+
 def scan_store(
     out_dir: str,
     predicate,
@@ -1032,24 +1234,27 @@ def scan_store(
     *,
     dict_probe: bool = True,
     verify_crc: bool = False,
-    concurrency=None,
     return_plan: bool = False,
 ):
     """Predicate-pushdown scan of an encoded store -> streaming Dataset.
 
-    Three pruning levels before any data buffer is decoded:
+    Four pruning levels before any data buffer is decoded (``PrunedScan``):
 
-    1. **Manifest zone maps** — lineage-record ``stats`` rule out containers
+    1. **Hash routing** — ``==``/``in`` on the partition column is pure
+       arithmetic over ``_run.json``.
+    2. **Manifest zone maps** — lineage-record ``stats`` rule out containers
        driver-side from JSON already on hand (no file opens at all).
-    2. **Dictionary probe** (``==``/``in`` on dict-encoded columns) — a Ray
-       stage over candidate paths tail-reads each footer and ranged-reads
-       only the dictionary buffers (KB per container on any store size).
-    3. **Column pruning** — survivors decode only predicate + requested
+    3. **Footer probe** (``==``/``in``/``prefix``/text ops) — a Ray stage
+       over candidate paths tail-reads each footer and ranged-reads only the
+       dictionary buffers and Bloom filters (KB per container on any store
+       size). ``dict_probe=False`` skips it.
+    4. **Column pruning** — survivors decode only predicate + requested
        columns; the exact filter runs batch-wise in the same stage.
 
     Containers written before zone maps existed have no ``stats`` and are
     conservatively scanned. ``return_plan=True`` also returns
-    ``{parts_total, pruned_stats, pruned_dict, scanned}``.
+    ``{parts_total, pruned_hash, pruned_stats, pruned_dict, pruned_bloom,
+    scanned}``.
 
     ``predicate`` is a conjunct list (AND), or a disjunction of
     conjunctions — ``("or", [branch, ...])`` / ``{"or": [branch, ...]}`` —
@@ -1057,77 +1262,9 @@ def scan_store(
     match it (Parquet/Iceberg OR-expression pruning semantics) and the
     exact filter is the OR of branch masks.
     """
-    import ray.data
-
-    dnf = _normalize_dnf(predicate)
-    clauses = [cl for br in dnf for cl in br]  # flat view: column collection
-    plan = {"parts_total": 0, "pruned_stats": 0, "pruned_hash": 0, "pruned_dict": 0,
-            "pruned_bloom": 0, "scanned": 0}
-    paths, schema = _candidate_paths(out_dir, dnf, plan)
-
-    names = [n for n, _ in schema]
-    types = dict(schema)
-    for col, op, _ in clauses:
-        if col not in names:
-            raise ValueError(f"predicate column {col!r} not in store schema {names}")
-        if op == "prefix" and not _is_strlike(types[col]):
-            raise ValueError(f"prefix predicate needs a string column; {col!r} is {types[col]}")
-        if op in ("hastok", "hasphrase", "hasany") and not (
-            pa.types.is_string(types[col]) or pa.types.is_large_string(types[col])
-        ):
-            raise ValueError(f"{op} predicate needs a text column; {col!r} is {types[col]}")
-    out_cols = None
-    read_cols = None
-    if columns is not None:
-        missing = [c for c in columns if c not in names]
-        if missing:
-            raise ValueError(f"columns {missing} not in store schema {names}")
-        out_cols = list(columns)
-        read_cols = list(dict.fromkeys(list(columns) + [c for c, _, _ in clauses]))
-
-    if paths and dict_probe and _probe_applies(dnf):
-        verdicts = probe_verdicts(paths, dnf)
-        plan["pruned_dict"] = sum(1 for v in verdicts.values() if v == "dict")
-        plan["pruned_bloom"] = sum(1 for v in verdicts.values() if v == "bloom")
-        paths = [p for p in paths if verdicts.get(p) == "keep"]  # preserve order
-
-    plan["scanned"] = len(paths)
-    ds = _build_scan_ds(paths, schema, dnf, out_cols, read_cols, verify_crc,
-                        concurrency)
-    return (ds, plan) if return_plan else ds
-
-
-def _build_scan_ds(paths, schema, dnf, out_cols, read_cols, verify_crc,
-                   concurrency=None):
-    """Decoder stage over surviving container paths (or a typed empty
-    dataset when everything pruned). Shared by single-store and family
-    scans."""
-    import ray.data
-
-    if not paths:
-        empty = pa.table({n: pa.array([], type=t) for n, t in schema if out_cols is None or n in out_cols})
-        if out_cols is not None:
-            empty = empty.select(out_cols)
-        return ray.data.from_arrow(empty)
-
-    ds = ray.data.read_binary_files(paths)
-    kwargs: dict = {"batch_format": "pyarrow", "batch_size": 1}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-        ds = ds.map_batches(
-            _ScanDecoder,
-            fn_constructor_kwargs={
-                "read_cols": read_cols,
-                "out_cols": out_cols,
-                "clauses": dnf,
-                "verify_crc": verify_crc,
-            },
-            **kwargs,
-        )
-    else:
-        dec = _ScanDecoder(read_cols, out_cols, dnf, verify_crc)
-        ds = ds.map_batches(dec, **kwargs)
-    return ds
+    ds, plan = scan_store_multi([out_dir], predicate, columns, dict_probe=dict_probe,
+                                verify_crc=verify_crc, return_plan=True)
+    return (ds, plan["stores"][out_dir]) if return_plan else ds
 
 
 def scan_store_multi(
@@ -1145,11 +1282,9 @@ def scan_store_multi(
     encoded into their own store (cheapest ingest — no rewrite of history),
     compacted only when container sizing demands it. A query should not care
     how many deliveries exist, so this runs ``scan_store``'s full pruning
-    stack (manifest zone maps, hash route, dictionary/Bloom probes, sorted
-    ranges, page masks, late materialization) PER STORE — pruning state is
-    per-manifest, so nothing merges there — and unions the survivors.
-    ``Dataset.union`` is metadata-only in Ray Data (the streaming executor
-    interleaves the members' blocks), so the union itself moves zero rows.
+    stack (hash route, manifest zone maps, dictionary/Bloom probes, sorted
+    ranges, page masks, late materialization) per member — pruning state is
+    per-manifest — and decodes every member's survivors in one Dataset.
 
     Output schemas must agree across stores on (name, type) for the emitted
     columns — refused loudly, never coerced (schema evolution goes through
@@ -1157,85 +1292,17 @@ def scan_store_multi(
     conformed). The merged plan sums each pruning counter and keeps the
     per-store breakdown under ``"stores"``.
 
-    Scale shape: the manifest/hash/stats levels are driver-side JSON per
-    member (microseconds each), and the distributed footer probe — the only
-    Ray job in planning — batches every member's candidate paths into ONE
-    job, so planning cost does not grow a per-member Ray-job latency with
-    family size. The data stage is per-member decoder datasets unioned
-    metadata-only.
+    Scale shape: the hash/stats levels are driver-side JSON per member
+    (microseconds each), and the distributed footer probe — the only Ray
+    job in planning — batches every member's candidate paths into ONE job,
+    so planning cost does not grow a per-member Ray-job latency with family
+    size.
     """
-    from . import manifest as mf
-
-    if not dirs:
-        raise ValueError("scan_store_multi needs at least one store directory")
-    schemas = []
-    for d in dirs:
-        recs = mf.load_records(d)
-        if not recs:
-            raise FileNotFoundError(f"no manifest records under {d}")
-        full = _store_schema(d, recs)
-        emitted = [(n, t) for n, t in full if columns is None or n in columns]
-        schemas.append(emitted)
-    if any(s != schemas[0] for s in schemas[1:]):
-        detail = "; ".join(
-            f"{d}: {[(n, str(t)) for n, t in s]}" for d, s in zip(dirs, schemas)
-        )
-        raise ValueError(
-            "store family schemas differ on the emitted columns — conform them "
-            f"via compact_family (drop/add columns) first: {detail}"
-        )
-
-    dnf = _normalize_dnf(predicate)
-    clauses = [cl for br in dnf for cl in br]
-    merged = {"parts_total": 0, "pruned_stats": 0, "pruned_hash": 0,
-              "pruned_dict": 0, "pruned_bloom": 0, "scanned": 0, "stores": {}}
-
-    # driver-side levels per member (manifest JSON only — no Ray tasks)
-    members = []  # (dir, paths, schema, plan, out_cols, read_cols)
-    for d in dirs:
-        plan = {"parts_total": 0, "pruned_stats": 0, "pruned_hash": 0,
-                "pruned_dict": 0, "pruned_bloom": 0, "scanned": 0}
-        paths, schema = _candidate_paths(d, dnf, plan)
-        names = [n for n, _ in schema]
-        types = dict(schema)
-        for col, op, _ in clauses:
-            if col not in names:
-                raise ValueError(f"predicate column {col!r} not in store schema {names}")
-            if op == "prefix" and not _is_strlike(types[col]):
-                raise ValueError(f"prefix predicate needs a string column; {col!r} is {types[col]}")
-        out_cols = read_cols = None
-        if columns is not None:
-            missing = [c for c in columns if c not in names]
-            if missing:
-                raise ValueError(f"columns {missing} not in store schema {names}")
-            out_cols = list(columns)
-            read_cols = list(dict.fromkeys(list(columns) + [c for c, _, _ in clauses]))
-        members.append((d, paths, schema, plan, out_cols, read_cols))
-
-    # ONE distributed footer probe over every member's candidates
-    all_paths = [p for _, paths, _, _, _, _ in members for p in paths]
-    if all_paths and dict_probe and _probe_applies(dnf):
-        verdicts = probe_verdicts(all_paths, dnf)
-        members = [
-            (d,
-             [p for p in paths if verdicts.get(p) == "keep"],
-             schema,
-             dict(plan,
-                  pruned_dict=sum(1 for p in paths if verdicts.get(p) == "dict"),
-                  pruned_bloom=sum(1 for p in paths if verdicts.get(p) == "bloom")),
-             out_cols, read_cols)
-            for d, paths, schema, plan, out_cols, read_cols in members
-        ]
-
-    union_ds = None
-    for d, paths, schema, plan, out_cols, read_cols in members:
-        plan["scanned"] = len(paths)
-        ds = _build_scan_ds(paths, schema, dnf, out_cols, read_cols, verify_crc)
-        for k, v in plan.items():
-            merged[k] += v
-        merged["stores"][d] = plan
-        union_ds = ds if union_ds is None else union_ds.union(ds)
-    return (union_ds, merged) if return_plan else union_ds
+    scan = PrunedScan(dirs, predicate, columns or (), all_columns=columns is None,
+                      what="emitted/predicate")
+    paths, plan = scan.candidates(probe=dict_probe)
+    ds = scan.dataset(paths, None if columns is None else list(columns), verify_crc)
+    return (ds, plan) if return_plan else ds
 
 
 # --- metadata-only profile ------------------------------------------------------

@@ -133,7 +133,7 @@ def test_or_store_agg_meta_answers(stores):
     ).fetchone()
     assert res["count"] == want_n > 0
     assert res["sum_l_quantity"] == pytest.approx(float(want_sum))
-    assert plan["pruned"] >= 1, plan
+    assert plan["pruned_stats"] >= 1, plan
     assert plan["meta_answered"] >= 1, plan
 
 

@@ -450,16 +450,16 @@ def test_family_decode_schema_drift_refused(ray_session, family, tmp_path):
 
 def test_agg_family_scan_remainder_is_one_job(family, monkeypatch):
     """Undecidable containers across members fold in ONE partials job."""
-    from parquet_converter_ray import storeagg
+    from parquet_converter_ray import storeagg, zonemap
 
     calls = []
-    real = storeagg.scan_agg_partials
+    real = zonemap.PrunedScan.run
 
-    def spy(paths, *a, **kw):
+    def spy(self, paths, *a, **kw):
         calls.append(list(paths))
-        return real(paths, *a, **kw)
+        return real(self, paths, *a, **kw)
 
-    monkeypatch.setattr(storeagg, "scan_agg_partials", spy)
+    monkeypatch.setattr(zonemap.PrunedScan, "run", spy)
     # role== is not provable full-match by zone maps (mixed roles per
     # container), so every unpruned container lands in the scan remainder
     res, plan = storeagg.store_agg_multi(

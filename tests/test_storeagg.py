@@ -191,7 +191,7 @@ def test_band_predicate_boundary_scan_only(store, table):
     # only the (<= 2) boundary containers may scan
     assert plan["meta_answered"] >= 1
     assert plan["scanned"] <= 2
-    assert plan["pruned"] >= 1
+    assert plan["pruned_stats"] >= 1
 
 
 def test_nan_column_degrades_to_scan_and_stays_correct(store, table):
@@ -217,7 +217,7 @@ def test_predicate_plus_flag_forces_scan(store, table):
 
 def test_all_pruned_returns_zero_and_nulls(store):
     res, plan = store_agg(store, AGGS, [("ts", "<", "1990-01-01")], return_plan=True)
-    assert plan["pruned"] == plan["parts_total"]
+    assert plan["pruned_stats"] == plan["parts_total"]
     assert res["count"] == 0 and res["nn_price_null"] == 0
     assert res["min_qty"] is None and res["sum_qty"] is None
 
@@ -268,7 +268,8 @@ def test_cli_agg(store):
     assert cp.returncode == 0, cp.stderr[-2000:]
     out = json.loads(cp.stdout.strip().splitlines()[-1])
     assert out["result"]["count"] > 0
-    assert set(out["plan"]) == {"parts_total", "pruned", "meta_answered", "scanned"}
+    assert set(out["plan"]) == {"parts_total", "pruned_hash", "pruned_stats", "pruned_dict",
+                                "pruned_bloom", "meta_answered", "scanned", "stores"}
 
 
 def test_record_all_match_prefix_and_unknown_op():
@@ -303,7 +304,8 @@ def test_store_agg_prefix_predicate(store, table):
     assert res["count"] == pc.sum(pc.cast(mask, pa.int64())).as_py()
     assert res["sum_k"] == pc.sum(pc.if_else(mask, table["k"], pa.scalar(0, pa.int64()))).as_py()
     assert plan["parts_total"] == (
-        plan["pruned"] + plan.get("pruned_dict", 0) + plan.get("pruned_bloom", 0)
+        plan["pruned_hash"] + plan["pruned_stats"] + plan.get("pruned_dict", 0)
+        + plan.get("pruned_bloom", 0)
         + plan["meta_answered"] + plan["scanned"]
     )
 

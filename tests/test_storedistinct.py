@@ -102,7 +102,7 @@ def test_distinct_with_predicate_prunes(store, table):
     got, plan = store_distinct(
         store, "mode", [("ts", ">=", lo)], return_plan=True
     )
-    assert plan["pruned"] > 0, f"range clustering should prune the pre-band: {plan}"
+    assert plan["pruned_stats"] > 0, f"range clustering should prune the pre-band: {plan}"
     assert _as_set(got["mode"]) == _as_set(
         _duck_distinct(table, "mode", f"WHERE ts >= TIMESTAMP '{lo}'")
     )
