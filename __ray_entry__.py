@@ -57,35 +57,39 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     return {
         # NOTE on ordering: the driver verifies the FIRST 50 entries per round.
-        # Round 5 window = this round's NEW queries (8 pushdown-surface
-        # queries from session 8 lead: distinct/topk/grouped-topk/sample/
-        # stratified/quantiles/ranked-search + the grouped aggregates), the
-        # session 1-7 new queries, the 3 entries never driver-checked through
-        # round 4, the refactor-touched rows, then the round-4 window
-        # remainder. Long-green rows rotate just below slot 50.
-        # --- round-5 new queries ---
+        # The window opens with every entry whose plan runs the plan-time
+        # footer tasks (zonemap.probe_verdicts, storedistinct's footer
+        # class): the ==/in/prefix/text pushdowns, the DPP dimension joins
+        # and store_retention_delete (delete_rows probes on membership
+        # predicates). Then the round-5 new queries, the 3 entries never
+        # driver-checked through round 4, the refactor-touched rows and the
+        # round-4 window remainder. Long-green rows rotate just below slot 50.
+        # --- plans that run the footer tasks ---
         "store_distinct_pushdown": transcripts.store_distinct_pushdown,
-        "store_topk_scan": transcripts.store_topk_scan,
-        "store_family_topk": transcripts.store_family_topk,
-        "store_group_topk_scan": transcripts.store_group_topk_scan,
         "store_sample_pushdown": transcripts.store_sample_pushdown,
-        "store_quantiles_scan": transcripts.store_quantiles_scan,
         "documents_ranked_search": transcripts.documents_ranked_search,
         "docs_stratified_sample": transcripts.docs_stratified_sample,
         "documents_bm25_search": transcripts.documents_bm25_search,
-        "store_approx_distinct_orders": transcripts.store_approx_distinct_orders,
-        "store_group_agg": transcripts.store_group_agg,
-        "store_family_group_agg": transcripts.store_family_group_agg,
         "documents_text_search": transcripts.documents_text_search,
         "documents_phrase_search": transcripts.documents_phrase_search,
         "documents_anytoken_search": transcripts.documents_anytoken_search,
+        "documents_prefix_scan": transcripts.documents_prefix_scan,
+        "documents_source_scan": transcripts.documents_source_scan,
+        "lineitem_bloom_scan": transcripts.lineitem_bloom_scan,
+        "lineitem_scan_pushdown": transcripts.lineitem_scan_pushdown,
+        "store_family_scan": transcripts.store_family_scan,
         "dpp_dim_join": transcripts.dpp_dim_join,
-        "store_cdc_changes": transcripts.store_cdc_changes,
-        "store_retention_delete": transcripts.store_retention_delete,
-        # touched this session: store_join_dim now defaults to dynamic
-        # partition pruning, so its long-green driver query re-enters the
-        # first-50 window
         "salted_dim_join": transcripts.salted_dim_join,
+        "store_retention_delete": transcripts.store_retention_delete,
+        # --- round-5 new queries ---
+        "store_topk_scan": transcripts.store_topk_scan,
+        "store_family_topk": transcripts.store_family_topk,
+        "store_group_topk_scan": transcripts.store_group_topk_scan,
+        "store_quantiles_scan": transcripts.store_quantiles_scan,
+        "store_approx_distinct_orders": transcripts.store_approx_distinct_orders,
+        "store_group_agg": transcripts.store_group_agg,
+        "store_family_group_agg": transcripts.store_family_group_agg,
+        "store_cdc_changes": transcripts.store_cdc_changes,
         "rebucket_join": transcripts.rebucket_join,
         "store_upsert_stats": transcripts.store_upsert_stats,
         "store_snapshot_travel": transcripts.store_snapshot_travel,
@@ -93,7 +97,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "documents_zorder_scan": transcripts.documents_zorder_scan,
         "image_dedup_phash_store": multimodal.image_dedup_phash_store,
         "orders_transcript_store_stats": transcripts.orders_transcript_store_stats,
-        "store_family_scan": transcripts.store_family_scan,
         "store_family_agg": transcripts.store_family_agg,
         # --- never driver-checked through round 4 (3) ---
         "knn_ivf_persisted": similarity.knn_ivf_persisted,
@@ -102,10 +105,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # --- touched by round-5 refactors ---
         "dedup_simhash": dedup.dedup_simhash,
         "image_dedup_phash": multimodal.image_dedup_phash,
-        "lineitem_bloom_scan": transcripts.lineitem_bloom_scan,
         "store_agg_pushdown": transcripts.store_agg_pushdown,
         "store_agg_metadata_only": transcripts.store_agg_metadata_only,
-        "documents_prefix_scan": transcripts.documents_prefix_scan,
         # --- round-4 window remainder ---
         "event_funnel": behavior.event_funnel,
         "events_daily_gapfill": behavior.events_daily_gapfill,
@@ -126,7 +127,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "transcript_length_histogram": transcripts.transcript_length_histogram,
         "transcript_tool_usage": transcripts.transcript_tool_usage,
         "convert_jsonl_roundtrip": transcripts.convert_jsonl_roundtrip,
-        "lineitem_scan_pushdown": transcripts.lineitem_scan_pushdown,
         "lineitem_store_profile": transcripts.lineitem_store_profile,
         "mix_sources": export.mix_sources,
         "split_assign": export.split_assign,
@@ -145,7 +145,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "range_search": similarity.range_search,
         # --- (slot >50 from here) rotated-out long-green rows ---
         "export_wds": export.export_wds,
-        "documents_source_scan": transcripts.documents_source_scan,
         "label_centroids": similarity.label_centroids,
         "customer_year_overlap": analytics.customer_year_overlap,
         "cohort_retention": behavior.cohort_retention,

@@ -114,14 +114,20 @@ class EncodePartition:
         # the sort-exchange delivers groups as hundreds of tiny chunks; every
         # downstream kernel crawls on chunked input — flatten ONCE up front
         n_chunks = group.column(0).num_chunks
+        t0 = time.monotonic()
         group = group.combine_chunks()
+        combine_s = time.monotonic() - t0
         part_id = int(group["part_id"][0].as_py())
-        return self.encode_one(part_id, group.drop_columns(["part_id"]), n_chunks)
+        return self.encode_one(part_id, group.drop_columns(["part_id"]), n_chunks,
+                               combine_s=combine_s)
 
     def encode_one(
-        self, part_id: int, table: pa.Table, n_chunks: int = 1, folded: dict | None = None
+        self, part_id: int, table: pa.Table, n_chunks: int = 1, folded: dict | None = None,
+        combine_s: float = 0.0,
     ) -> pa.Table:
-        t0 = time.monotonic()
+        """Sort, encode and write one partition; ``combine_s`` is the time the
+        caller spent assembling ``table`` (lineage ``timings`` and ``wall_s``
+        count it)."""
         t_comb = time.monotonic()
         if self.fault_hook is not None:
             self.fault_hook(part_id)
@@ -148,6 +154,7 @@ class EncodePartition:
             from .bloom import build_token_blooms
 
             blooms = {**(blooms or {}), **build_token_blooms(table, self.text_bloom_cols)}
+        t_stats = time.monotonic()
         payload = pack_container(
             blobs,
             extra={"part_id": part_id, "rows": table.num_rows, "sort_key": sort_cols,
@@ -160,10 +167,11 @@ class EncodePartition:
         write_container_atomic(path, payload)
         timings = {
             "in_chunks": n_chunks,
-            "combine": round(t_comb - t0, 2),
+            "combine": round(combine_s, 2),
             "sort": round(t_sort - t_comb, 2),
             "encode": round(t_enc - t_sort, 2),
-            "write": round(time.monotonic() - t_enc, 2),
+            "stats": round(t_stats - t_enc, 2),  # zone maps, page stats, blooms
+            "write": round(time.monotonic() - t_stats, 2),  # pack + atomic write
         }
         rec = mf.LineageRecord(
             part_id=part_id,
@@ -172,7 +180,7 @@ class EncodePartition:
             bytes_out=len(payload),
             codecs={name: blob.codec for name, blob in blobs.items()},
             crc32=zlib.crc32(payload) & 0xFFFFFFFF,
-            wall_s=time.monotonic() - t0,
+            wall_s=combine_s + time.monotonic() - t_comb,
             path=path,
             timings=timings,
             generation=self.generation,
@@ -203,12 +211,14 @@ class EncodePages(EncodePartition):
         from .container import decode_table
 
         part_id = int(group["part_id"][0].as_py())
+        t0 = time.monotonic()
         pages = group["page"]
         if isinstance(pages, pa.ChunkedArray):
             pages = pages.combine_chunks()
         tables = [decode_table(p.as_py()) for p in pages]
         table = pa.concat_tables(tables).combine_chunks()
-        return self.encode_one(part_id, table, n_chunks=len(tables))
+        return self.encode_one(part_id, table, n_chunks=len(tables),
+                               combine_s=time.monotonic() - t0)
 
 
 def make_page_packer(

@@ -882,8 +882,8 @@ def documents_text_search(sf_dir: str) -> pa.Table:
     tokenizer. Oracle: conjunctive ``regexp_matches(lower(text), ...)``
     (DuckDB runs the same RE2 pattern class).
 
-    At 100 TB shape: the probe is one batched Ray job of KB-ranged footer
-    reads; a rare term opens only the containers whose token set may hold
+    At 100 TB shape: the probe is one batch of plain Ray tasks doing
+    KB-ranged footer reads; a rare term opens only the containers whose token set may hold
     it — grep over a corpus without decoding the corpus."""
     from ..zonemap import scan_store
 
@@ -949,7 +949,7 @@ def documents_anytoken_search(sf_dir: str) -> pa.Table:
 
     At 100 TB shape: OR-of-terms search costs the same KB-ranged footer
     probe as AND-of-terms; the read set is the union of each term's
-    candidate containers, still probed in one batched Ray job."""
+    candidate containers, still probed in one batch of Ray tasks."""
     from ..zonemap import scan_store
 
     ds = scan_store(

@@ -15,16 +15,17 @@ low-cardinality DISTINCT a metadata question:
 * **footer-answered** — the column is dict-encoded with zero nulls in a
   fully-matching container: its dictionary values ARE the exact distinct
   set (string dicts via ``pc.dictionary_encode`` hold exactly the observed
-  values; numeric dicts are ``np.unique`` over the data). One Ray job of
-  KB-ranged footer + dictionary-buffer reads over all such containers —
+  values; numeric dicts are ``np.unique`` over the data). KB-ranged
+  footer + dictionary-buffer reads over all such containers run as plain
+  Ray tasks at plan time (``zonemap.map_footers``), not as a Ray Data job —
   code/data buffers are never touched. Containers WITH nulls refuse this
   class: encode fills nulls with a type default before building the
   dictionary, so the default's membership in the real data is unknowable
   from the dictionary alone (``codecs.encode_array``).
 * **scanned** — everything else (free-text codecs, null-bearing dict
-  containers, partially-matching containers) runs ONE distributed job of
-  pruned, late-materialized decode of only the target + predicate columns
-  with a per-block ``pc.unique`` partial.
+  containers, partially-matching containers) runs the query's ONE Ray
+  Data job: pruned, late-materialized decode of only the target +
+  predicate columns with a per-block ``pc.unique`` partial.
 
 Values travel in the zone maps' physical domain (int64 for int/timestamp/
 date/bool, float64 for floats, utf8 for strings) so metadata singles,
@@ -47,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .storegroup import _group_physical, _to_physical
-from .zonemap import PrunedScan, _int_physical, container_dict_values
+from .zonemap import PrunedScan, _int_physical, container_dict_values, map_footers
 
 DEFAULT_MAX_VALUES = 2_000_000
 
@@ -102,50 +103,24 @@ def _meta_distinct(rec: dict, col: str, t: pa.DataType) -> "list | None":
     return [mn, None] if nulls else [mn]
 
 
-def _footer_distinct_job(paths: "list[str]", col: str, physical: pa.DataType):
-    """ONE Ray job: ranged dictionary-value reads for ``col`` over every
-    footer-class container (family callers batch all members). Returns
-    ``{path: list-of-physical-values | None}`` — None when the footer
-    disagrees with the manifest plan (codec drift, unexpected nulls) and
-    the container must scan instead."""
-    import ray.data
-
+def _footer_distinct(path: str, col: str, physical: pa.DataType) -> "pa.Array | None":
+    """Exact distinct values of ``col`` in one footer-class container from
+    its dictionary buffers alone (ranged reads; code/data buffers are never
+    touched), in the physical domain — or None when the footer
+    disagrees with the manifest plan (codec drift, unexpected nulls) and the
+    container must scan instead."""
     from .container import read_footer_file
 
-    def _one(batch: pa.Table) -> pa.Table:
-        out_p, out_v = [], []
-        for p in batch["path"].to_pylist():
-            footer = read_footer_file(p)
-            ent = next((c for c in footer["columns"] if c["name"] == col), None)
-            vals = None
-            if ent is not None and ent["codec"] == "dict" and not ent["null_count"]:
-                dv = container_dict_values(p, ent)
-                if dv is not None:
-                    if isinstance(dv, np.ndarray):
-                        if pa.types.is_floating(physical):
-                            vals = pa.array(
-                                dv.astype(np.float64, copy=False), type=physical
-                            )
-                        else:
-                            vals = pa.array(
-                                dv.astype(np.int64, copy=False), type=physical
-                            )
-                    else:
-                        vals = dv.cast(physical) if dv.type != physical else dv
-            out_p.append(p)
-            out_v.append(vals.to_pylist() if vals is not None else None)
-        return pa.table(
-            {
-                "path": pa.array(out_p, type=pa.string()),
-                "vals": pa.array(out_v, type=pa.list_(physical)),
-            }
-        )
-
-    pds = ray.data.from_items([{"path": p} for p in paths])
-    out: dict = {}
-    for r in pds.map_batches(_one, batch_format="pyarrow").take_all():
-        out[r["path"]] = r["vals"]
-    return out
+    ent = next((c for c in read_footer_file(path)["columns"] if c["name"] == col), None)
+    if ent is None or ent["codec"] != "dict" or ent["null_count"]:
+        return None
+    dv = container_dict_values(path, ent)
+    if dv is None:
+        return None
+    if isinstance(dv, np.ndarray):
+        np_t = np.float64 if pa.types.is_floating(physical) else np.int64
+        return pa.array(dv.astype(np_t, copy=False), type=physical)
+    return dv.cast(physical) if dv.type != physical else dv
 
 
 def _fold_distinct(
@@ -233,8 +208,9 @@ def store_distinct_multi(
     """DISTINCT over a FAMILY of stores as one logical table. Distinct is a
     set union, so per-member partials fold exactly; the column must carry
     the SAME type in every member (refused loudly). Scale shape: the class
-    split is driver-side manifest JSON per member; the footer job and the
-    scan job each batch EVERY member's containers into one Ray job."""
+    split is driver-side manifest JSON per member; the footer tasks and the
+    scan job each batch EVERY member's containers into one call, and the
+    scan is the only Ray Data job."""
     scan = PrunedScan(dirs, predicate, [col], what=f"{col!r}")
     t = scan.schema[col]
     physical = _group_physical(t)  # raises for unsupported (binary) columns
@@ -249,19 +225,20 @@ def store_distinct_multi(
             return "meta_answered"
         ent = (rec.get("stats") or {}).get(col) or {}
         if (rec.get("codecs") or {}).get(col) == "dict" and not int(ent.get("nulls", 1) or 0):
-            footer_paths.append(path)  # confirmed by the footer job below
+            footer_paths.append(path)  # confirmed by the footer tasks below
             return "footer_answered"
         return None
 
     paths, plan = scan.candidates(on_full, answered=("meta_answered", "footer_answered"))
 
-    # ONE footer job over every member's dict-class containers
+    # ONE batch of footer tasks over every member's dict-class containers
+    # (KB reads each, never a Ray Data job)
     chunks: list[pa.Array] = []
-    fv = _footer_distinct_job(footer_paths, col, physical) if footer_paths else {}
+    fv = map_footers(_footer_distinct, footer_paths, col, physical)
     store_of = {p: d for d, _, ps in scan.members for p in ps}
     for p in footer_paths:
         if fv.get(p) is not None:
-            chunks.append(pa.array(fv[p], type=physical))
+            chunks.append(fv[p])
             continue
         paths.append(p)  # codec drift: the container scans after all
         for pl in (plan, plan["stores"][store_of[p]]):

@@ -315,8 +315,8 @@ def store_agg_group_multi(
     """GROUP BY aggregate over a store FAMILY: grouped partials are additive
     across members exactly like the scalar folds, so the family answer is
     one shared partial pool — metadata rows from every member's
-    fully-matching single-valued containers, ONE batched footer-probe job,
-    ONE scan job over every member's remainder, one driver fold. Group /
+    fully-matching single-valued containers, ONE batch of footer-probe
+    tasks, ONE scan job over every member's remainder, one driver fold. Group /
     aggregate / predicate columns must carry the same type in every member
     (refused loudly with per-store detail — ``compact_family`` conforms)."""
     group_by = list(group_by)

@@ -129,7 +129,8 @@ class _BucketJoiner:
 # its distinct keys then prune fact containers BEFORE any decode. Key lists
 # up to the stats cap run the per-record zone-map check (a Python loop per
 # record, so bounded); up to the probe cap they run the batched dictionary
-# + Bloom footer probe (vectorized hashing, one Ray job).
+# + Bloom footer probe (vectorized hashing; plain Ray tasks, no Ray Data
+# job — ``zonemap.probe_verdicts``).
 _DPP_MAX_DIM_ROWS = 100_000
 _DPP_STATS_MAX_KEYS = 1_024
 _DPP_PROBE_MAX_KEYS = 65_536

@@ -185,7 +185,15 @@ def store_search(
     verify_crc: bool = False,
     return_plan: bool = False,
 ):
-    """k most relevant rows of one store for ``query`` (module docstring)."""
+    """k most relevant rows of one store for ``query`` (module docstring).
+
+    ``mode="bm25"`` mixes populations by design: N counts every manifest
+    row (of every family member), while the document frequencies and avgdl
+    come from the candidate rows only — the rows that pass ``predicate``
+    and hold a query token, the only rows a query decodes. Textbook BM25
+    takes all three over the corpus; here, with a selective predicate, idf
+    weighs a token by its rarity in the whole store, not in the filtered
+    slice."""
     return store_search_multi(
         [out_dir],
         col,
@@ -215,8 +223,8 @@ def store_search_multi(
     verify_crc: bool = False,
     return_plan: bool = False,
 ):
-    """Ranked search over a FAMILY of stores as one corpus (one probe job +
-    one scan job across members). ``snippet=True`` appends a ``snippet``
+    """Ranked search over a FAMILY of stores as one corpus (one batch of
+    footer-probe tasks + one scan job across members). ``snippet=True`` appends a ``snippet``
     column: ±40 chars around each hit's first matched token."""
     if not (1 <= k <= MAX_K):
         raise ValueError(f"k={k} outside [1, {MAX_K}]")

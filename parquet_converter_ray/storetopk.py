@@ -358,8 +358,8 @@ def store_group_topk_multi(
     max_partial_rows: int = 2_000_000,
 ):
     """Grouped top-k over a FAMILY of stores as one logical table (one
-    probe job + one scan job across members; involved column types must
-    agree)."""
+    batch of footer-probe tasks + one scan job across members; involved
+    column types must agree)."""
     if not (1 <= k <= MAX_K):
         raise ValueError(
             f"k={k} outside [1, {MAX_K}] — larger per-group top-k exceeds the "

@@ -29,6 +29,7 @@ read full tables for every question).
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -1014,43 +1015,72 @@ def _probe_applies(dnf) -> bool:
     )
 
 
-def probe_verdicts(paths: "list[str]", dnf) -> "dict[str, str]":
-    """Distributed footer probe over container paths: tiny ranged reads per
-    path, never on the driver. One footer read serves both checks — the
-    dictionary probe (low-card dict-encoded columns) and the Bloom probe
-    (high-card int/string columns encoded with bloom_cols). Per-path and
-    predicate-only, so candidates from MANY stores batch into one job
-    (``PrunedScan`` relies on this — one probe job per family, not per
-    member). Returns ``{path: "keep" | "dict" | "bloom"}``."""
-    import ray.data
+def _footer_slice(fn, paths, args) -> list:
+    from .encode import pin_arrow_threads
 
+    pin_arrow_threads(1)
+    return [fn(p, *args) for p in paths]
+
+
+@functools.cache
+def _remote_slice():
+    """One Ray remote function per process: a fresh ``ray.remote`` per call
+    would export (and make workers import) a new function every probe."""
+    import ray
+
+    return ray.remote(_footer_slice)
+
+
+def map_footers(fn, paths: "list[str]", *args) -> dict:
+    """``{path: fn(path, *args)}`` computed by plain Ray tasks, never on the
+    driver: at most one task per cluster CPU, each over a strided slice of
+    ``paths``. For plan-time footer reads (KB per path), where a Ray Data
+    job's start-up would cost far more than the reads — Ray Data samples
+    Parquet footers for its own planning the same way. No task for an empty
+    ``paths``; a task's exception re-raises on the driver as its own type."""
+    if not paths:
+        return {}
+    import ray
+
+    if not ray.is_initialized():
+        ray.init()  # what a Ray Data call would do on first use
+    n = max(1, min(len(paths), int(ray.cluster_resources().get("CPU", 1))))
+    slices = [paths[i::n] for i in range(n)]
+    refs = [_remote_slice().remote(fn, s, args) for s in slices]
+    return {p: r for s, res in zip(slices, ray.get(refs)) for p, r in zip(s, res)}
+
+
+def probe_verdict(path: str, dnf) -> str:
+    """Footer-probe verdict for one container: ``"keep"``, or the level that
+    ruled it out (``"dict"`` / ``"bloom"``). One footer read serves both
+    checks — the dictionary probe (low-card dict-encoded columns) and the
+    Bloom probe (high-card int/string columns encoded with bloom_cols). A
+    container survives if ANY branch passes both probes; a pruned one is
+    attributed to the deepest level any branch reached."""
     from .bloom import bloom_probe_footer
     from .container import read_footer_file
 
-    pds = ray.data.from_items([{"path": p} for p in paths])
+    footer = read_footer_file(path)
+    v = "dict"
+    for br in dnf:
+        if not dict_probe_path(path, br, footer):
+            continue
+        if not bloom_probe_footer(path, footer, br):
+            v = "bloom"
+            continue
+        return "keep"
+    return v
 
-    def _probe(batch: pa.Table) -> pa.Table:
-        out_p, out_v = [], []
-        for p in batch["path"].to_pylist():
-            footer = read_footer_file(p)
-            # a container survives if ANY branch passes both probes;
-            # pruned counts attribute to the deepest level any branch hit
-            v = "dict"
-            for br in dnf:
-                if not dict_probe_path(p, br, footer):
-                    continue
-                if not bloom_probe_footer(p, footer, br):
-                    v = "bloom"
-                    continue
-                v = "keep"
-                break
-            out_p.append(p)
-            out_v.append(v)
-        return pa.table({"path": pa.array(out_p, type=pa.string()),
-                         "verdict": pa.array(out_v, type=pa.string())})
 
-    return {r["path"]: r["verdict"]
-            for r in pds.map_batches(_probe, batch_format="pyarrow").take_all()}
+def probe_verdicts(paths: "list[str]", dnf) -> "dict[str, str]":
+    """Distributed footer probe over container paths: ``probe_verdict`` per
+    path as plain Ray tasks (``map_footers``) — tiny ranged reads, never on
+    the driver and never a Ray Data job, so a pushdown's one Ray Data job is
+    its decode + partial. Per-path and predicate-only, so candidates from
+    MANY stores batch into one call (``PrunedScan`` relies on this — one
+    probe per family, not per member). Returns
+    ``{path: "keep" | "dict" | "bloom"}``."""
+    return map_footers(probe_verdict, paths, dnf)
 
 
 _TEXT_OPS = ("hastok", "hasphrase", "hasany")
@@ -1072,8 +1102,9 @@ class PrunedScan:
     ``candidates`` runs the pruning levels in order — hash routing of
     ``==``/``in`` on the partition column, manifest zone maps, the
     operator's ``on_full`` hook, then ONE distributed footer probe over
-    every member's remainder — and ``run`` is the one decode + per-block
-    partial job over the survivors. An operator keeps only its partial,
+    every member's remainder (plain Ray tasks, ``probe_verdicts``) — and
+    ``run`` is the one decode + per-block partial job over the survivors,
+    the query's only Ray Data job. An operator keeps only its partial,
     its driver fold and its finalize.
 
     ``dnf`` is the normalized predicate (``[]`` = none); an operator may
@@ -1244,12 +1275,15 @@ def scan_store(
        arithmetic over ``_run.json``.
     2. **Manifest zone maps** — lineage-record ``stats`` rule out containers
        driver-side from JSON already on hand (no file opens at all).
-    3. **Footer probe** (``==``/``in``/``prefix``/text ops) — a Ray stage
-       over candidate paths tail-reads each footer and ranged-reads only the
+    3. **Footer probe** (``==``/``in``/``prefix``/text ops) — plain Ray
+       tasks over slices of the candidate paths (``probe_verdicts``, not a
+       Ray Data job) tail-read each footer and ranged-read only the
        dictionary buffers and Bloom filters (KB per container on any store
        size). ``dict_probe=False`` skips it.
     4. **Column pruning** — survivors decode only predicate + requested
-       columns; the exact filter runs batch-wise in the same stage.
+       columns; the exact filter runs batch-wise in the same stage. This
+       decode is the scan's one Ray Data job, run when the returned
+       Dataset is consumed.
 
     Containers written before zone maps existed have no ``stats`` and are
     conservatively scanned. ``return_plan=True`` also returns
@@ -1294,9 +1328,10 @@ def scan_store_multi(
 
     Scale shape: the hash/stats levels are driver-side JSON per member
     (microseconds each), and the distributed footer probe — the only Ray
-    job in planning — batches every member's candidate paths into ONE job,
-    so planning cost does not grow a per-member Ray-job latency with family
-    size.
+    work in planning — batches every member's candidate paths into ONE set
+    of plain Ray tasks (at most one per cluster CPU), so planning cost does
+    not grow with family size and starts no Ray Data job. The decode of the
+    survivors is the scan's one Ray Data job.
     """
     scan = PrunedScan(dirs, predicate, columns or (), all_columns=columns is None,
                       what="emitted/predicate")
