@@ -61,7 +61,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # footer tasks (zonemap.probe_verdicts, storedistinct's footer
         # class): the ==/in/prefix/text pushdowns, the DPP dimension joins
         # and store_retention_delete (delete_rows probes on membership
-        # predicates). Then the round-5 new queries, the 3 entries never
+        # predicates). Every entry whose decode runs as plain Ray tasks
+        # (zonemap.PrunedScan.run, and scans under its crossover) is inside
+        # the window too: the two range scans follow, and the rest sit in
+        # the groups below. Then the round-5 new queries, the 3 entries never
         # driver-checked through round 4, the refactor-touched rows and the
         # round-4 window remainder. Long-green rows rotate just below slot 50.
         # --- plans that run the footer tasks ---
@@ -81,6 +84,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dpp_dim_join": transcripts.dpp_dim_join,
         "salted_dim_join": transcripts.salted_dim_join,
         "store_retention_delete": transcripts.store_retention_delete,
+        # --- small-plan decode as plain Ray tasks, no footer probe ---
+        "lineitem_range_scan": transcripts.lineitem_range_scan,
+        "lineitem_band_union_revenue": transcripts.lineitem_band_union_revenue,
         # --- round-5 new queries ---
         "store_topk_scan": transcripts.store_topk_scan,
         "store_family_topk": transcripts.store_family_topk,
@@ -117,6 +123,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "chunk_documents": text.chunk_documents,
         "token_dup_stats": text.token_dup_stats,
         "decontaminate": text.decontaminate,
+        # --- slot 50 from here: the window ends above. fuzzy_name_pairs and
+        # name_clusters (long-green, store-free) made room for the two range
+        # scans ---
         "fuzzy_name_pairs": dedup.fuzzy_name_pairs,
         "name_clusters": dedup.name_clusters,
         "dedup_substring": dedup.dedup_substring,
@@ -130,16 +139,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lineitem_store_profile": transcripts.lineitem_store_profile,
         "mix_sources": export.mix_sources,
         "split_assign": export.split_assign,
-        # --- (slot >50 from here) rotated below the window for the two new
-        # grouped-aggregate queries; long-green since r4 ---
+        # --- rotated below the window for the two new grouped-aggregate
+        # queries; long-green since r4 ---
         "pack_sequences": export.pack_sequences,
         "export_shards": export.export_shards,
         "audio_rms_windows": multimodal.audio_rms_windows,
         "asof_attribution": behavior.asof_attribution,
         "asof_attribution_salted": behavior.asof_attribution_salted,
         "events_window_unique_users": windows.events_window_unique_users,
-        "lineitem_range_scan": transcripts.lineitem_range_scan,
-        "lineitem_band_union_revenue": transcripts.lineitem_band_union_revenue,
         "q19_disjunctive_revenue": relational.q19_disjunctive_revenue,
         "store_bucket_join": transcripts.store_bucket_join,
         "range_search": similarity.range_search,

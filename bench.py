@@ -7,7 +7,8 @@ decode (full read-back) — plus a set of representative query pipelines
 over $GRAFT_SF_DIR.
 
     python bench.py                 # headline = min-of-3 fresh-process runs at
-                                    # $RAY_GRAFT_CPUS (default 32); queries once
+                                    # $RAY_GRAFT_CPUS (default: the CPUs this
+                                    # process may run on); queries once
     python bench.py --scaling       # fresh processes at 8 and 32 CPUs,
                                     # reports throughput at both + efficiency
 
@@ -27,8 +28,19 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 CACHE = "/tmp/pcr_cache"
+
+
+def host() -> dict:
+    """Host provenance for the result JSON: CPUs, RAM, Ray / pyarrow
+    versions and git SHA (``perfbench.session.provenance``, minus the
+    perfbench workloads' pinned settings, which this harness does not use)."""
+    from perfbench.session import provenance
+
+    out = provenance(os.path.dirname(os.path.abspath(__file__)))
+    del out["settings"]
+    return out
 
 
 def run_bench() -> dict:
@@ -173,6 +185,7 @@ def run_bench() -> dict:
         "bytes_reference_parquet": ref_bytes,
         "compressed_vs_reference": round(summary["bytes_out"] / ref_bytes, 4),
         "partitions": summary["partitions"],
+        "host": host(),
     }
     ray.shutdown()
     return result

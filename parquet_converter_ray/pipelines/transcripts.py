@@ -1757,7 +1757,7 @@ def store_family_topk(sf_dir: str) -> pa.Table:
     (``storetopk.store_topk_multi``): the τ guarantee pool spans both
     members (top-k is a global question), the date-band predicate prunes
     pre-band containers inside the historical member (asserted), and one
-    scan job covers every surviving container across members. Oracle:
+    scan covers every surviving container across members. Oracle:
     WHERE + ORDER BY ... LIMIT over raw orders."""
     from ..storetopk import store_topk_multi
 
@@ -1959,7 +1959,7 @@ def store_group_agg(sf_dir: str) -> pa.Table:
 def store_family_group_agg(sf_dir: str) -> pa.Table:
     """GROUP BY over the delivery FAMILY as one logical table
     (``storegroup.store_agg_group_multi``): per-member three-class plans
-    share one partial pool, one scan job covers every member's remainder,
+    share one partial pool, one scan covers every member's remainder,
     and the date band ending before the delivery split proves the post-split
     member contributes zero opened containers (asserted). Oracle: plain SQL
     GROUP BY over raw orders."""

@@ -279,10 +279,11 @@ def store_agg_multi(
     folds the per-container answers exactly: fully-matching containers
     answer from their recorded stats (the ``meta_answered`` class of the
     ``PrunedScan`` plan) and the undecidable remainder of EVERY member runs
-    in one partials job. Aggregate and predicate columns must carry the SAME
-    type in every member (min/max comparisons and sums across type families
-    would be silently wrong) — refused loudly with per-store detail; columns
-    the aggregate never touches may drift freely."""
+    in one partials scan (plain Ray tasks, no Ray Data job). Aggregate and
+    predicate columns must carry the SAME type in every member (min/max
+    comparisons and sums across type families would be silently wrong) —
+    refused loudly with per-store detail; columns the aggregate never
+    touches may drift freely."""
     requested = _normalize_aggs(aggs)
     aggs, _ = _expand_avg(requested)
     agg_cols = list(dict.fromkeys(c for _, c in aggs if c is not None))

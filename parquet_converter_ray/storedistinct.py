@@ -23,9 +23,10 @@ low-cardinality DISTINCT a metadata question:
   dictionary, so the default's membership in the real data is unknowable
   from the dictionary alone (``codecs.encode_array``).
 * **scanned** — everything else (free-text codecs, null-bearing dict
-  containers, partially-matching containers) runs the query's ONE Ray
-  Data job: pruned, late-materialized decode of only the target +
-  predicate columns with a per-block ``pc.unique`` partial.
+  containers, partially-matching containers) runs ``PrunedScan.run``:
+  pruned, late-materialized decode of only the target + predicate columns
+  with a per-block ``pc.unique`` partial, as plain Ray tasks (no Ray
+  Data job).
 
 Values travel in the zone maps' physical domain (int64 for int/timestamp/
 date/bool, float64 for floats, utf8 for strings) so metadata singles,
@@ -209,8 +210,8 @@ def store_distinct_multi(
     set union, so per-member partials fold exactly; the column must carry
     the SAME type in every member (refused loudly). Scale shape: the class
     split is driver-side manifest JSON per member; the footer tasks and the
-    scan job each batch EVERY member's containers into one call, and the
-    scan is the only Ray Data job."""
+    scan each batch EVERY member's containers into one call of plain Ray
+    tasks, so the query starts no Ray Data job."""
     scan = PrunedScan(dirs, predicate, [col], what=f"{col!r}")
     t = scan.schema[col]
     physical = _group_physical(t)  # raises for unsupported (binary) columns
@@ -244,6 +245,8 @@ def store_distinct_multi(
         for pl in (plan, plan["stores"][store_of[p]]):
             pl["footer_answered"] -= 1
             pl["scanned"] += 1
+            pl["scanned_bytes"] += scan.sizes[p]
+    scan.stamp(plan, paths)
 
     for part in scan.run(paths, _DistinctPartial(col, t, physical), [col], verify_crc):
         arr = part["v"]

@@ -316,9 +316,10 @@ def store_agg_group_multi(
     across members exactly like the scalar folds, so the family answer is
     one shared partial pool — metadata rows from every member's
     fully-matching single-valued containers, ONE batch of footer-probe
-    tasks, ONE scan job over every member's remainder, one driver fold. Group /
-    aggregate / predicate columns must carry the same type in every member
-    (refused loudly with per-store detail — ``compact_family`` conforms)."""
+    tasks, ONE scan over every member's remainder (plain Ray tasks, no Ray
+    Data job), one driver fold. Group / aggregate / predicate columns must
+    carry the same type in every member (refused loudly with per-store
+    detail — ``compact_family`` conforms)."""
     group_by = list(group_by)
     if not group_by:
         raise ValueError("store_agg_group needs at least one group column")

@@ -176,9 +176,8 @@ def _fetch_winners(scan: PrunedScan, key: str, winners: list, fetch_cols, verify
     stack fetches only their rows. Returns the rows and the pass's plan."""
     scan.dnf = and_clause(scan.dnf, (key, "in", winners))
     paths, plan = scan.candidates()
-    ds = scan.dataset(paths, fetch_cols, verify_crc)
-    batches = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]
-    tbl = pa.concat_tables(batches).combine_chunks() if batches else pa.table(
+    rows = list(scan.run(paths, None, fetch_cols, verify_crc))
+    tbl = pa.concat_tables(rows).combine_chunks() if rows else pa.table(
         {c: pa.array([], type=scan.schema[c]) for c in fetch_cols}
     )
     plan.pop("stores")

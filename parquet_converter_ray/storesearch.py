@@ -223,9 +223,10 @@ def store_search_multi(
     verify_crc: bool = False,
     return_plan: bool = False,
 ):
-    """Ranked search over a FAMILY of stores as one corpus (one batch of
-    footer-probe tasks + one scan job across members). ``snippet=True`` appends a ``snippet``
-    column: ±40 chars around each hit's first matched token."""
+    """Ranked search over a FAMILY of stores as one corpus: one batch of
+    footer-probe tasks + one scan across members, both plain Ray tasks (no
+    Ray Data job). ``snippet=True`` appends a ``snippet`` column: ±40 chars
+    around each hit's first matched token."""
     if not (1 <= k <= MAX_K):
         raise ValueError(f"k={k} outside [1, {MAX_K}]")
     if mode not in ("any", "all", "bm25"):

@@ -187,7 +187,8 @@ def store_topk_multi(
 ):
     """Top-k over a FAMILY of stores as one logical table: the τ guarantee
     pool spans every member (top-k is a global question), then one footer
-    probe + one scan job batch all members' candidates."""
+    probe + one scan batch all members' candidates (plain Ray tasks, no
+    Ray Data job)."""
     if not (1 <= k <= MAX_K):
         raise ValueError(
             f"k={k} outside [1, {MAX_K}] — larger top-k exceeds the driver-fold "
@@ -212,7 +213,7 @@ def store_topk_multi(
     paths, plan = scan.candidates()
     plan.update(tau=tau, guaranteed_rows=guaranteed)
 
-    # 2. one scan job + per-block top-k partials
+    # 2. one scan + per-block top-k partials
     is_float = pa.types.is_floating(t)
     out_cols = list(columns) if columns is not None else list(scan.schema)
     work_cols = list(dict.fromkeys(out_cols + [order_by] + tiebreak))
@@ -357,9 +358,9 @@ def store_group_topk_multi(
     return_plan: bool = False,
     max_partial_rows: int = 2_000_000,
 ):
-    """Grouped top-k over a FAMILY of stores as one logical table (one
-    batch of footer-probe tasks + one scan job across members; involved
-    column types must agree)."""
+    """Grouped top-k over a FAMILY of stores as one logical table: one
+    batch of footer-probe tasks + one scan across members, both plain Ray
+    tasks; involved column types must agree."""
     if not (1 <= k <= MAX_K):
         raise ValueError(
             f"k={k} outside [1, {MAX_K}] — larger per-group top-k exceeds the "

@@ -869,8 +869,9 @@ class _ScanDecoder:
     fully. PAGE PRUNING: footer page stats (``page_stats``) additionally
     drop 64k-row pages that provably contain no match — the lever for
     predicates on NON-lead columns — and intersect with the sorted-lead
-    range. ``range_hits`` / ``page_hits`` count engagements (driver-visible
-    only when the decoder runs un-pooled)."""
+    range. ``range_hits`` / ``page_hits`` count engagements. Both executors
+    ship a copy of the decoder to the worker, so the counts are
+    driver-visible only when ``_one`` is called in-process."""
 
     def __init__(self, read_cols, out_cols, clauses, verify_crc=False):
         self.read_cols = read_cols
@@ -1015,11 +1016,11 @@ def _probe_applies(dnf) -> bool:
     )
 
 
-def _footer_slice(fn, paths, args) -> list:
+def _slice_task(fn, paths, args):
     from .encode import pin_arrow_threads
 
     pin_arrow_threads(1)
-    return [fn(p, *args) for p in paths]
+    return fn(paths, *args)
 
 
 @functools.cache
@@ -1028,26 +1029,45 @@ def _remote_slice():
     would export (and make workers import) a new function every probe."""
     import ray
 
-    return ray.remote(_footer_slice)
+    return ray.remote(_slice_task)
+
+
+def _cluster_resources() -> dict:
+    """``ray.cluster_resources()``, initialising Ray when it is not up yet,
+    as a Ray Data call would do on first use."""
+    import ray
+
+    if not ray.is_initialized():
+        ray.init()
+    return ray.cluster_resources()
+
+
+def map_slices(fn, paths: "list[str]", *args) -> list:
+    """``fn(slice, *args)`` as plain Ray tasks over contiguous slices of a
+    non-empty ``paths``, at most one task per cluster CPU. Returns the
+    tasks' object refs, in path order."""
+    n = max(1, min(len(paths), int(_cluster_resources().get("CPU", 1))))
+    k, r = divmod(len(paths), n)
+    cuts = [i * k + min(i, r) for i in range(n + 1)]
+    return [_remote_slice().remote(fn, paths[a:b], args) for a, b in zip(cuts, cuts[1:])]
+
+
+def _each(paths, fn, *args) -> dict:
+    return {p: fn(p, *args) for p in paths}
 
 
 def map_footers(fn, paths: "list[str]", *args) -> dict:
-    """``{path: fn(path, *args)}`` computed by plain Ray tasks, never on the
-    driver: at most one task per cluster CPU, each over a strided slice of
-    ``paths``. For plan-time footer reads (KB per path), where a Ray Data
-    job's start-up would cost far more than the reads — Ray Data samples
-    Parquet footers for its own planning the same way. No task for an empty
-    ``paths``; a task's exception re-raises on the driver as its own type."""
+    """``{path: fn(path, *args)}`` computed by plain Ray tasks
+    (``map_slices``), never on the driver. For plan-time footer reads (KB
+    per path), where a Ray Data job's start-up would cost far more than the
+    reads — Ray Data samples Parquet footers for its own planning the same
+    way. No task for an empty ``paths``; a task's exception re-raises on
+    the driver as its own type."""
     if not paths:
         return {}
     import ray
 
-    if not ray.is_initialized():
-        ray.init()  # what a Ray Data call would do on first use
-    n = max(1, min(len(paths), int(ray.cluster_resources().get("CPU", 1))))
-    slices = [paths[i::n] for i in range(n)]
-    refs = [_remote_slice().remote(fn, s, args) for s in slices]
-    return {p: r for s, res in zip(slices, ray.get(refs)) for p, r in zip(s, res)}
+    return {p: r for res in ray.get(map_slices(_each, paths, fn, *args)) for p, r in res.items()}
 
 
 def probe_verdict(path: str, dnf) -> str:
@@ -1075,15 +1095,69 @@ def probe_verdict(path: str, dnf) -> str:
 def probe_verdicts(paths: "list[str]", dnf) -> "dict[str, str]":
     """Distributed footer probe over container paths: ``probe_verdict`` per
     path as plain Ray tasks (``map_footers``) — tiny ranged reads, never on
-    the driver and never a Ray Data job, so a pushdown's one Ray Data job is
-    its decode + partial. Per-path and predicate-only, so candidates from
-    MANY stores batch into one call (``PrunedScan`` relies on this — one
-    probe per family, not per member). Returns
+    the driver and never a Ray Data job, like the decode + partial that
+    follows (``PrunedScan.run``). Per-path and predicate-only, so
+    candidates from MANY stores batch into one call (``PrunedScan`` relies
+    on this — one probe per family, not per member). Returns
     ``{path: "keep" | "dict" | "bloom"}``."""
     return map_footers(probe_verdict, paths, dnf)
 
 
 _TEXT_OPS = ("hastok", "hasphrase", "hasany")
+
+# Crossover of ``PrunedScan.dataset`` between its two executors, as a share
+# of the cluster's ``object_store_memory``: a plan whose scanned containers'
+# recorded bytes (``PrunedScan.sizes``) stay under it decodes in plain Ray
+# tasks, a larger one streams as one Ray Data job.
+#
+# Measured with both executors on the same plans (agg, range agg, top-k,
+# token search, narrow scan, text scan) over synth transcript stores of
+# 50k / 500k / 2M turns, 16 containers each (15 / 164 / 656 MB recorded),
+# Ray at 2 CPUs with a 384 MB object store, on a shared 4-vCPU, 16 GB VM
+# (Ray 2.49.2, pyarrow 16.1.0), min of 3 alternated runs. The tasks were
+# faster on every plan at every size, 1.6-17x: 25-324 vs 299-675 ms at
+# 15 MB, 63-1879 vs 970-3801 ms at 164 MB, 175-8445 vs 2116-14773 ms at
+# 656 MB. Run time never crossed over, so memory sets the share: a
+# task-built Dataset holds up to its plan's decoded bytes in the object
+# store from the call until it is consumed, where the streaming job holds a
+# few blocks at a time. A sixth keeps such a plan well inside the store
+# (64 MB of the sweep's 384 MB; more on Ray's default store of 30% of RAM).
+#
+# ``run`` holds no decoded rows, only partials, so it has no crossover and
+# always uses the tasks. On the 2M-turn store, same host and Ray settings,
+# min of 3, a grouped pushdown with one partial row per input row (2M) took
+# 2.8 s on tasks vs 6.2 s as the streaming job at the same driver peak RSS
+# (564 vs 570 MB), and refused past ``max_partial_rows=200_000`` in 2.1 vs
+# 4.5 s (180 vs 182 MB).
+#
+# Glob-only stores (no manifest) are sized by file size, which undercounts
+# the decode by the codecs' compression ratio (6.7x on the synth
+# transcripts), so such a plan can overrun the share; Ray then spills task
+# outputs to disk, which slows the scan but does not fail it.
+_TASKS_MAX_STORE_SHARE = 1 / 6
+
+
+def _decode_slice(paths, decoder, partial) -> "list[pa.Table]":
+    """Task body of the task executor: decode each container of a slice,
+    skip 0-row tables (Ray Data never hands a 0-row block to a
+    ``batch_size=None`` stage either), apply ``partial`` when given, and
+    keep the non-empty results."""
+    out = []
+    for p in paths:
+        with open(p, "rb") as f:
+            t = decoder._one(f.read())
+        if t.num_rows and partial is not None:
+            t = partial(t)
+        if t.num_rows:
+            out.append(t)
+    return out
+
+
+def _decode_table(paths, decoder, empty: pa.Table) -> pa.Table:
+    """A slice's decoded rows as one table, in path order (``empty`` when
+    no row survived)."""
+    out = _decode_slice(paths, decoder, None)
+    return pa.concat_tables(out) if out else empty
 
 
 class PrunedScan:
@@ -1103,9 +1177,14 @@ class PrunedScan:
     ``==``/``in`` on the partition column, manifest zone maps, the
     operator's ``on_full`` hook, then ONE distributed footer probe over
     every member's remainder (plain Ray tasks, ``probe_verdicts``) — and
-    ``run`` is the one decode + per-block partial job over the survivors,
-    the query's only Ray Data job. An operator keeps only its partial,
-    its driver fold and its finalize.
+    ``run`` is the decode + per-container partial over the survivors, as
+    plain Ray tasks over slices of the paths (``map_slices``) — no Ray Data
+    job. ``dataset`` (``scan_store``) has two executors, chosen per plan
+    from the survivors' recorded bytes (``sizes``) against the measured
+    crossover ``_TASKS_MAX_STORE_SHARE`` of the object store: the same
+    tasks for a small plan, one streaming Ray Data job for a large one.
+    The plan's ``executor`` names the one that runs. An operator keeps only
+    its partial, its driver fold and its finalize.
 
     ``dnf`` is the normalized predicate (``[]`` = none); an operator may
     AND a synthesized clause into it (``and_clause``) before calling
@@ -1121,6 +1200,7 @@ class PrunedScan:
             raise ValueError("pushdown needs at least one store directory")
         self.dnf = _normalize_dnf(predicate) if predicate else []
         self.members = []  # (dir, records, paths); no records = glob-only store
+        self.sizes = {}  # path -> decoded bytes at encode (file size when glob-only)
         schemas = []
         for d in dirs:
             recs = mf.load_records(d)
@@ -1129,6 +1209,8 @@ class PrunedScan:
             if not paths:
                 raise FileNotFoundError(f"no container files under {d}")
             self.members.append((d, recs, paths))
+            self.sizes.update(zip(paths, [int(r.get("bytes_in", 0)) for r in recs])
+                              if recs else ((p, os.path.getsize(p)) for p in paths))
             footer = read_footer_file(paths[0])
             schemas.append([(c["name"], str_to_type(c["type"])) for c in footer["columns"]])
         self.schema = dict(schemas[0])
@@ -1180,10 +1262,12 @@ class PrunedScan:
         or None to leave it to the scan. The plan counts
         ``parts_total, pruned_hash, pruned_stats, pruned_dict, pruned_bloom``,
         the ``answered`` classes and ``scanned``; the classes partition
-        ``parts_total`` exactly, and ``stores`` holds the same counters per
+        ``parts_total`` exactly. ``scanned_bytes`` sums the survivors'
+        ``sizes`` and ``executor`` is ``run``'s (``stamp``; a scan
+        re-stamps with ``dataset``'s). ``stores`` holds the same keys per
         member. ``probe=False`` skips the footer probe."""
         keys = ("parts_total", "pruned_hash", "pruned_stats", "pruned_dict",
-                "pruned_bloom", *answered, "scanned")
+                "pruned_bloom", *answered, "scanned", "scanned_bytes")
         plan: dict = dict.fromkeys(keys, 0)
         plan["stores"] = {}
         owner: dict = {}  # surviving path -> its member's plan
@@ -1218,44 +1302,73 @@ class PrunedScan:
             paths = [p for p in paths if verdicts[p] == "keep"]
         for p in paths:
             owner[p]["scanned"] += 1
+            owner[p]["scanned_bytes"] += self.sizes[p]
         for k in keys:
             plan[k] = sum(sp[k] for sp in plan["stores"].values())
+        self.stamp(plan, paths)
         return paths, plan
 
-    def dataset(self, paths, work_cols=None, verify_crc=False):
-        """The decoded, exactly filtered rows of ``paths`` as a streaming
-        Dataset: one ``_ScanDecoder`` call per container (``batch_size=1``)
-        reading ``work_cols`` plus the predicate columns and emitting
-        ``work_cols`` (every column when None). A typed empty Dataset when
-        nothing survived."""
-        import ray.data
-
+    def executor(self, paths) -> "str | None":
+        """``dataset``'s executor for ``paths``: ``"tasks"`` while their
+        ``sizes`` stay under ``_TASKS_MAX_STORE_SHARE`` of the cluster's
+        object store, else ``"ray_data"``; None when nothing is scanned."""
         if not paths:
-            names = list(self.schema) if work_cols is None else work_cols
-            return ray.data.from_arrow(
-                pa.table({n: pa.array([], type=self.schema[n]) for n in names})
-            )
+            return None
+        store = _cluster_resources().get("object_store_memory", 0)
+        small = sum(self.sizes[p] for p in paths) < store * _TASKS_MAX_STORE_SHARE
+        return "tasks" if small else "ray_data"
+
+    def stamp(self, plan, paths, executor="tasks") -> None:
+        """Record in ``plan`` (and each member that scans) the executor that
+        decodes ``paths``: ``run``'s tasks unless told otherwise."""
+        plan["executor"] = ex = executor if paths else None
+        for sp in plan["stores"].values():
+            sp["executor"] = ex if sp["scanned"] else None
+
+    def _decoder(self, work_cols, verify_crc) -> _ScanDecoder:
         read_cols = None if work_cols is None else list(
             dict.fromkeys([*work_cols, *(c for br in self.dnf for c, _, _ in br)])
         )
+        return _ScanDecoder(read_cols, work_cols, self.dnf, verify_crc)
+
+    def dataset(self, paths, work_cols=None, verify_crc=False):
+        """The decoded, exactly filtered rows of ``paths`` as a Dataset,
+        reading ``work_cols`` plus the predicate columns and emitting
+        ``work_cols`` (every column when None). A typed empty Dataset when
+        nothing survived.
+
+        A large plan (``executor``) streams: one ``_ScanDecoder`` call per
+        container (``batch_size=1``) that runs when the Dataset is
+        consumed. A small plan decodes NOW, in plain Ray tasks over
+        contiguous slices of ``paths``, and the Dataset is built from the
+        tasks' tables (``from_arrow_refs``) in path order — no read or map
+        operator."""
+        import ray.data
+
+        names = list(self.schema) if work_cols is None else work_cols
+        empty = pa.table({n: pa.array([], type=self.schema[n]) for n in names})
+        if not paths:
+            return ray.data.from_arrow(empty)
+        dec = self._decoder(work_cols, verify_crc)
+        if self.executor(paths) == "tasks":
+            return ray.data.from_arrow_refs(map_slices(_decode_table, paths, dec, empty))
         return ray.data.read_binary_files(paths).map_batches(
-            _ScanDecoder(read_cols, work_cols, self.dnf, verify_crc),
-            batch_format="pyarrow",
-            batch_size=1,
+            dec, batch_format="pyarrow", batch_size=1
         )
 
     def run(self, paths, partial, work_cols, verify_crc=False):
-        """The one decode + partial job: ``partial`` runs once per decoded
-        block (``batch_size=None``) and the non-empty partials stream back
-        to the driver. No job at all when nothing survived."""
+        """Decode + ``partial`` over ``paths`` in plain Ray tasks over
+        contiguous slices (``map_slices``), yielding the non-empty partials
+        slice by slice in path order — no Ray Data job. ``partial`` runs
+        once per non-empty decoded container; None keeps the decoded rows.
+        Nothing runs when nothing survived."""
         if not paths:
             return
-        ds = self.dataset(paths, work_cols, verify_crc).map_batches(
-            partial, batch_format="pyarrow", batch_size=None
-        )
-        for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
-            if b.num_rows:
-                yield b
+        import ray
+
+        dec = self._decoder(work_cols, verify_crc)
+        for ref in map_slices(_decode_slice, paths, dec, partial):
+            yield from ray.get(ref)
 
 
 def scan_store(
@@ -1281,14 +1394,19 @@ def scan_store(
        dictionary buffers and Bloom filters (KB per container on any store
        size). ``dict_probe=False`` skips it.
     4. **Column pruning** — survivors decode only predicate + requested
-       columns; the exact filter runs batch-wise in the same stage. This
-       decode is the scan's one Ray Data job, run when the returned
-       Dataset is consumed.
+       columns; the exact filter runs batch-wise in the same stage. While
+       the survivors' recorded bytes stay under ``PrunedScan``'s measured
+       crossover (a share of the object store) the decode runs NOW, as
+       plain Ray tasks, and the Dataset holds their tables; a corrupt
+       container raises its ``ValueError`` here. Past it the decode is the
+       scan's one Ray Data job, run when the returned Dataset is consumed,
+       and a decode error surfaces there as Ray Data's
+       ``UserCodeException``, whose message names the ``ValueError``.
 
     Containers written before zone maps existed have no ``stats`` and are
     conservatively scanned. ``return_plan=True`` also returns
     ``{parts_total, pruned_hash, pruned_stats, pruned_dict, pruned_bloom,
-    scanned}``.
+    scanned, scanned_bytes, executor}``.
 
     ``predicate`` is a conjunct list (AND), or a disjunction of
     conjunctions — ``("or", [branch, ...])`` / ``{"or": [branch, ...]}`` —
@@ -1331,11 +1449,13 @@ def scan_store_multi(
     work in planning — batches every member's candidate paths into ONE set
     of plain Ray tasks (at most one per cluster CPU), so planning cost does
     not grow with family size and starts no Ray Data job. The decode of the
-    survivors is the scan's one Ray Data job.
+    survivors is plain Ray tasks under ``PrunedScan``'s measured crossover
+    and the scan's one Ray Data job past it.
     """
     scan = PrunedScan(dirs, predicate, columns or (), all_columns=columns is None,
                       what="emitted/predicate")
     paths, plan = scan.candidates(probe=dict_probe)
+    scan.stamp(plan, paths, scan.executor(paths))
     ds = scan.dataset(paths, None if columns is None else list(columns), verify_crc)
     return (ds, plan) if return_plan else ds
 

@@ -1,11 +1,11 @@
 """Plan-time footer reads as plain Ray tasks (``zonemap.map_footers``).
 
 The footer probe and the distinct footer class read KB per container at
-plan time; they run as Ray tasks, not as a Ray Data job, so a pushdown's
-one Ray Data job is its decode + partial. These tests pin the verdicts
-against the in-process per-path function, the absence of any Dataset at
-plan time, the job count per operator, and loud failure on a corrupt
-container. The lineage-timing test at the end covers the encoder.
+plan time; they run as Ray tasks, not as a Ray Data job, like the decode +
+partial after them, so the one Ray Data job a pushdown can start is a
+large scan's streaming decode. These tests pin the verdicts against the
+in-process per-path function, the absence of any Dataset at plan time,
+the job count per operator, and loud failure on a corrupt container. The lineage-timing test at the end covers the encoder.
 """
 
 from __future__ import annotations
@@ -139,12 +139,13 @@ def test_pushdown_is_one_ray_data_job(store, monkeypatch):
         "lookup": (lambda: lookup_conversation(d, t["conv_id"][0].as_py()).num_rows,
                    pc.sum(pc.equal(t["conv_id"], t["conv_id"][0])).as_py()),
     }
-    want_jobs = {"lookup": 0}
+    want_jobs = {"scan": 1}  # the streaming decode; the rest run in tasks
+    monkeypatch.setattr(zonemap, "_TASKS_MAX_STORE_SHARE", 0)  # the large-plan scan
     jobs = _count_jobs(monkeypatch)
     for kind, (op, want) in ops.items():
         del jobs[:]
         assert op() == want, kind
-        assert len(jobs) == want_jobs.get(kind, 1), kind
+        assert len(jobs) == want_jobs.get(kind, 0), kind
 
 
 class _SlowGroup:

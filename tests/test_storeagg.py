@@ -269,7 +269,8 @@ def test_cli_agg(store):
     out = json.loads(cp.stdout.strip().splitlines()[-1])
     assert out["result"]["count"] > 0
     assert set(out["plan"]) == {"parts_total", "pruned_hash", "pruned_stats", "pruned_dict",
-                                "pruned_bloom", "meta_answered", "scanned", "stores"}
+                                "pruned_bloom", "meta_answered", "scanned", "stores",
+                                "scanned_bytes", "executor"}
 
 
 def test_record_all_match_prefix_and_unknown_op():
