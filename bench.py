@@ -11,6 +11,8 @@ over $GRAFT_SF_DIR.
                                     # process may run on); queries once
     python bench.py --scaling       # fresh processes at 8 and 32 CPUs,
                                     # reports throughput at both + efficiency
+    python bench.py --kernels       # single-core codec rates per column, in
+                                    # this process, no Ray
 
 The scaling mode is the sandbox evidence for the north rule's two-cluster-size
 criterion (no real multi-node cluster here): same input, same pipeline, two
@@ -41,6 +43,52 @@ def host() -> dict:
     out = provenance(os.path.dirname(os.path.abspath(__file__)))
     del out["settings"]
     return out
+
+
+KERNEL_TURNS = 50_000
+KERNEL_REPS = 5
+
+
+def run_kernels() -> dict:
+    """``--kernels``: single-core codec kernel rates, in this process with
+    no Ray. The input is a synth transcript table sorted like an encoded
+    partition (conv_id, turn_idx). For each column it reports the codec the
+    cost model picks and the min-of-N encode and decode MB/s of the column's
+    Arrow bytes (every rep is kept); the encode includes the codec choice,
+    the decode the transport unwrap, as in a container read."""
+    import pyarrow as pa
+
+    from parquet_converter_ray.codecs import decode_array, encode_array
+    from parquet_converter_ray.synth import make_transcripts
+
+    pa.set_cpu_count(1)
+    table = make_transcripts(KERNEL_TURNS, seed=7).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")]).combine_chunks()
+    cols = {}
+    for name in table.column_names:
+        arr = table[name].chunk(0)
+        enc_s, dec_s = [], []
+        for _ in range(KERNEL_REPS):
+            t0 = time.perf_counter()
+            blob = encode_array(arr)
+            enc_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            out = decode_array(blob)
+            dec_s.append(time.perf_counter() - t0)
+        if not out.equals(arr):
+            raise AssertionError(f"{name}: decode differs from the input")
+        mb = arr.nbytes / 1e6
+        cols[name] = {
+            "codec": blob.codec,
+            "MB": round(mb, 3),
+            "bytes_ratio": round(blob.nbytes / arr.nbytes, 4),
+            "encode_MBps": round(mb / min(enc_s), 1),
+            "decode_MBps": round(mb / min(dec_s), 1),
+            "encode_s": [round(x, 5) for x in enc_s],
+            "decode_s": [round(x, 5) for x in dec_s],
+        }
+    return {"mode": "kernels", "turns": KERNEL_TURNS, "reps": KERNEL_REPS,
+            "arrow_threads": 1, "columns": cols, "host": host()}
 
 
 def run_bench() -> dict:
@@ -558,7 +606,9 @@ def run_scaling() -> dict:
 
 
 if __name__ == "__main__":
-    if "--weak-control" in sys.argv:
+    if "--kernels" in sys.argv:
+        print(json.dumps(run_kernels()))
+    elif "--weak-control" in sys.argv:
         print(json.dumps(run_weak_control()))
     elif "--compute-scaling" in sys.argv:
         print(json.dumps(run_compute_scaling()))

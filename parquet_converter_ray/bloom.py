@@ -185,7 +185,10 @@ def build_blooms(table: pa.Table, bloom_cols) -> "dict[str, tuple[bytes, dict]]"
 # answers "may any row's TEXT contain word W" — the pruning lever for the
 # ``hastok`` predicate (full-text search over an encoded store). Tokens are
 # maximal runs of lowercase ASCII alphanumerics after Unicode lowercasing
-# (``[a-z0-9]+`` on ``utf8_lower(text)``); the filter is built over the
+# (``[a-z0-9]+`` on ``utf8_lower(text)``; ``lower_text`` computes that
+# lowercasing with the ~10x cheaper ``ascii_lower`` whenever the text's
+# bytes are all ASCII, where the two agree byte for byte, and with
+# ``utf8_lower`` otherwise); the filter is built over the
 # container's DISTINCT tokens and stored in the same footer ``blooms`` map
 # under the reserved key ``"tok:<column>"`` (colons never appear in column
 # names this engine writes), so the container format is unchanged and
@@ -196,6 +199,27 @@ def build_blooms(table: pa.Table, bloom_cols) -> "dict[str, tuple[bytes, dict]]"
 TOKENIZER_ALGO = "lower-ascii-alnum-v1"  # bump if tokenization ever changes
 _TOKEN_SPLIT = "[^a-z0-9]+"
 TOKEN_KEY_PREFIX = "tok:"
+
+
+def lower_text(col: "pa.Array | pa.ChunkedArray") -> "pa.Array | pa.ChunkedArray":
+    """``pc.utf8_lower(col)``, byte for byte. When the value bytes of a
+    string array are all below 0x80, ``pc.ascii_lower`` gives the same
+    output (Unicode lowercasing maps ASCII to ASCII and only non-ASCII to
+    non-ASCII) at about a tenth of the cost. The check is one ``max`` over
+    the bytes between the array's first and last offsets; bytes a null slot
+    hides can only force the Unicode path, never a wrong answer. Chunked
+    arrays are folded chunk by chunk; other types go to ``utf8_lower``."""
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        return pa.chunked_array([lower_text(c) for c in col.chunks], type=col.type)
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        off_dt = np.int64 if pa.types.is_large_string(col.type) else np.int32
+        _, offs, data = col.buffers()
+        lo, hi = np.frombuffer(offs, dtype=off_dt)[[col.offset, col.offset + len(col)]]
+        if hi == lo or np.frombuffer(data, dtype=np.uint8)[lo:hi].max() < 0x80:
+            return pc.ascii_lower(col)
+    return pc.utf8_lower(col)
 
 
 def query_tokens(text: str) -> list[str]:
@@ -220,7 +244,7 @@ def column_tokens(col: "pa.Array | pa.ChunkedArray") -> "pa.Array | None":
         col = col.drop_null()
     if len(col) == 0:
         return pa.array([], pa.string())
-    parts = pc.split_pattern_regex(pc.utf8_lower(col), pattern=_TOKEN_SPLIT)
+    parts = pc.split_pattern_regex(lower_text(col), pattern=_TOKEN_SPLIT)
     flat = pc.list_flatten(parts)
     return flat.filter(pc.not_equal(flat, ""))
 
@@ -239,7 +263,7 @@ def hastok_mask(col: "pa.Array | pa.ChunkedArray", query: str):
     import pyarrow.compute as pc
 
     toks = query_tokens(query)
-    lower = pc.utf8_lower(col)
+    lower = lower_text(col)
     mask = None
     for t in toks:
         pat = "(^|[^a-z0-9])" + re.escape(t) + "([^a-z0-9]|$)"
@@ -264,7 +288,7 @@ def hasphrase_mask(col: "pa.Array | pa.ChunkedArray", query: str):
     pat = ("(^|[^a-z0-9])"
            + "[^a-z0-9]+".join(re.escape(t) for t in toks)
            + "([^a-z0-9]|$)")
-    return pc.match_substring_regex(pc.utf8_lower(col), pattern=pat)
+    return pc.match_substring_regex(lower_text(col), pattern=pat)
 
 
 def hasany_mask(col: "pa.Array | pa.ChunkedArray", query: str):
@@ -285,7 +309,7 @@ def hasany_mask(col: "pa.Array | pa.ChunkedArray", query: str):
     pat = ("(^|[^a-z0-9])("
            + "|".join(re.escape(t) for t in toks)
            + ")([^a-z0-9]|$)")
-    return pc.match_substring_regex(pc.utf8_lower(col), pattern=pat)
+    return pc.match_substring_regex(lower_text(col), pattern=pat)
 
 
 def build_token_bloom(col: "pa.Array | pa.ChunkedArray") -> "tuple[bytes, dict] | None":

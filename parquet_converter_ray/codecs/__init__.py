@@ -277,9 +277,19 @@ def decode_array(blob: ColumnBlob) -> pa.Array:
     vals = dec(blob.meta, bufs, blob.n)
     out = _from_physical(kind, vals, t)
     if blob.null_count:
-        valid = unpack_validity(unwrap_buf(blob.validity), blob.n)
-        out = pc.if_else(pa.array(valid), out, pa.scalar(None, type=t))
+        out = _with_validity(out, unpack_validity(unwrap_buf(blob.validity), blob.n))
     return out
+
+
+def _with_validity(out: pa.Array, valid: np.ndarray) -> pa.Array:
+    """The null-free decode ``out`` with ``valid`` as its validity bitmap.
+    Null slots keep the encode's fill value, which Arrow ignores; the values
+    are not copied (an ``if_else`` against a null scalar rewrote all of
+    them: 12 ms of a 14.7 MB text column's decode)."""
+    bits = np.packbits(np.concatenate([np.zeros(out.offset, bool), valid]), bitorder="little")
+    return pa.Array.from_buffers(out.type, len(out), [pa.py_buffer(bits), *out.buffers()[1:]],
+                                 null_count=len(valid) - int(np.count_nonzero(valid)),
+                                 offset=out.offset)
 
 
 def decode_array_rows(blob: ColumnBlob, sel) -> pa.Array:
@@ -332,7 +342,7 @@ def make_row_reader(blob: ColumnBlob):
         vals = fn(blob.meta, bufs, blob.n, sel)
         out = _from_physical(kind, vals, t)
         if valid is not None:
-            out = pc.if_else(pa.array(valid[sel]), out, pa.scalar(None, type=t))
+            out = _with_validity(out, valid[sel])
         return out
 
     return read

@@ -22,8 +22,10 @@ loops anywhere:
            working values to output codes; uncovered literals get
            escape(255)+byte.
   decode:  slab-wise; parse escapes via run-parity over runs of 255-bytes (a
-           255 run's even offsets are escape controls), then expand codes to
-           symbol bytes with a flat-buffer gather (np.repeat + arange).
+           255 run's even offsets are escape controls) into one id per
+           output symbol (code c -> c, escaped byte v -> 255 + v), then
+           expand with one Arrow binary ``take`` of those ids from the 511
+           expansions; the take's data buffer is the decoded slab.
 
 The column payload is one concatenated byte stream of slab streams (symbols may span string
 boundaries); original string lengths are stored FOR-bit-packed so offsets are
@@ -296,76 +298,66 @@ def compress_slabbed(
 
 
 def decompress(payload: bytes, code_syms: list[bytes], slabs: list[list[int]] | None = None) -> bytes:
-    """Decode a payload; with ``slabs`` metadata, decode slab-by-slab so the
-    unit/gather working set stays cache-resident (same scaling rationale as
-    ``compress_slabbed``)."""
-    if slabs:
-        tables = _expansion_tables(code_syms)
-        parts = []
-        off = 0
-        for enc_len, _dec_len in slabs:
-            parts.append(_decompress_one(payload[off : off + enc_len], tables))
-            off += enc_len
-        return b"".join(parts)
-    return _decompress_one(payload, _expansion_tables(code_syms))
-
-
-def _expansion_tables(code_syms: list[bytes]):
-    flat = b"".join(code_syms) + bytes(range(256))
-    lens = np.zeros(511, dtype=np.int64)
-    starts = np.zeros(511, dtype=np.int64)
+    """Decode a payload; with ``slabs`` metadata, one ``take`` per slab. The
+    per-slab take keeps its output offsets cache-resident: on 13.7 MB of
+    synth transcript text (53 slabs, one core) slab-wise takes plus the
+    joining copy took 51 ms, one take over the whole payload 74 ms. A legacy
+    payload without slabs decodes as one stream of at most 8 output bytes
+    per payload byte, so its expansions go 64-bit past 2**31-1 bytes."""
+    if not slabs:
+        large = _MAX_SYMBOL_LEN * len(payload) > _BINARY_MAX
+        return _decompress_one(payload, _expansion_tables(code_syms, large)).to_pybytes()
+    tables = _expansion_tables(code_syms, max(d for _, d in slabs) > _BINARY_MAX)
+    parts = []
     off = 0
-    for i, s in enumerate(code_syms):
-        starts[i] = off
-        lens[i] = len(s)
-        off += len(s)
-    starts[255:511] = off + np.arange(256)
-    lens[255:511] = 1
-    return np.frombuffer(flat, dtype=np.uint8), starts, lens
+    for enc_len, _dec_len in slabs:
+        parts.append(_decompress_one(payload[off : off + enc_len], tables))
+        off += enc_len
+    return b"".join(parts)
 
 
-def _decompress_one(payload: bytes, tables) -> bytes:
-    flat_np, starts, lens = tables
+_BINARY_MAX = 2**31 - 1
+_LITERALS = [bytes([v]) for v in range(256)]
+
+
+def _expansion_tables(code_syms: list[bytes], large: bool = False) -> pa.Array:
+    """The 511 expansions as one binary array, indexed by decode id: ids
+    0..254 are the code symbols (padded with ``b""`` when the table has
+    fewer than 255 codes), ids 255..510 are the literal bytes 0..255."""
+    syms = list(code_syms) + [b""] * (255 - len(code_syms)) + _LITERALS
+    return pa.array(syms, type=pa.large_binary() if large else pa.binary())
+
+
+def _decode_ids(payload: bytes) -> np.ndarray:
+    """Payload bytes -> expansion ids. An escape control (the even offsets
+    of each run of 255-bytes) becomes 255 + its literal byte, and the
+    literal byte itself is dropped; every other byte is its own id."""
     b = np.frombuffer(payload, dtype=np.uint8)
-    if len(b) == 0:
-        return b""
-    pos255 = np.nonzero(b == _ESCAPE)[0]
-    if len(pos255):
-        starts_mask = np.empty(len(pos255), dtype=bool)
-        starts_mask[0] = True
-        np.not_equal(np.diff(pos255), 1, out=starts_mask[1:])
-        run_id = np.cumsum(starts_mask) - 1
-        run_start = pos255[starts_mask][run_id]
-        ctrl = pos255[((pos255 - run_start) & 1) == 0]
-        lit_pos = ctrl + 1
-        consumed = np.zeros(len(b), dtype=bool)
-        consumed[pos255] = True
-        consumed[lit_pos] = True
-        coded_pos = np.nonzero(~consumed)[0]
-        allpos = np.concatenate([ctrl, coded_pos])
-        ids = np.concatenate(
-            [b[lit_pos].astype(np.int32) + 255, b[coded_pos].astype(np.int32)]
-        )
-        ids = ids[np.argsort(allpos, kind="stable")]
-    else:
-        ids = b.astype(np.int32)
-    # expansion: ids 0..254 -> code_syms, ids 255..510 -> literal byte (id-255)
-    # src index built by scatter+cumsum instead of two total-length
-    # np.repeat passes (repeat dominated the decode profile):
-    #   within a symbol src increments by 1; at each symbol boundary it jumps
-    #   to the next symbol's start
-    l = lens[ids]
-    total = int(l.sum())
-    if total == 0:
-        return b""
-    out_ends = np.cumsum(l)
-    sym_starts = starts[ids]
-    delta = np.ones(total, dtype=np.int64)
-    delta[0] = sym_starts[0]
-    if len(ids) > 1:
-        delta[out_ends[:-1]] = sym_starts[1:] - (sym_starts[:-1] + l[:-1] - 1)
-    src = np.cumsum(delta)
-    return flat_np[src].tobytes()
+    pos255 = np.flatnonzero(b == _ESCAPE)
+    if len(pos255) == 0:
+        return b  # take accepts uint8 indices: no widening copy
+    starts_mask = np.empty(len(pos255), dtype=bool)
+    starts_mask[0] = True
+    np.not_equal(np.diff(pos255), 1, out=starts_mask[1:])
+    run_start = pos255[starts_mask][np.cumsum(starts_mask) - 1]
+    ctrl = pos255[((pos255 - run_start) & 1) == 0]
+    ids = b.astype(np.uint16)
+    ids[ctrl] += b[ctrl + 1]
+    keep = np.ones(len(b), dtype=bool)
+    keep[ctrl + 1] = False
+    return ids[keep]
+
+
+def _decompress_one(payload: bytes, tables: pa.Array) -> pa.Buffer:
+    """Decode one slab stream (or any concatenation of them): the data
+    buffer of ``tables.take(ids)``, cut at its last offset (zero-copy,
+    bytes-like)."""
+    out = tables.take(_decode_ids(payload))
+    data = out.buffers()[2]
+    if len(out) == 0 or data is None:
+        return pa.py_buffer(b"")
+    off_dt = np.int64 if pa.types.is_large_binary(out.type) else np.int32
+    return data.slice(0, int(np.frombuffer(out.buffers()[1], dtype=off_dt)[len(out)]))
 
 
 # --- column codec interface -------------------------------------------------

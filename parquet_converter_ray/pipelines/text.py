@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from ..bloom import lower_text
 from ._util import ACTOR_POOL_ARGS, read_parquet_clean
 
 
@@ -71,7 +72,7 @@ def top_bigrams(sf_dir: str, k: int = 20) -> pa.Table:
     """
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pc.utf8_trim_whitespace(pc.utf8_lower(batch["text"].fill_null("")))
+        t = pc.utf8_trim_whitespace(lower_text(batch["text"].fill_null("")))
         t = t.filter(pc.not_equal(t, ""))
         words = pc.split_pattern_regex(t, pattern=r"\s+").combine_chunks()
         vals = words.flatten()  # respects list-array offset
@@ -498,7 +499,7 @@ def _explode_terms(batch: pa.Table) -> pd.DataFrame:
     """Flat (doc_id, term) rows for non-empty docs — lower/trim + RE2
     whitespace split, doc ids repeated by per-doc token count (np.repeat over
     the list lengths; no per-row Python)."""
-    t = pc.utf8_trim_whitespace(pc.utf8_lower(batch["text"].fill_null("")))
+    t = pc.utf8_trim_whitespace(lower_text(batch["text"].fill_null("")))
     keep = pc.not_equal(t, "")
     ids = batch["doc_id"].filter(keep).to_numpy(zero_copy_only=False)
     words = pc.split_pattern_regex(t.filter(keep), pattern=r"\s+").combine_chunks()

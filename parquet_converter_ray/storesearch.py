@@ -43,7 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bloom import _TOKEN_SPLIT, query_tokens
+from .bloom import _TOKEN_SPLIT, lower_text, query_tokens
 from .storetopk import MAX_K, _topk_take
 from .zonemap import PrunedScan, _normalize_dnf, and_clause
 
@@ -61,7 +61,7 @@ class _DFPartial:
         col = batch[self.col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        lower = pc.utf8_lower(col)
+        lower = lower_text(col)
         row = {"_n": pa.array([batch.num_rows], pa.int64())}
         toks = pc.split_pattern_regex(
             pc.utf8_trim_whitespace(pc.fill_null(lower, "")), pattern=_TOKEN_SPLIT
@@ -98,7 +98,7 @@ class _BM25TopK:
         col = batch[self.col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        lower = pc.utf8_lower(col)
+        lower = lower_text(col)
         toks = pc.split_pattern_regex(
             pc.utf8_trim_whitespace(pc.fill_null(lower, "")), pattern=_TOKEN_SPLIT
         )
@@ -134,7 +134,7 @@ class _ScoreTopK:
         col = batch[self.col]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        lower = pc.utf8_lower(col)
+        lower = lower_text(col)
         score = None
         for t in self.tokens:
             pat = "(^|[^a-z0-9])" + re.escape(t) + "([^a-z0-9]|$)"
