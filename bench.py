@@ -55,7 +55,9 @@ def run_kernels() -> dict:
     partition (conv_id, turn_idx). For each column it reports the codec the
     cost model picks and the min-of-N encode and decode MB/s of the column's
     Arrow bytes (every rep is kept); the encode includes the codec choice,
-    the decode the transport unwrap, as in a container read."""
+    the decode the transport unwrap, as in a container read. ``auto_ms``
+    (that encode, codec choice included) beside ``forced_ms`` (the chosen
+    codec forced, no choice) is what the choice costs, in min-of-N ms."""
     import pyarrow as pa
 
     from parquet_converter_ray.codecs import decode_array, encode_array
@@ -67,7 +69,7 @@ def run_kernels() -> dict:
     cols = {}
     for name in table.column_names:
         arr = table[name].chunk(0)
-        enc_s, dec_s = [], []
+        enc_s, dec_s, forced_s = [], [], []
         for _ in range(KERNEL_REPS):
             t0 = time.perf_counter()
             blob = encode_array(arr)
@@ -75,7 +77,10 @@ def run_kernels() -> dict:
             t0 = time.perf_counter()
             out = decode_array(blob)
             dec_s.append(time.perf_counter() - t0)
-        if not out.equals(arr):
+            t0 = time.perf_counter()
+            forced = encode_array(arr, codec=blob.codec)
+            forced_s.append(time.perf_counter() - t0)
+        if not out.equals(arr) or not decode_array(forced).equals(arr):
             raise AssertionError(f"{name}: decode differs from the input")
         mb = arr.nbytes / 1e6
         cols[name] = {
@@ -84,8 +89,11 @@ def run_kernels() -> dict:
             "bytes_ratio": round(blob.nbytes / arr.nbytes, 4),
             "encode_MBps": round(mb / min(enc_s), 1),
             "decode_MBps": round(mb / min(dec_s), 1),
+            "auto_ms": round(min(enc_s) * 1e3, 2),
+            "forced_ms": round(min(forced_s) * 1e3, 2),
             "encode_s": [round(x, 5) for x in enc_s],
             "decode_s": [round(x, 5) for x in dec_s],
+            "forced_s": [round(x, 5) for x in forced_s],
         }
     return {"mode": "kernels", "turns": KERNEL_TURNS, "reps": KERNEL_REPS,
             "arrow_threads": 1, "columns": cols, "host": host()}
@@ -233,6 +241,7 @@ def run_bench() -> dict:
         "bytes_reference_parquet": ref_bytes,
         "compressed_vs_reference": round(summary["bytes_out"] / ref_bytes, 4),
         "partitions": summary["partitions"],
+        "encode_executor": summary["executor"],
         "host": host(),
     }
     ray.shutdown()

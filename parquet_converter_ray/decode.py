@@ -1,10 +1,10 @@
 """Decode pipeline: container files -> ray.data.Dataset of Arrow batches.
 
-Containers are independently decodable, so the read is embarrassingly parallel:
-``read_binary_files`` (one row per container) -> ``map_batches(Decoder)``.
-``Decoder`` is a callable class so it runs as an actor pool when
-``concurrency`` is given (codec registry + column projection held per actor);
-with ``concurrency=None`` it runs as stateless tasks.
+Containers are independently decodable, so the read is embarrassingly
+parallel. A store whose recorded bytes fit the small-plan crossover
+(``zonemap.fits_tasks``) decodes at once in plain Ray tasks over contiguous
+slices of its paths; a larger one streams as ``read_binary_files`` (one row
+per container) -> ``map_batches(Decoder)``.
 
 Column pruning works at the container level: the footer records per-buffer
 offsets, so decoding 2 of 6 columns touches only those buffers.
@@ -49,7 +49,14 @@ def resolve_container_path(out_dir: str, rec: dict) -> str:
 
 
 def container_files(out_dir: str, max_generation: int | None = None) -> list[str]:
-    """Container files to decode — manifest-driven when a manifest exists.
+    """Container files to decode, in part-id order (``_container_sizes``)."""
+    return list(_container_sizes(out_dir, max_generation))
+
+
+def _container_sizes(out_dir: str, max_generation: int | None = None) -> "dict[str, int]":
+    """Container files to decode — manifest-driven when a manifest exists —
+    each with its recorded decoded bytes (``bytes_in``; the file size for a
+    glob-only store, which undercounts the decode by the compression ratio).
 
     The per-partition lineage records are the source of truth: a re-encode of
     a smaller dataset into a reused out_dir (or a crashed run) can leave stale
@@ -85,9 +92,9 @@ def container_files(out_dir: str, max_generation: int | None = None) -> list[str
         all_files = [resolve_container_path(out_dir, r) for r in recs]
         if max_generation is not None:
             recs = [r for r in recs if int(r.get("generation", 0)) <= max_generation]
-        files = []
+        files = {}
         for r in sorted(recs, key=lambda r: r["part_id"]):
-            files.append(resolve_container_path(out_dir, r))
+            files[resolve_container_path(out_dir, r)] = int(r.get("bytes_in", 0))
         stray = set(glob.glob(os.path.join(out_dir, "part-*.pcc"))) - set(all_files)
         if stray:
             raise ValueError(
@@ -96,7 +103,7 @@ def container_files(out_dir: str, max_generation: int | None = None) -> list[str
                 f"{sorted(stray)[:3]}... — re-encode with resume=False to clean"
             )
         return files
-    return sorted(glob.glob(os.path.join(out_dir, "part-*.pcc")))
+    return {p: os.path.getsize(p) for p in sorted(glob.glob(os.path.join(out_dir, "part-*.pcc")))}
 
 
 class Decoder:
@@ -104,36 +111,58 @@ class Decoder:
         self.columns = columns
         self.verify_crc = verify_crc
 
+    def _one(self, blob: bytes) -> pa.Table:
+        return decode_table(blob, columns=self.columns, verify_crc=self.verify_crc)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .encode import pin_arrow_threads
 
         pin_arrow_threads(1)
-        tables = []
-        for blob in batch["bytes"]:
-            tables.append(
-                decode_table(blob.as_py(), columns=self.columns, verify_crc=self.verify_crc)
-            )
-        return pa.concat_tables(tables)
+        return pa.concat_tables([self._one(blob.as_py()) for blob in batch["bytes"]])
+
+
+def _decode_files(paths: list[str], decoder: Decoder) -> pa.Table:
+    """A slice of containers decoded into one table, in path order."""
+    tables = []
+    for p in paths:
+        with open(p, "rb") as f:
+            tables.append(decoder._one(f.read()))
+    return pa.concat_tables(tables)
 
 
 def decode_dataset(
     out_dir: str,
     *,
     columns: list[str] | None = None,
-    concurrency: int | tuple | None = None,
     verify_crc: bool = False,
     max_generation: int | None = None,
 ) -> "ray.data.Dataset":
-    files = container_files(out_dir, max_generation=max_generation)
-    if not files:
+    """The store's rows as a Dataset, container by container in part-id
+    order (``container_files``: ``max_generation`` picks a snapshot),
+    decoding only ``columns`` (every column when None); ``verify_crc``
+    checks each column's checksum.
+
+    Two executors, chosen by the containers' recorded decoded bytes against
+    the crossover every small-plan executor shares (``zonemap.fits_tasks``):
+    a small store decodes NOW, in plain Ray tasks over contiguous slices of
+    the paths (``zonemap.map_slices``), and the Dataset holds their tables
+    in path order (``from_arrow_refs``) — a corrupt container raises its
+    ``ValueError`` from this call. A larger one is one streaming Ray Data
+    job (one ``Decoder`` call per container) that runs when the Dataset is
+    consumed, where a decode error surfaces as Ray Data's
+    ``UserCodeException``."""
+    from .zonemap import fits_tasks, map_slices
+
+    sizes = _container_sizes(out_dir, max_generation=max_generation)
+    if not sizes:
         raise FileNotFoundError(f"no container files under {out_dir}")
-    ds = ray.data.read_binary_files(files)
-    kwargs: dict = {"batch_format": "pyarrow", "batch_size": 1}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-        return ds.map_batches(Decoder, fn_constructor_kwargs={"columns": columns, "verify_crc": verify_crc}, **kwargs)
+    files = list(sizes)
     dec = Decoder(columns=columns, verify_crc=verify_crc)
-    return ds.map_batches(dec, **kwargs)
+    if fits_tasks(sum(sizes.values())):
+        return ray.data.from_arrow_refs(map_slices(_decode_files, files, dec))
+    return ray.data.read_binary_files(files).map_batches(
+        dec, batch_format="pyarrow", batch_size=1
+    )
 
 
 def roundtrip_table(

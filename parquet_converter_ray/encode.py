@@ -1,6 +1,8 @@
 """Encode pipeline: Dataset -> hash-partition -> per-partition sort -> codec -> containers.
 
-Ray-Data-first shape (SURVEY.md §7.2 step 5-7):
+Large-input shape (SURVEY.md §7.2 step 5-7; a small input runs the same
+stages as plain Ray tasks — map: read, assign, split by part id; reduce:
+encode one partition — see ``encode_dataset``):
 
     read_parquet(input)
       -> map_batches(assign_part_id)            # vectorized stable hash + salt
@@ -22,6 +24,7 @@ more partitions, same per-partition working set.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import zlib
@@ -31,7 +34,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from . import manifest as mf
 from .container import encode_table, pack_container, write_container_atomic
@@ -392,13 +397,31 @@ def encode_dataset(
     salt_rows: int = 100_000,
     resume: bool = False,
     page_shuffle: bool = False,
-    shuffle_strategy: str | None = None,
     cluster_by: str | None = None,
     bloom_cols: "Sequence[str] | None" = None,
     text_bloom_cols: "Sequence[str] | None" = None,
     fault_hook: Callable[[int], None] | None = None,
 ) -> dict:
-    """Run the encode pipeline; returns the consolidated manifest summary.
+    """Run the encode pipeline; returns the consolidated manifest summary,
+    whose ``executor`` names the exchange that ran.
+
+    The exchange has two executors, chosen by the input's estimated
+    in-memory size against the crossover every small-plan executor shares
+    (``zonemap.fits_tasks``: a share of the object store). A small input —
+    local Parquet files (a file, a flat directory or a list of them) or a
+    materialized Dataset such as ``ray.data.from_arrow`` — runs as plain
+    Ray tasks (``"tasks"``): map tasks read contiguous slices of the row
+    groups or blocks, assign part ids and split the rows by part, then one
+    reduce task per non-empty partition concatenates its pieces in input
+    order and runs ``EncodePartition``. Past the crossover, for
+    ``page_shuffle``, and for a lazy Dataset or a remote or Hive-partitioned
+    path, it is one streaming Ray Data job (``"ray_data"``,
+    ``groupby("part_id").map_groups``) that spills instead of holding the
+    input in the object store. Both write identical containers. A path
+    source with ``n_parts`` given is planned from its Parquet footers (schema
+    and size); ``n_parts=None`` sizes the default layout with Ray's
+    estimate. When a task fails, every other task finishes before the error
+    re-raises, so no container is written after this call has raised.
 
     ``resume=True`` skips partitions already recorded in ``out_dir/_manifest``
     (partition assignment is a pure function of row content, so a resumed run
@@ -415,7 +438,8 @@ def encode_dataset(
     lookup loses its hash route (``lookup_conversation`` refuses; use
     ``scan_store``), while delete/append stay correct (delete probes all
     partitions, append reuses the recorded cuts). Resume reuses the recorded
-    cuts — never resamples.
+    cuts — never resamples. The sample is a small Ray Data job on either
+    executor, over the same read, so both executors cut identically.
 
     ``page_shuffle=True`` compresses the exchange: the map side packs each
     (block, partition) slice into a plain+zstd mini-container so the all-to-all
@@ -454,22 +478,34 @@ def encode_dataset(
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
+    ds = None  # the streaming side's Dataset; a path source builds it on demand
+    files = _parquet_files(source) if isinstance(source, (str, list)) else None
+    if files:  # footers answer schema and size without a Ray Data read
+        schema, est, row_groups = _parquet_footers(files)
     if isinstance(source, (str, list)):
-        est = read_parquet_clean(source).size_bytes() or (64 << 20)
-        if n_parts is None:
-            n_parts = _default_n_parts(est, cpus)
-        # the sort-shuffle's map-side parallelism follows the upstream block
-        # count: coarse input files serialize the exchange (measured ~8x
-        # slower), so split at the READ (a driver-side repartition would cost
-        # a second exchange); 3 blocks/CPU measured best vs 1.5/2/4
-        ds = read_parquet_clean(source, override_num_blocks=max(3 * cpus, n_parts))
+        if n_parts is None:  # the default layout keeps Ray's size estimate
+            n_parts = _default_n_parts(read_parquet_clean(source).size_bytes() or (64 << 20), cpus)
+        if not files:
+            ds = _read_source(source, cpus, n_parts)
+            schema = ds.schema()
     else:
         ds = source
-        if n_parts is None:
+        schema = ds.schema()
+        if n_parts is None or isinstance(ds, MaterializedDataset):
             est = ds.size_bytes() or (64 << 20)
+        if n_parts is None:
             n_parts = _default_n_parts(est, cpus)
+    # a small input exchanges in plain Ray tasks; past the crossover, for
+    # page_shuffle, and for a source that would have to run to be read
+    # (a lazy Dataset, a remote or partitioned path) the Ray Data job
+    # streams and spills
+    from .zonemap import fits_tasks, slices
 
-    schema_names = ds.schema().names
+    small = not page_shuffle and (bool(files) or isinstance(source, MaterializedDataset))
+    executor = "tasks" if small and fits_tasks(est) else "ray_data"
+    col_type = dict(zip(schema.names, schema.types))
+
+    schema_names = schema.names
     if conv_col not in schema_names:
         raise ValueError(
             f"partition key column {conv_col!r} not in schema {schema_names}; "
@@ -502,6 +538,10 @@ def encode_dataset(
             range_cuts = list(prior.get("range_cuts") or [])
             cluster_norm = prior.get("cluster_norm")
         else:
+            # both executors sample the same streaming read, so they cut
+            # (and encode) identically
+            if ds is None:
+                ds = _read_source(source, cpus, n_parts)
             range_cuts, cluster_norm = _range_cuts(ds, cluster_by, n_parts)
 
     if bloom_cols:
@@ -511,27 +551,22 @@ def encode_dataset(
             raise ValueError(f"bloom_cols {missing_bloom} not in schema {schema_names}")
         from .bloom import bloom_supported
 
-        base = ds.schema().base_schema
-        bad = [c for c in bloom_cols if not bloom_supported(base.field(c).type)]
+        bad = [c for c in bloom_cols if not bloom_supported(col_type[c])]
         if bad:
             raise ValueError(
                 f"bloom_cols {bad} are not integer/string/binary — Bloom filters "
                 "serve equality lookups; range predicates already prune via zone maps"
             )
     if text_bloom_cols:
-        import pyarrow as _pa
-
         text_bloom_cols = (
             [text_bloom_cols] if isinstance(text_bloom_cols, str) else list(text_bloom_cols)
         )
         missing_tok = [c for c in text_bloom_cols if c not in schema_names]
         if missing_tok:
             raise ValueError(f"text_bloom_cols {missing_tok} not in schema {schema_names}")
-        base = ds.schema().base_schema
         bad = [
             c for c in text_bloom_cols
-            if not (_pa.types.is_string(base.field(c).type)
-                    or _pa.types.is_large_string(base.field(c).type))
+            if not (pa.types.is_string(col_type[c]) or pa.types.is_large_string(col_type[c]))
         ]
         if bad:
             raise ValueError(
@@ -582,44 +617,17 @@ def encode_dataset(
             )
     mf.write_run_record(out_dir, run_params)
 
-    if page_shuffle:
-        ds = ds.map_batches(
-            make_page_packer(n_parts, conv_col, order_col, salt_rows),
-            batch_format="pyarrow",
-        )
+    if page_shuffle:  # the map side also packs pages (streaming only)
+        assign = make_page_packer(n_parts, conv_col, order_col, salt_rows)
     elif cluster_by is not None:
         from .partition import assign_part_id_range
 
-        cuts = list(range_cuts or [])
-        _norm = cluster_norm
-
-        def _assign_range(batch: pa.Table) -> pa.Table:
-            return assign_part_id_range(batch, cuts, cluster_by, norm=_norm)
-
-        ds = ds.map_batches(_assign_range, batch_format="pyarrow")
+        assign = functools.partial(assign_part_id_range, cuts=list(range_cuts or []),
+                                   cluster_by=cluster_by, norm=cluster_norm)
     else:
-
-        def _assign(batch: pa.Table) -> pa.Table:
-            return assign_part_id(
-                batch, n_parts, conv_col=conv_col, order_col=order_col, salt_rows=salt_rows
-            )
-
-        ds = ds.map_batches(_assign, batch_format="pyarrow")
-
-    if resume:
-        done = mf.completed_parts(out_dir)
-        if done:
-            done_arr = pa.array(sorted(done), type=pa.int32())
-
-            def _skip_done(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                return batch.filter(
-                    pc.invert(pc.is_in(batch["part_id"], value_set=done_arr))
-                )
-
-            ds = ds.map_batches(_skip_done, batch_format="pyarrow")
-
+        assign = functools.partial(assign_part_id, n_parts=n_parts, conv_col=conv_col,
+                                   order_col=order_col, salt_rows=salt_rows)
+    done = mf.completed_parts(out_dir) if resume else set()
     cls = EncodePages if page_shuffle else EncodePartition
     enc_kw = {} if page_shuffle else {
         "bloom_cols": frozenset(bloom_cols or ()),
@@ -630,27 +638,184 @@ def encode_dataset(
         bound_cols=frozenset(cluster_by or ()), **enc_kw,
     )
 
+    if executor == "tasks":
+        if files is not None:
+            read = functools.partial(_read_row_groups, schema=schema)
+            inputs = [[s] for s in slices(row_groups, cpus)]
+        else:
+            blocks = [b for bundle in source.materialize().iter_internal_ref_bundles()
+                      for b, _ in bundle.blocks]
+            read, inputs = _concat_blocks, slices(blocks, cpus)
+        _exchange_tasks(inputs, read, assign, n_parts, encoder, done)
+    else:
+        if ds is None:
+            ds = _read_source(source, cpus, n_parts)
+        _exchange_ray_data(ds, assign, encoder, done)
+    summary = mf.consolidate(out_dir)
+    summary["n_parts"] = n_parts
+    summary["executor"] = executor
+    return summary
+
+
+def _read_source(source, cpus: int, n_parts: int):
+    """The streaming side's read of a path source. The exchange's map-side
+    parallelism follows the upstream block count: coarse input files
+    serialize it (measured ~8x slower), so split at the READ (a driver-side
+    repartition would cost a second exchange); 3 blocks/CPU measured best
+    vs 1.5/2/4."""
+    return read_parquet_clean(source, override_num_blocks=max(3 * cpus, n_parts))
+
+
+def _parquet_files(source) -> "list[str] | None":
+    """The local Parquet files a path source reads, in the order given —
+    each named file, each flat directory's files sorted (hidden ``.``/``_``
+    entries skipped, as Ray's reader does) — or None when the footer route
+    does not apply: a path that is not local, a directory with
+    subdirectories (Ray would add Hive partition columns) or with a file
+    not named ``*.parquet`` (Ray would read it too)."""
+    out = []
+    for p in [source] if isinstance(source, str) else source:
+        if os.path.isfile(p):
+            out.append(p)
+            continue
+        if not os.path.isdir(p):
+            return None
+        names = sorted(n for n in os.listdir(p) if not n.startswith((".", "_")))
+        for n in names:
+            if not n.endswith(".parquet") or not os.path.isfile(os.path.join(p, n)):
+                return None
+            out.append(os.path.join(p, n))
+    return out or None
+
+
+def _parquet_footers(files: list[str]) -> "tuple[pa.Schema, int, list]":
+    """From the footers of Parquet ``files`` alone: the schema (the first
+    file's, metadata stripped, as ``read_parquet_clean`` reads it), the
+    in-memory size estimate (summed uncompressed row-group bytes) and every
+    ``(file, row_group)`` in order."""
+    import pyarrow.parquet as pq
+
+    schema, est, units = None, 0, []
+    for f in files:
+        pf = pq.ParquetFile(f)
+        if schema is None:
+            schema = pa.schema([fld.remove_metadata() for fld in pf.schema_arrow])
+        md = pf.metadata
+        est += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+        units += [(f, i) for i in range(md.num_row_groups)]
+    return schema, est, units
+
+
+def _read_row_groups(units: list, schema: pa.Schema) -> pa.Table:
+    """One map task's input from a path source: its ``(file, row_group)``
+    units read in order and cast to the recorded ``schema``."""
+    import pyarrow.parquet as pq
+
+    tables = []
+    for f in dict.fromkeys(f for f, _ in units):
+        rgs = [i for g, i in units if g == f]
+        tables.append(pq.ParquetFile(f).read_row_groups(rgs).cast(schema))
+    return pa.concat_tables(tables)
+
+
+def _concat_blocks(*blocks) -> pa.Table:
+    """One map task's input from a materialized Dataset: its blocks as one
+    Arrow table."""
+    from ray.data.block import BlockAccessor
+
+    return pa.concat_tables([BlockAccessor.for_block(b).to_arrow() for b in blocks])
+
+
+def _exchange_map(n_parts: int, assign, read, *src):
+    """Map side of the task exchange: read one slice of the input, assign
+    part ids, and split its rows by part id — ``n_parts`` tables (a 0-row
+    table for a part with no rows here), then the per-part row counts."""
+    pin_arrow_threads(1)
+    table = assign(read(*src))
+    pid = table["part_id"].to_numpy()
+    table = table.drop_columns(["part_id"])
+    order = np.argsort(pid, kind="stable")
+    counts = np.bincount(pid, minlength=n_parts)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    return (*(table.take(order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])), counts)
+
+
+def _exchange_reduce(encoder: "EncodePartition", part_id: int, *pieces) -> None:
+    """Reduce side of the task exchange: one partition's pieces, in map
+    order, concatenated and encoded (``encode_one``)."""
+    pin_arrow_threads(1)
+    t0 = time.monotonic()
+    table = pa.concat_tables(pieces)
+    n_chunks = table.column(0).num_chunks
+    table = table.combine_chunks()
+    encoder.encode_one(part_id, table, n_chunks, combine_s=time.monotonic() - t0)
+
+
+@functools.cache
+def _remote(fn):
+    """One Ray remote function per task body and process."""
+    return ray.remote(fn)
+
+
+def _get_drained(refs: list) -> list:
+    """``ray.get(refs)``; when a task fails, first wait for every other one
+    to finish (``ray.wait`` — drained, not cancelled: no task is killed
+    mid-write, and no write lands after the re-raise), then re-raise."""
+    try:
+        return ray.get(refs)
+    except ray.exceptions.RayError:
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        raise
+
+
+def _exchange_tasks(inputs: list, read, assign, n_parts: int, encoder, done) -> None:
+    """The exchange as plain Ray tasks: one map task per input slice
+    (``_exchange_map``, ``n_parts + 1`` returns), then one reduce task per
+    partition that has rows and that resume has not completed
+    (``_exchange_reduce``), fed the map pieces that hold its rows. A failed
+    task re-raises on the driver after every other task has finished."""
+    mapper = _remote(_exchange_map).options(num_returns=n_parts + 1)
+    maps = [mapper.remote(n_parts, assign, read, *src) for src in inputs]
+    counts = _get_drained([m[-1] for m in maps])
+    enc = ray.put(encoder)
+    reduce = _remote(_exchange_reduce)
+    _get_drained([
+        reduce.remote(enc, pid, *(m[pid] for m, c in zip(maps, counts) if c[pid]))
+        for pid in range(n_parts) if pid not in done and any(c[pid] for c in counts)
+    ])
+
+
+def _exchange_ray_data(ds, assign, encoder, done) -> None:
+    """The exchange as one streaming Ray Data job: ``assign`` part ids (or
+    pack pages), drop resumed partitions, then
+    ``groupby("part_id").map_groups`` runs ``encoder`` on each partition."""
+    ds = ds.map_batches(assign, batch_format="pyarrow")
+    if done:
+        done_arr = pa.array(sorted(done), type=pa.int32())
+
+        def _skip_done(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.invert(pc.is_in(batch["part_id"], value_set=done_arr)))
+
+        ds = ds.map_batches(_skip_done, batch_format="pyarrow")
+
     def encode_partition(group: pa.Table) -> pa.Table:
         return encoder(group)
 
     lineage = ds.groupby("part_id").map_groups(encode_partition, batch_format="pyarrow")
-    # the exchange only needs GROUPING by part_id, not a global sort:
-    # hash_shuffle (actor-aggregator exchange, no sort-merge) beat the
-    # push-based sort shuffle in every interleaved rep on the 3GB exchange
-    # (13.6 vs 16.6s min-of-3 at 32 CPUs; sort-push itself was 7x over the
-    # pull-based default, ROUND1_NOTES). ``shuffle_strategy`` overrides.
+    # the large side's exchange only needs GROUPING by part_id, not a
+    # global sort: hash_shuffle (actor-aggregator exchange, no sort-merge)
+    # beat the push-based sort shuffle in every interleaved rep on the 3GB
+    # exchange (13.6 vs 16.6s min-of-3 at 32 CPUs; sort-push itself was 7x
+    # over the pull-based default, ROUND1_NOTES)
     from ray.data.context import DataContext, ShuffleStrategy
 
     ctx = DataContext.get_current()
     prev_strategy = ctx.shuffle_strategy
-    ctx.shuffle_strategy = shuffle_strategy or ShuffleStrategy.HASH_SHUFFLE
+    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
     try:
         lineage.take_all()  # trigger execution; one tiny row per partition
     finally:
         ctx.shuffle_strategy = prev_strategy
-    summary = mf.consolidate(out_dir)
-    summary["n_parts"] = n_parts
-    return summary
 
 
 def compact_dataset(
