@@ -9,14 +9,14 @@ over $GRAFT_SF_DIR.
     python bench.py                 # headline = min-of-3 fresh-process runs at
                                     # $RAY_GRAFT_CPUS (default: the CPUs this
                                     # process may run on); queries once
-    python bench.py --scaling       # fresh processes at 8 and 32 CPUs,
-                                    # reports throughput at both + efficiency
+    python bench.py --weak-control  # the N->4N weak-scaling pair beside two
+                                    # 1.0-ideal controls, interleaved
     python bench.py --kernels       # single-core codec rates per column, in
                                     # this process, no Ray
 
-The scaling mode is the sandbox evidence for the north rule's two-cluster-size
-criterion (no real multi-node cluster here): same input, same pipeline, two
-parallelism levels in fresh ray.init sessions.
+The weak-control mode is the single-host evidence for the north rule's
+two-cluster-size criterion: same pipeline, two parallelism levels in fresh
+ray.init sessions, with the host's own scaling ceiling measured alongside.
 """
 
 from __future__ import annotations
@@ -161,9 +161,8 @@ def run_bench() -> dict:
     out_dir = os.path.join(CACHE, f"bench-encoded-{NUM_CPUS}")
     shutil.rmtree(out_dir, ignore_errors=True)
 
-    page_shuffle = bool(int(os.environ.get("PCR_PAGE_SHUFFLE", "0")))
     t0 = time.monotonic()
-    summary = encode_dataset(inp, out_dir, salt_rows=50_000, page_shuffle=page_shuffle)
+    summary = encode_dataset(inp, out_dir, salt_rows=50_000)
     t_encode = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -290,65 +289,6 @@ def run_default() -> dict:
     return out
 
 
-def run_weak_scaling() -> dict:
-    """Weak scaling: fixed work PER CPU (8 CPUs @ 2.4M turns vs 32 CPUs @
-    9.6M turns) — the regime a real cluster grows in (4x nodes, 4x data).
-    Efficiency = T(N, W) / T(4N, 4W)."""
-
-    def one(ncpu: int, rows: int) -> dict:
-        env = dict(
-            os.environ,
-            RAY_GRAFT_CPUS=str(ncpu),
-            PCR_BENCH_ROWS=str(rows),
-            PCR_BENCH_HEADLINE_ONLY="1",
-        )
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    # PCR_SCALING_LO picks the N of the N->4N pair (default 8 -> 32). The
-    # 4->16 pair is a useful control on this sandbox: at 8->32 the hi side
-    # saturates the single host's DRAM (a ceiling a real 4x-node cluster
-    # does not share, since every node brings its own memory bus), while at
-    # 4->16 neither side is bandwidth-starved, isolating the ENGINE's
-    # scaling behavior from the host ceiling. Work stays fixed per CPU
-    # (300k turns/CPU) in both designs.
-    lo_cpus = int(os.environ.get("PCR_SCALING_LO", "8"))
-    base_rows = 300_000 * lo_cpus
-    # min-of-N per level, interleaved (same host-noise windows for both);
-    # PCR_SCALING_REPS=1 gives a cheap probe run when hunting a quiet window
-    reps = int(os.environ.get("PCR_SCALING_REPS", "3"))
-    runs_lo, runs_hi = [], []
-    for _ in range(max(reps, 1)):
-        runs_lo.append(one(lo_cpus, base_rows))
-        runs_hi.append(one(lo_cpus * 4, base_rows * 4))
-    r_lo = min(runs_lo, key=lambda r: r["value"])
-    r_hi = min(runs_hi, key=lambda r: r["value"])
-    # the north rule's criterion is ENCODE-throughput scaling; the total
-    # (encode+decode) efficiency is kept alongside for continuity with the
-    # round-2/3 records. Encode min is taken per-rep independently (the same
-    # fresh-session interleaving applies).
-    e_lo = min(r["queries"]["encode"] for r in runs_lo)
-    e_hi = min(r["queries"]["encode"] for r in runs_hi)
-    return {
-        "metric": "weak-scaling efficiency (4x CPUs, 4x data), fresh ray sessions",
-        "num_cpus_lo": lo_cpus,
-        "num_cpus_hi": lo_cpus * 4,
-        "sec_lo_8cpu": r_lo["value"],
-        "sec_hi_32cpu": r_hi["value"],
-        "turns_per_sec_lo": r_lo["turns_per_sec"],
-        "turns_per_sec_hi": r_hi["turns_per_sec"],
-        "weak_scaling_efficiency": round(r_lo["value"] / r_hi["value"], 3),
-        "encode_sec_lo_8cpu": e_lo,
-        "encode_sec_hi_32cpu": e_hi,
-        "weak_scaling_efficiency_encode": round(e_lo / e_hi, 3),
-        "throughput_ratio_vs_4x": round(r_hi["turns_per_sec"] / (4 * r_lo["turns_per_sec"]), 3),
-    }
-
-
 def run_weak_control() -> dict:
     """Weak-scaling CONTROL experiment: the pipeline's N->4N pair interleaved
     in the SAME noise window with two synthetic weak pairs whose ideal
@@ -470,160 +410,10 @@ def _keep_best_weak_triplet(res: dict) -> None:
             f.write("\n")
 
 
-def run_compute_scaling() -> dict:
-    """Scaling of the ENCODE COMPUTE STAGE alone (no exchange): N independent
-    partition-encode tasks over pre-materialized tables at 8 vs 32 CPUs.
-
-    This isolates the term that grows with cluster size on a real multi-node
-    deployment — each node brings its own DRAM bandwidth, so per-node compute
-    throughput is the multi-node predictor; the single-node end-to-end number
-    is additionally pinned by this one machine's fixed object-store/DRAM
-    bandwidth during the exchange (see BASELINE.md)."""
-
-    def one(ncpu: int) -> float:
-        code = (
-            "import sys, time; sys.path.insert(0, %r)\n"
-            "import ray\n"
-            "ray.init(address='local', num_cpus=%d, include_dashboard=False, logging_level='ERROR')\n"
-            "from parquet_converter_ray.synth import make_transcripts\n"
-            "from parquet_converter_ray.container import encode_table\n"
-            "from parquet_converter_ray.encode import pin_arrow_threads\n"
-            "t = make_transcripts(100_000, seed=11)\n"
-            "ref = ray.put(t)\n"
-            "@ray.remote(num_cpus=1)\n"
-            "def enc(tbl):\n"
-            "    pin_arrow_threads(1)\n"
-            "    encode_table(tbl, codec='auto')\n"
-            "    return 1\n"
-            "ray.get([enc.remote(ref) for _ in range(8)])  # warm workers\n"
-            "t0 = time.monotonic()\n"
-            "ray.get([enc.remote(ref) for _ in range(96)])\n"
-            "print('RESULT', time.monotonic() - t0)\n"
-            "ray.shutdown()\n"
-        ) % (os.path.dirname(os.path.abspath(__file__)), ncpu)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-        return float([l for l in out.splitlines() if l.startswith("RESULT")][0].split()[1])
-
-    def spin(workers: int) -> float:
-        # pure register-resident integer arithmetic: measures what the VM's
-        # CPUs scale to when DRAM bandwidth is NOT involved
-        code = (
-            "import time, multiprocessing as mp, sys\n"
-            "def spin(n):\n"
-            "    acc = 0\n"
-            "    for i in range(n):\n"
-            "        acc = (acc * 1103515245 + 12345) & 0x7FFFFFFF\n"
-            "    return acc\n"
-            "if __name__ == '__main__':\n"
-            "    t0 = time.monotonic()\n"
-            "    with mp.Pool(%d) as p:\n"
-            "        p.map(spin, [30_000_000]*96)\n"
-            "    print('RESULT', time.monotonic()-t0)\n"
-        ) % workers
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-        return float([l for l in out.splitlines() if l.startswith("RESULT")][0].split()[1])
-
-    lo_runs, hi_runs, spin_lo, spin_hi = [], [], [], []
-    for _ in range(3):
-        lo_runs.append(one(8))
-        hi_runs.append(one(32))
-        spin_lo.append(spin(8))
-        spin_hi.append(spin(32))
-    t_lo, t_hi = min(lo_runs), min(hi_runs)
-    s_lo, s_hi = min(spin_lo), min(spin_hi)
-    return {
-        "metric": "compute-stage scaling (96 independent partition encodes), fresh ray sessions",
-        "num_cpus_lo": 8,
-        "num_cpus_hi": 32,
-        "sec_lo": round(t_lo, 3),
-        "sec_hi": round(t_hi, 3),
-        "compute_scaling_efficiency": round((t_lo / t_hi) / 4, 3),
-        "pure_cpu_sec_lo": round(s_lo, 3),
-        "pure_cpu_sec_hi": round(s_hi, 3),
-        "pure_cpu_scaling_efficiency": round((s_lo / s_hi) / 4, 3),
-    }
-
-
-def run_scaling() -> dict:
-    def one(ncpu: int) -> dict:
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), PCR_BENCH_HEADLINE_ONLY="1")
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    lo, hi = 8, 32
-    # min-of-3 per level, INTERLEAVED: the sandbox VM is shared (identical
-    # back-to-back runs vary >2x from host contention); alternating levels
-    # exposes all to the same noise windows, and the least-contended run per
-    # level is the honest measure. Sub-runs skip the query suite.
-    #
-    # Two regimes are reported. The north rule's criterion grows a cluster
-    # N -> 4N against a dataset far larger than either (10^12 turns): each
-    # node keeps processing its shard, so fleet throughput scales with
-    # per-node throughput at CONSTANT data-per-node — the WEAK regime
-    # (4x CPUs with 4x data). The STRONG regime (same bytes, 4x cores on one
-    # node) is also reported; on this single machine it is pinned by the
-    # node's fixed DRAM/object-store bandwidth (see BASELINE.md, incl. the
-    # pure-CPU control measurement).
-    def one_rows(ncpu: int, rows: int) -> dict:
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), PCR_BENCH_ROWS=str(rows), PCR_BENCH_HEADLINE_ONLY="1")
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)], env=env,
-            capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    full_rows = int(os.environ.get("PCR_BENCH_ROWS", 0)) or 9_600_000
-    runs_lo, runs_hi, runs_weak_lo = [], [], []
-    for _ in range(3):
-        runs_lo.append(one(lo))
-        runs_hi.append(one(hi))
-        runs_weak_lo.append(one_rows(lo, full_rows // 4))
-    r_lo = min(runs_lo, key=lambda r: r["value"])
-    r_hi = min(runs_hi, key=lambda r: r["value"])
-    r_wlo = min(runs_weak_lo, key=lambda r: r["value"])
-    t_lo, t_hi = r_lo["value"], r_hi["value"]
-    e_wlo = min(r["queries"]["encode"] for r in runs_weak_lo)
-    e_hi = min(r["queries"]["encode"] for r in runs_hi)
-    return {
-        "metric": "scaling efficiency at N and 4N parallelism, fresh ray sessions",
-        "num_cpus_lo": lo,
-        "num_cpus_hi": hi,
-        "weak_sec_lo_quarter_data": r_wlo["value"],
-        "weak_sec_hi_full_data": t_hi,
-        "weak_scaling_efficiency": round(r_wlo["value"] / t_hi, 3),
-        # the north rule's criterion is ENCODE throughput
-        "weak_scaling_efficiency_encode": round(e_wlo / e_hi, 3),
-        "weak_reps_lo": [r["value"] for r in runs_weak_lo],
-        "weak_reps_hi": [r["value"] for r in runs_hi],
-        "weak_throughput_ratio_vs_4x": round(r_hi["turns_per_sec"] / (4 * r_wlo["turns_per_sec"]), 3),
-        "strong_sec_lo": t_lo,
-        "strong_sec_hi": t_hi,
-        "strong_scaling_efficiency": round((t_lo / t_hi) / (hi / lo), 3),
-        "turns_per_sec_lo": r_lo["turns_per_sec"],
-        "turns_per_sec_hi": r_hi["turns_per_sec"],
-        "scaling_efficiency": round(r_wlo["value"] / t_hi, 3),
-        "sf": SF_DIR,
-    }
-
-
 if __name__ == "__main__":
     if "--kernels" in sys.argv:
         print(json.dumps(run_kernels()))
     elif "--weak-control" in sys.argv:
         print(json.dumps(run_weak_control()))
-    elif "--compute-scaling" in sys.argv:
-        print(json.dumps(run_compute_scaling()))
-    elif "--weak-scaling" in sys.argv:
-        print(json.dumps(run_weak_scaling()))
-    elif "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
     else:
         print(json.dumps(run_default()))

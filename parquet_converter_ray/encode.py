@@ -15,6 +15,13 @@ encode one partition — see ``encode_dataset``):
                                                 #   atomic container write + lineage
       -> tiny lineage dataset -> manifest.jsonl
 
+``append_dataset`` and ``upsert_dataset`` run the same exchange (``_Input``)
+with the store's recorded layout: the map side conforms the delivery to the
+store schema before assigning part ids, and the reducer is a subclass of
+``EncodePartition`` (append's duplicate filter, upsert's merge). In-place
+rewrites — upsert and both deletes — go through one crash-safe
+``_rewrite_partition``.
+
 The group step holds per-partition encoder state (FSST symbol table, dictionary)
 for exactly one partition at a time, which is the memory-bounded alternative to
 fighting batch->actor affinity (SURVEY.md §7.5). Partition size is bounded by
@@ -90,8 +97,9 @@ def pin_arrow_threads(n: int = 1) -> None:
 class EncodePartition:
     """Per-partition encoder: sort, pick codecs (sampled cost model), write container.
 
-    Called by ``groupby("part_id").map_groups`` with the full partition as one
-    Arrow table. Returns a one-row lineage table.
+    The exchange's reducer: ``__call__`` takes one Ray Data group (the full
+    partition with its ``part_id`` column), a reduce task calls ``encode_one``
+    directly. Returns the partition's one-row result table (lineage).
     """
 
     def __init__(
@@ -205,65 +213,6 @@ class EncodePartition:
                 "wall_s": pa.array([rec.wall_s], type=pa.float64()),
             }
         )
-
-
-class EncodePages(EncodePartition):
-    """Reduce side of the page shuffle: unpack the partition's pages (plain +
-    zstd-transport mini-containers), concat, then encode like EncodePartition."""
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        pin_arrow_threads(1)
-        from .container import decode_table
-
-        part_id = int(group["part_id"][0].as_py())
-        t0 = time.monotonic()
-        pages = group["page"]
-        if isinstance(pages, pa.ChunkedArray):
-            pages = pages.combine_chunks()
-        tables = [decode_table(p.as_py()) for p in pages]
-        table = pa.concat_tables(tables).combine_chunks()
-        return self.encode_one(part_id, table, n_chunks=len(tables),
-                               combine_s=time.monotonic() - t0)
-
-
-def make_page_packer(
-    n_parts: int, conv_col: str, order_col: str, salt_rows: int
-) -> Callable[[pa.Table], pa.Table]:
-    """Map-side page packer: split each batch by part_id and pack every slice
-    as a plain+zstd mini-container ("page"). Shuffle compression: the exchange
-    then moves ~3x fewer bytes for text-heavy tables at ~2 CPU-s/GB (zstd-3),
-    which is what keeps the all-to-all off the single-node memcpy ceiling."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    def pack(batch: pa.Table) -> pa.Table:
-        pin_arrow_threads(1)
-        batch = assign_part_id(
-            batch, n_parts, conv_col=conv_col, order_col=order_col, salt_rows=salt_rows
-        )
-        pid = batch["part_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(pid, kind="stable")
-        batch = batch.take(pa.array(order))
-        pid = pid[order]
-        change = np.nonzero(pid[1:] != pid[:-1])[0] + 1
-        starts = np.concatenate(([0], change, [len(pid)]))
-        part_ids, pages, rows = [], [], []
-        for i in range(len(starts) - 1):
-            a, b = int(starts[i]), int(starts[i + 1])
-            slice_tbl = batch.slice(a, b - a).combine_chunks().drop_columns(["part_id"])
-            payload = pack_container(encode_table(slice_tbl, codec="plain"))
-            part_ids.append(int(pid[a]))
-            pages.append(payload)
-            rows.append(b - a)
-        return pa.table(
-            {
-                "part_id": pa.array(part_ids, type=pa.int32()),
-                "page": pa.array(pages, type=pa.large_binary()),
-                "rows": pa.array(rows, type=pa.int64()),
-            }
-        )
-
-    return pack
 
 
 def _range_cuts(
@@ -396,7 +345,6 @@ def encode_dataset(
     sort_key: Sequence[str] = ("conv_id", "turn_idx"),
     salt_rows: int = 100_000,
     resume: bool = False,
-    page_shuffle: bool = False,
     cluster_by: str | None = None,
     bloom_cols: "Sequence[str] | None" = None,
     text_bloom_cols: "Sequence[str] | None" = None,
@@ -413,15 +361,16 @@ def encode_dataset(
     Ray tasks (``"tasks"``): map tasks read contiguous slices of the row
     groups or blocks, assign part ids and split the rows by part, then one
     reduce task per non-empty partition concatenates its pieces in input
-    order and runs ``EncodePartition``. Past the crossover, for
-    ``page_shuffle``, and for a lazy Dataset or a remote or Hive-partitioned
-    path, it is one streaming Ray Data job (``"ray_data"``,
-    ``groupby("part_id").map_groups``) that spills instead of holding the
-    input in the object store. Both write identical containers. A path
-    source with ``n_parts`` given is planned from its Parquet footers (schema
-    and size); ``n_parts=None`` sizes the default layout with Ray's
-    estimate. When a task fails, every other task finishes before the error
-    re-raises, so no container is written after this call has raised.
+    order and runs ``EncodePartition``. Past the crossover, and for a lazy
+    Dataset or a remote or Hive-partitioned path, it is one streaming Ray
+    Data job (``"ray_data"``, ``groupby("part_id").map_groups``) that spills
+    instead of holding the input in the object store. Both write identical
+    containers. A path source with ``n_parts`` given is planned from its
+    Parquet footers (schema and size); ``n_parts=None`` sizes the default
+    layout with Ray's estimate. When a task fails, every other task
+    finishes before the error re-raises, so no container is written after
+    this call has raised. ``append_dataset`` and ``upsert_dataset`` run the
+    same exchange (``_Input``).
 
     ``resume=True`` skips partitions already recorded in ``out_dir/_manifest``
     (partition assignment is a pure function of row content, so a resumed run
@@ -440,14 +389,6 @@ def encode_dataset(
     partitions, append reuses the recorded cuts). Resume reuses the recorded
     cuts — never resamples. The sample is a small Ray Data job on either
     executor, over the same read, so both executors cut identically.
-
-    ``page_shuffle=True`` compresses the exchange: the map side packs each
-    (block, partition) slice into a plain+zstd mini-container so the all-to-all
-    moves ~3x fewer bytes, and the reduce side unpacks before the final encode
-    — byte-identical output (tested). On a NETWORK-bound multi-node cluster
-    this is the right trade; on this single-node sandbox the push-based local
-    exchange is already cheap, so the extra pack/unpack CPU loses (measured)
-    and the default stays row-wise.
     """
     os.makedirs(out_dir, exist_ok=True)
     from .partition import HASH_VERSION
@@ -474,35 +415,8 @@ def encode_dataset(
         # the default n_parts is a function of cluster size + size estimate;
         # a resume MUST reuse the original partitioning or rows silently move
         n_parts = int(prior["n_parts"])
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    ds = None  # the streaming side's Dataset; a path source builds it on demand
-    files = _parquet_files(source) if isinstance(source, (str, list)) else None
-    if files:  # footers answer schema and size without a Ray Data read
-        schema, est, row_groups = _parquet_footers(files)
-    if isinstance(source, (str, list)):
-        if n_parts is None:  # the default layout keeps Ray's size estimate
-            n_parts = _default_n_parts(read_parquet_clean(source).size_bytes() or (64 << 20), cpus)
-        if not files:
-            ds = _read_source(source, cpus, n_parts)
-            schema = ds.schema()
-    else:
-        ds = source
-        schema = ds.schema()
-        if n_parts is None or isinstance(ds, MaterializedDataset):
-            est = ds.size_bytes() or (64 << 20)
-        if n_parts is None:
-            n_parts = _default_n_parts(est, cpus)
-    # a small input exchanges in plain Ray tasks; past the crossover, for
-    # page_shuffle, and for a source that would have to run to be read
-    # (a lazy Dataset, a remote or partitioned path) the Ray Data job
-    # streams and spills
-    from .zonemap import fits_tasks, slices
-
-    small = not page_shuffle and (bool(files) or isinstance(source, MaterializedDataset))
-    executor = "tasks" if small and fits_tasks(est) else "ray_data"
+    inp = _Input(source, n_parts)
+    n_parts, schema = inp.n_parts, inp.schema
     col_type = dict(zip(schema.names, schema.types))
 
     schema_names = schema.names
@@ -513,8 +427,6 @@ def encode_dataset(
         )
     if cluster_by is not None:
         cluster_by = [cluster_by] if isinstance(cluster_by, str) else list(cluster_by)
-        if page_shuffle:
-            raise ValueError("cluster_by and page_shuffle are mutually exclusive")
         missing_cluster = [c for c in cluster_by if c not in schema_names]
         if missing_cluster:
             raise ValueError(
@@ -540,9 +452,7 @@ def encode_dataset(
         else:
             # both executors sample the same streaming read, so they cut
             # (and encode) identically
-            if ds is None:
-                ds = _read_source(source, cpus, n_parts)
-            range_cuts, cluster_norm = _range_cuts(ds, cluster_by, n_parts)
+            range_cuts, cluster_norm = _range_cuts(inp.dataset(), cluster_by, n_parts)
 
     if bloom_cols:
         bloom_cols = [bloom_cols] if isinstance(bloom_cols, str) else list(bloom_cols)
@@ -617,44 +527,109 @@ def encode_dataset(
             )
     mf.write_run_record(out_dir, run_params)
 
-    if page_shuffle:  # the map side also packs pages (streaming only)
-        assign = make_page_packer(n_parts, conv_col, order_col, salt_rows)
-    elif cluster_by is not None:
-        from .partition import assign_part_id_range
-
-        assign = functools.partial(assign_part_id_range, cuts=list(range_cuts or []),
-                                   cluster_by=cluster_by, norm=cluster_norm)
-    else:
-        assign = functools.partial(assign_part_id, n_parts=n_parts, conv_col=conv_col,
-                                   order_col=order_col, salt_rows=salt_rows)
     done = mf.completed_parts(out_dir) if resume else set()
-    cls = EncodePages if page_shuffle else EncodePartition
-    enc_kw = {} if page_shuffle else {
-        "bloom_cols": frozenset(bloom_cols or ()),
-        "text_bloom_cols": frozenset(text_bloom_cols or ()),
-    }
-    encoder = cls(
-        out_dir, codec=codec, sort_key=sort_key, fault_hook=fault_hook,
-        bound_cols=frozenset(cluster_by or ()), **enc_kw,
-    )
-
-    if executor == "tasks":
-        if files is not None:
-            read = functools.partial(_read_row_groups, schema=schema)
-            inputs = [[s] for s in slices(row_groups, cpus)]
-        else:
-            blocks = [b for bundle in source.materialize().iter_internal_ref_bundles()
-                      for b, _ in bundle.blocks]
-            read, inputs = _concat_blocks, slices(blocks, cpus)
-        _exchange_tasks(inputs, read, assign, n_parts, encoder, done)
-    else:
-        if ds is None:
-            ds = _read_source(source, cpus, n_parts)
-        _exchange_ray_data(ds, assign, encoder, done)
+    encoder = _store_encoder(out_dir, run_params, codec, fault_hook=fault_hook)
+    executor, _ = inp.exchange(_assign_for(run_params), encoder, done)
     summary = mf.consolidate(out_dir)
     summary["n_parts"] = n_parts
     summary["executor"] = executor
     return summary
+
+
+def _assign_for(run: dict):
+    """The map-side part-id assignment a run record fixes: the recorded cuts
+    (and spans) of a range-clustered store, the salted conv hash otherwise."""
+    if (run.get("partition_mode") or "hash") == "range":
+        from .partition import assign_part_id_range
+
+        return functools.partial(assign_part_id_range, cuts=list(run.get("range_cuts") or []),
+                                 cluster_by=run["cluster_by"], norm=run.get("cluster_norm"))
+    return functools.partial(assign_part_id, n_parts=int(run["n_parts"]),
+                             conv_col=run["conv_col"], order_col=run["order_col"],
+                             salt_rows=int(run.get("salt_rows") or 0))
+
+
+def _store_encoder(out_dir: str, run: dict, codec, cls: type = EncodePartition,
+                   **kw) -> EncodePartition:
+    """The partition encoder (``cls``) a run record calls for: its sort key,
+    range-cluster bounds and Bloom columns."""
+    conv_col, order_col = run["conv_col"], run.get("order_col")
+    return cls(
+        out_dir, codec=codec,
+        sort_key=tuple(run.get("sort_key") or [c for c in (conv_col, order_col) if c]),
+        bound_cols=frozenset(run.get("cluster_by") or ()),
+        bloom_cols=frozenset(run.get("bloom_cols") or ()),
+        text_bloom_cols=frozenset(run.get("text_bloom_cols") or ()),
+        **kw,
+    )
+
+
+class _Input:
+    """An exchange input, planned once. Local Parquet files are planned from
+    their footers (schema, in-memory size, row groups), a materialized
+    Dataset from its blocks (schema, exact size), any other Dataset from its
+    schema; ``n_parts=None`` takes the default layout, sized with Ray's
+    estimate. ``exchange`` then runs the exchange on the executor that
+    fits."""
+
+    def __init__(self, source, n_parts: int | None):
+        try:
+            self.cpus = int(ray.cluster_resources().get("CPU", 8))
+        except Exception:
+            self.cpus = 8
+        self.source, self.ds, self.est, self.files = source, None, None, None
+        if isinstance(source, (str, list)):
+            if n_parts is None:  # the default layout keeps Ray's size estimate
+                n_parts = _default_n_parts(
+                    read_parquet_clean(source).size_bytes() or (64 << 20), self.cpus)
+            self.n_parts = n_parts
+            self.files = _parquet_files(source)
+            if self.files:  # footers answer schema and size without a Ray Data read
+                self.schema, self.est, self.row_groups = _parquet_footers(self.files)
+            else:
+                self.schema = self.dataset().schema()
+            return
+        self.ds = source
+        if isinstance(source, MaterializedDataset):
+            self.est = source.size_bytes()
+            bundles = list(source.materialize().iter_internal_ref_bundles())
+            self.blocks = [b for bundle in bundles for b, _ in bundle.blocks]
+            # an empty Dataset knows its schema only from its bundles: asking
+            # the Dataset itself would start a Ray Data job
+            self.schema = source.schema(fetch_if_missing=False) or bundles[0].schema
+        else:
+            self.schema = source.schema()
+            if n_parts is None:
+                self.est = source.size_bytes()
+        if n_parts is None:
+            n_parts = _default_n_parts(self.est or (64 << 20), self.cpus)
+        self.n_parts = n_parts
+
+    def dataset(self):
+        """The streaming side's Dataset (a path source is read on first use)."""
+        if self.ds is None:
+            self.ds = _read_source(self.source, self.cpus, self.n_parts)
+        return self.ds
+
+    def exchange(self, assign, encoder, done=frozenset()) -> "tuple[str, list[dict]]":
+        """``assign`` part ids on the map side, then ``encoder`` on each
+        partition not in ``done``; returns the executor that ran and the
+        reducers' result rows. Local Parquet files or a materialized Dataset
+        under the crossover run as plain Ray tasks; anything else — one that
+        would have to run to be read (a lazy Dataset, a remote or partitioned
+        path) or is past the crossover — is one streaming Ray Data job that
+        spills."""
+        from .zonemap import fits_tasks, slices
+
+        small = bool(self.files) or isinstance(self.source, MaterializedDataset)
+        if not (small and fits_tasks(self.est)):
+            return "ray_data", _exchange_ray_data(self.dataset(), assign, encoder, done)
+        if self.files:
+            read = functools.partial(_read_row_groups, schema=self.schema)
+            inputs = [[s] for s in slices(self.row_groups, self.cpus)]
+        else:
+            read, inputs = _concat_blocks, slices(self.blocks, self.cpus)
+        return "tasks", _exchange_tasks(inputs, read, assign, self.n_parts, encoder, done)
 
 
 def _read_source(source, cpus: int, n_parts: int):
@@ -740,15 +715,15 @@ def _exchange_map(n_parts: int, assign, read, *src):
     return (*(table.take(order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])), counts)
 
 
-def _exchange_reduce(encoder: "EncodePartition", part_id: int, *pieces) -> None:
+def _exchange_reduce(encoder: "EncodePartition", part_id: int, *pieces) -> pa.Table:
     """Reduce side of the task exchange: one partition's pieces, in map
-    order, concatenated and encoded (``encode_one``)."""
+    order, concatenated and encoded (``encode_one``); returns its result."""
     pin_arrow_threads(1)
     t0 = time.monotonic()
     table = pa.concat_tables(pieces)
     n_chunks = table.column(0).num_chunks
     table = table.combine_chunks()
-    encoder.encode_one(part_id, table, n_chunks, combine_s=time.monotonic() - t0)
+    return encoder.encode_one(part_id, table, n_chunks, combine_s=time.monotonic() - t0)
 
 
 @functools.cache
@@ -768,27 +743,29 @@ def _get_drained(refs: list) -> list:
         raise
 
 
-def _exchange_tasks(inputs: list, read, assign, n_parts: int, encoder, done) -> None:
+def _exchange_tasks(inputs: list, read, assign, n_parts: int, encoder, done) -> list[dict]:
     """The exchange as plain Ray tasks: one map task per input slice
     (``_exchange_map``, ``n_parts + 1`` returns), then one reduce task per
     partition that has rows and that resume has not completed
-    (``_exchange_reduce``), fed the map pieces that hold its rows. A failed
-    task re-raises on the driver after every other task has finished."""
+    (``_exchange_reduce``), fed the map pieces that hold its rows. Returns
+    the reducers' result rows. A failed task re-raises on the driver after
+    every other task has finished."""
     mapper = _remote(_exchange_map).options(num_returns=n_parts + 1)
     maps = [mapper.remote(n_parts, assign, read, *src) for src in inputs]
     counts = _get_drained([m[-1] for m in maps])
     enc = ray.put(encoder)
     reduce = _remote(_exchange_reduce)
-    _get_drained([
+    results = _get_drained([
         reduce.remote(enc, pid, *(m[pid] for m, c in zip(maps, counts) if c[pid]))
         for pid in range(n_parts) if pid not in done and any(c[pid] for c in counts)
     ])
+    return [row for t in results for row in t.to_pylist()]
 
 
-def _exchange_ray_data(ds, assign, encoder, done) -> None:
-    """The exchange as one streaming Ray Data job: ``assign`` part ids (or
-    pack pages), drop resumed partitions, then
-    ``groupby("part_id").map_groups`` runs ``encoder`` on each partition."""
+def _exchange_ray_data(ds, assign, encoder, done) -> list[dict]:
+    """The exchange as one streaming Ray Data job: ``assign`` part ids, drop
+    resumed partitions, then ``groupby("part_id").map_groups`` runs
+    ``encoder`` on each partition. Returns the reducers' result rows."""
     ds = ds.map_batches(assign, batch_format="pyarrow")
     if done:
         done_arr = pa.array(sorted(done), type=pa.int32())
@@ -813,7 +790,7 @@ def _exchange_ray_data(ds, assign, encoder, done) -> None:
     prev_strategy = ctx.shuffle_strategy
     ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
     try:
-        lineage.take_all()  # trigger execution; one tiny row per partition
+        return lineage.take_all()  # one tiny row per partition
     finally:
         ctx.shuffle_strategy = prev_strategy
 
@@ -1132,30 +1109,47 @@ _LINEAGE_SCHEMA = pa.schema(
 )
 
 
-def _conform_delivery(ds, out_dir: str, prior: dict, conv_col: str, order_col: str):
-    """Schema-conform a delivery to the STORE schema (footer of any base
-    container — a tail seek, no column bytes). Reordered columns are
+def _store_record(out_dir: str, verb: str) -> dict:
+    """The run record of the store a delivery goes into, refusing a missing
+    one and one partitioned by another hash version."""
+    from .partition import HASH_VERSION
+
+    prior = mf.load_run_record(out_dir)
+    if prior is None:
+        raise ValueError(f"no run record in {out_dir} — {verb} needs an existing store")
+    if prior.get("hash_version") != HASH_VERSION:
+        raise ValueError(
+            f"store {out_dir} was partitioned with hash {prior.get('hash_version')!r}; "
+            f"this build uses {HASH_VERSION!r} — {verb}ing would mispartition rows"
+        )
+    return prior
+
+
+def _conform_delivery(schema, out_dir: str, prior: dict):
+    """Check a delivery's ``schema`` against the STORE schema (footer of any
+    recorded container — a tail seek, no column bytes) and return the
+    table -> table function that conforms it. Reordered columns are
     harmless; columns the store has but the delivery lacks are filled with
     typed nulls (additive drift over months of ingest); extra or
     type-changed columns would silently corrupt decode, so they raise.
     Shared by ``append_dataset`` and ``upsert_dataset``."""
     from .codecs import str_to_type
     from .container import read_footer_file
-    from .decode import container_files
+    from .decode import resolve_container_path
 
-    footer = read_footer_file(container_files(out_dir)[0])
+    footer = read_footer_file(resolve_container_path(out_dir, mf.load_records(out_dir)[0]))
     store_schema = [(c["name"], str_to_type(c["type"])) for c in footer["columns"]]
     store_names = [n for n, _ in store_schema]
-    del_schema = ds.schema()
-    del_names = list(del_schema.names)
-    extra = [n for n in del_names if n not in store_names]
+    del_types = dict(zip(schema.names, schema.types))
+    extra = [n for n in del_types if n not in store_names]
     if extra:
         raise ValueError(
             f"delivery has columns {extra} the store {out_dir} does not; "
             "schema evolution is additive on the STORE side only — compact "
             "into a new store to add columns"
         )
-    missing = [n for n in store_names if n not in del_names]
+    missing = [n for n in store_names if n not in del_types]
+    conv_col, order_col = prior["conv_col"], prior["order_col"]
     if conv_col in missing or order_col in missing:
         raise ValueError(
             f"delivery lacks the partition/order column(s) "
@@ -1171,25 +1165,59 @@ def _conform_delivery(ds, out_dir: str, prior: dict, conv_col: str, order_col: s
                 "— cannot assign partitions"
             )
     for n, t in store_schema:
-        if n in del_names:
-            dt = del_schema.base_schema.field(n).type
-            if dt != t:
-                raise ValueError(
-                    f"column {n!r}: delivery type {dt} != store type {t} — "
-                    "appending would mix physical encodings"
-                )
+        if n in del_types and del_types[n] != t:
+            raise ValueError(
+                f"column {n!r}: delivery type {del_types[n]} != store type {t} — "
+                "appending would mix physical encodings"
+            )
+    return functools.partial(_conform, store_schema)
 
-    def _conform(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                n: batch[n] if n in batch.column_names else pa.nulls(batch.num_rows, t)
-                for n, t in store_schema
-            }
-        )
 
-    if missing or del_names != store_names:
-        ds = ds.map_batches(_conform, batch_format="pyarrow")
-    return ds
+def _conform(store_schema: list, table: pa.Table) -> pa.Table:
+    """``table`` in the store's column order, typed nulls for the store
+    columns it lacks."""
+    if table.column_names == [n for n, _ in store_schema]:
+        return table
+    return pa.table(
+        {n: table[n] if n in table.column_names else pa.nulls(table.num_rows, t)
+         for n, t in store_schema}
+    )
+
+
+def _then(first, second, table: pa.Table) -> pa.Table:
+    """``second(first(table))``: one map-side function from two."""
+    return second(first(table))
+
+
+def _delivery_input(source, out_dir: str, prior: dict) -> "tuple[_Input, Callable]":
+    """A delivery planned as an exchange input with the store's ``n_parts``,
+    and its map side: conform to the store schema, then assign part ids
+    with the recorded layout."""
+    inp = _Input(source, int(prior["n_parts"]))
+    conform = _conform_delivery(inp.schema, out_dir, prior)
+    return inp, functools.partial(_then, conform, _assign_for(prior))
+
+
+class _AppendPartition(EncodePartition):
+    """Reducer of ``append_dataset``: encodes one partition's delivery rows
+    as a new generation. With ``skip_existing`` it first drops the rows
+    whose (conv, order) key the partition already stores, and a partition
+    left without rows writes nothing."""
+
+    def __init__(self, out_dir: str, *, skip_existing: bool, key: tuple, **kw):
+        super().__init__(out_dir, **kw)
+        self.skip_existing, self.key = skip_existing, key
+
+    def encode_one(self, part_id, table, n_chunks=1, folded=None, combine_s=0.0):
+        if self.skip_existing:
+            conv_col, order_col = self.key
+            existing = _existing_part_keys(self.out_dir, part_id, conv_col, order_col)
+            if existing is not None:
+                keys = _row_keys(table[conv_col], table[order_col])
+                table = table.filter(pc.invert(pc.is_in(keys, value_set=existing)))
+            if table.num_rows == 0:
+                return _LINEAGE_SCHEMA.empty_table()
+        return super().encode_one(part_id, table, n_chunks, folded, combine_s)
 
 
 def append_dataset(
@@ -1208,7 +1236,9 @@ def append_dataset(
     the manifest. Generations are monotone per delivery; run
     ``compact_dataset`` periodically to fold fragmented deliveries back into
     right-sized containers. Base-run resume semantics are untouched
-    (``completed_parts`` ignores appended generations).
+    (``completed_parts`` ignores appended generations). The delivery runs
+    through ``encode_dataset``'s exchange, on the same executor choice; the
+    summary's ``executor`` names the one that ran.
 
     ``skip_existing=True`` makes deliveries IDEMPOTENT at row granularity:
     inside each partition group, rows whose (conv, order) key already exists
@@ -1217,103 +1247,65 @@ def append_dataset(
     all. The check is partition-LOCAL by construction — a re-delivered row
     hashes to the same part_id — so a retried or overlapping delivery costs
     one pruned two-column decode per touched partition, never a store scan."""
-    from ray.data.context import DataContext, ShuffleStrategy
+    from .decode import container_files
 
-    from . import manifest as mf
-    from .partition import HASH_VERSION
-
-    prior = mf.load_run_record(out_dir)
-    if prior is None:
-        raise ValueError(f"no run record in {out_dir} — append needs an existing store")
-    if prior.get("hash_version") != HASH_VERSION:
-        raise ValueError(
-            f"store {out_dir} was partitioned with hash {prior.get('hash_version')!r}; "
-            f"this build uses {HASH_VERSION!r} — appending would mispartition rows"
-        )
-    n_parts = int(prior["n_parts"])
-    conv_col, order_col = prior["conv_col"], prior["order_col"]
-    salt_rows = int(prior.get("salt_rows") or 0)
-    sort_key = tuple(prior.get("sort_key") or (conv_col, order_col))
+    prior = _store_record(out_dir, "append")
+    # a crashed rewrite's record-less generation file may carry the new
+    # generation's name: container_files refuses such a store until repaired
+    container_files(out_dir)
     gen = max((int(r.get("generation", 0)) for r in mf.load_records(out_dir)), default=0) + 1
-
-    if isinstance(source, (str, list)):
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        ds = read_parquet_clean(source, override_num_blocks=max(3 * cpus, n_parts))
-    else:
-        ds = source
-
-    ds = _conform_delivery(ds, out_dir, prior, conv_col, order_col)
-
-    if (prior.get("partition_mode") or "hash") == "range":
-        # a range-clustered store appends with the RECORDED cuts + spans (the
-        # layout contract), so delivered rows land in the bucket readers expect
-        from .partition import assign_part_id_range
-
-        _r_cuts = list(prior.get("range_cuts") or [])
-        _r_cols = prior["cluster_by"]
-        _r_norm = prior.get("cluster_norm")
-
-        def _assign(batch: pa.Table) -> pa.Table:
-            return assign_part_id_range(batch, _r_cuts, _r_cols, norm=_r_norm)
-
-    else:
-
-        def _assign(batch: pa.Table) -> pa.Table:
-            return assign_part_id(
-                batch, n_parts, conv_col=conv_col, order_col=order_col, salt_rows=salt_rows
-            )
-
-    encoder = EncodePartition(
-        out_dir, codec=codec, sort_key=sort_key, generation=gen,
-        bound_cols=frozenset(prior.get("cluster_by") or ()),
-        bloom_cols=frozenset(prior.get("bloom_cols") or ()),
-        text_bloom_cols=frozenset(prior.get("text_bloom_cols") or ()),
+    inp, assign = _delivery_input(source, out_dir, prior)
+    encoder = _store_encoder(
+        out_dir, prior, codec, _AppendPartition, generation=gen,
+        skip_existing=skip_existing, key=(prior["conv_col"], prior["order_col"]),
     )
-
-    def _encode_group(g: pa.Table) -> pa.Table:
-        if skip_existing and g.num_rows:
-            import pyarrow.compute as pc
-
-            pid = int(g["part_id"][0].as_py())
-            existing = _existing_part_keys(out_dir, pid, conv_col, order_col)
-            if existing is not None:
-                keys = _row_keys(g[conv_col], g[order_col])
-                g = g.filter(pc.invert(pc.is_in(keys, value_set=existing)))
-            if g.num_rows == 0:
-                return _LINEAGE_SCHEMA.empty_table()
-        return encoder(g)
-
-    lineage = (
-        ds.map_batches(_assign, batch_format="pyarrow")
-        .groupby("part_id")
-        .map_groups(_encode_group, batch_format="pyarrow")
-    )
-    ctx = DataContext.get_current()
-    prev_strategy = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    try:
-        taken = lineage.take_all()
-    finally:
-        ctx.shuffle_strategy = prev_strategy
+    executor, rows = inp.exchange(assign, encoder)
     summary = mf.consolidate(out_dir)
-    summary["n_parts"] = n_parts
+    summary["n_parts"] = inp.n_parts
     summary["generation"] = gen
-    summary["rows_appended"] = int(sum(r["rows"] for r in taken))
+    summary["rows_appended"] = int(sum(r["rows"] for r in rows))
+    summary["executor"] = executor
     return summary
 
 
-_UPSERT_SCHEMA = pa.schema(
-    [
-        ("part_id", pa.int32()),
-        ("rows", pa.int64()),
-        ("updated", pa.int64()),
-        ("inserted", pa.int64()),
-        ("folded_gen", pa.int32()),
-    ]
-)
+class _UpsertPartition(EncodePartition):
+    """Reducer of ``upsert_dataset``: merges one partition's delivery rows
+    into the partition by (conv, order) key — a ``_rewrite_partition`` whose
+    edit drops the stored rows the delivery replaces and adds the delivery —
+    and returns the partition's counts."""
+
+    def __init__(self, out_dir: str, *, by_part: dict, key: tuple, **kw):
+        super().__init__(out_dir, **kw)
+        self.by_part, self.key = by_part, key
+
+    def encode_one(self, part_id, table, n_chunks=1, folded=None, combine_s=0.0):
+        conv_col, order_col = self.key
+        keys = _row_keys(table[conv_col], table[order_col]).combine_chunks()
+        n_dup = table.num_rows - pc.count_distinct(keys).as_py()
+        if n_dup:
+            raise ValueError(
+                f"delivery carries {n_dup} duplicate ({conv_col}, {order_col}) "
+                f"key(s) in partition {part_id} — which row wins is ambiguous; "
+                "dedup the delivery first"
+            )
+
+        def merge(stored: "pa.Table | None") -> pa.Table:
+            if stored is None or not stored.num_rows:
+                return table
+            old = _row_keys(stored[conv_col], stored[order_col])
+            kept = stored.filter(pc.invert(pc.is_in(old, value_set=keys)))
+            return pa.concat_tables([kept.select(table.column_names), table])
+
+        before, after, folded_gen = _rewrite_partition(
+            self.out_dir, part_id, self.by_part.get(part_id, []), merge, super().encode_one)
+        updated = before + table.num_rows - after
+        return pa.table({
+            "part_id": pa.array([part_id], type=pa.int32()),
+            "rows": pa.array([after], type=pa.int64()),
+            "updated": pa.array([updated], type=pa.int64()),
+            "inserted": pa.array([table.num_rows - updated], type=pa.int64()),
+            "folded_gen": pa.array([folded_gen], type=pa.int32()),
+        })
 
 
 def upsert_dataset(source, out_dir: str, codec: str | dict = "auto") -> dict:
@@ -1327,11 +1319,12 @@ def upsert_dataset(source, out_dir: str, codec: str | dict = "auto") -> dict:
     ``part_id`` is a pure function of (hash(conv), order-chunk), so a
     delivery row and every stored version of its key land in the same
     partition — one fused rewrite per TOUCHED partition, never a store scan,
-    untouched partitions keep their exact bytes. Each rewrite folds the
-    partition's appended generations into a fresh base container under the
-    same crash-safety contract as ``delete_conversations`` (records dropped
-    → atomic base write with ``folded`` map → generation files removed), so
-    a crashed upsert leaves the store untouched, loudly invalid, or
+    untouched partitions keep their exact bytes. The delivery runs through
+    ``encode_dataset``'s exchange (the summary's ``executor`` names the
+    executor), and each touched partition is rewritten by
+    ``_rewrite_partition``, folding its appended generations into a fresh
+    base container under the same crash-safety contract as the deletes,
+    so a crashed upsert leaves the store untouched, loudly invalid, or
     finished — never silently duplicated.
 
     Key-level replace is the semantics that stays partition-local; replacing
@@ -1344,22 +1337,7 @@ def upsert_dataset(source, out_dir: str, codec: str | dict = "auto") -> dict:
 
     A delivery carrying two rows with the same key is ambiguous (which one
     wins?) and raises rather than picking silently."""
-    import glob as _glob
-
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    from . import manifest as mf
-    from .decode import resolve_container_path
-    from .partition import HASH_VERSION
-
-    prior = mf.load_run_record(out_dir)
-    if prior is None:
-        raise ValueError(f"no run record in {out_dir} — upsert needs an existing store")
-    if prior.get("hash_version") != HASH_VERSION:
-        raise ValueError(
-            f"store {out_dir} was partitioned with hash {prior.get('hash_version')!r}; "
-            f"this build uses {HASH_VERSION!r} — upserting would mispartition rows"
-        )
+    prior = _store_record(out_dir, "upsert")
     if (prior.get("partition_mode") or "hash") == "range":
         raise ValueError(
             "upsert_dataset requires a hash-partitioned store: a range-"
@@ -1367,143 +1345,24 @@ def upsert_dataset(source, out_dir: str, codec: str | dict = "auto") -> dict:
             "an update that changes them strands the old row in another "
             "bucket — use delete_conversations + append_dataset instead"
         )
-    n_parts = int(prior["n_parts"])
-    conv_col, order_col = prior["conv_col"], prior["order_col"]
-    if not order_col:
+    if not prior["order_col"]:
         raise ValueError(
             "upsert_dataset merges by (conv, order) row key; this store has "
             "no order column — use delete_conversations + append_dataset"
         )
-    salt_rows = int(prior.get("salt_rows") or 0)
-    sort_key = tuple(prior.get("sort_key") or (conv_col, order_col))
-    bound_cols = frozenset(prior.get("cluster_by") or ())
-    bloom_cols = frozenset(prior.get("bloom_cols") or ())
-    text_bloom_cols = frozenset(prior.get("text_bloom_cols") or ())
-
-    if isinstance(source, (str, list)):
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        ds = read_parquet_clean(source, override_num_blocks=max(3 * cpus, n_parts))
-    else:
-        ds = source
-    ds = _conform_delivery(ds, out_dir, prior, conv_col, order_col)
-    store_names = list(ds.schema().names)
-
-    def _assign(batch: pa.Table) -> pa.Table:
-        return assign_part_id(
-            batch, n_parts, conv_col=conv_col, order_col=order_col, salt_rows=salt_rows
-        )
-
-    # manifest snapshot broadcast once (metadata-scale), not re-read per group
-    recs = mf.load_records(out_dir)
-    by_part: dict[int, list[dict]] = {}
-    for r in recs:
-        by_part.setdefault(int(r["part_id"]), []).append(r)
-    by_part_ref = ray.put(by_part)
-
-    def _merge_group(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        pin_arrow_threads(1)
-        if not g.num_rows:
-            return _UPSERT_SCHEMA.empty_table()
-        pid = int(g["part_id"][0].as_py())
-        delivery = g.select(store_names)
-        dkeys = _row_keys(delivery[conv_col], delivery[order_col]).combine_chunks()
-        n_dup = delivery.num_rows - pc.count_distinct(dkeys).as_py()
-        if n_dup:
-            raise ValueError(
-                f"delivery carries {n_dup} duplicate ({conv_col}, {order_col}) "
-                f"key(s) in partition {pid} — which row wins is ambiguous; "
-                "dedup the delivery first"
-            )
-        parts = ray.get(by_part_ref)
-        precs = parts.get(pid, [])
-        paths = [resolve_container_path(out_dir, r) for r in precs]
-        leftovers = sorted(
-            set(_glob.glob(os.path.join(out_dir, f"part-{pid:05d}-g*.pcc"))) - set(paths)
-        )
-        if not precs and os.path.exists(os.path.join(out_dir, f"part-{pid:05d}.pcc")):
-            raise ValueError(
-                f"partition {pid} in {out_dir} has a base container but no "
-                "lineage record — run fsck/repair before upserting into it"
-            )
-        base_rec = next((r for r in precs if not int(r.get("generation", 0))), None)
-        existing, folded = _fold_partition(
-            pid, paths, leftovers,
-            (base_rec or {}).get("folded") or {},
-            (base_rec or {}).get("crc32"),
-        )
-        folded_gen = max(
-            [int(r.get("generation", 0)) for r in precs]
-            + [_generation_of(p) for p in leftovers]
-            + [0]
-        )
-        updated = 0
-        if existing is not None and existing.num_rows:
-            keys = _row_keys(existing[conv_col], existing[order_col])
-            before = existing.num_rows
-            existing = existing.filter(pc.invert(pc.is_in(keys, value_set=dkeys)))
-            updated = before - existing.num_rows
-            merged = pa.concat_tables([existing.select(store_names), delivery])
-        else:
-            merged = delivery
-        # crash contract step 2: generation records drop first (readers fail
-        # loudly on the manifest-stray guard until the new base lands)
-        for r in precs:
-            if int(r.get("generation", 0)):
-                try:
-                    os.remove(mf.record_path(out_dir, pid, int(r["generation"])))
-                except OSError:
-                    pass
-        enc = EncodePartition(
-            out_dir, codec=codec, sort_key=sort_key, generation=0,
-            bound_cols=bound_cols, bloom_cols=bloom_cols,
-            text_bloom_cols=text_bloom_cols,
-        )
-        enc.encode_one(pid, merged, folded=folded)
-        base = os.path.join(out_dir, f"part-{pid:05d}.pcc")
-        for p in paths + leftovers:
-            if os.path.abspath(p) != os.path.abspath(base):
-                try:
-                    os.remove(p)
-                except OSError:
-                    pass
-        return pa.table(
-            {
-                "part_id": pa.array([pid], type=pa.int32()),
-                "rows": pa.array([merged.num_rows], type=pa.int64()),
-                "updated": pa.array([updated], type=pa.int64()),
-                "inserted": pa.array([delivery.num_rows - updated], type=pa.int64()),
-                "folded_gen": pa.array([folded_gen], type=pa.int32()),
-            }
-        )
-
-    lineage = (
-        ds.map_batches(_assign, batch_format="pyarrow")
-        .groupby("part_id")
-        .map_groups(_merge_group, batch_format="pyarrow")
+    inp, assign = _delivery_input(source, out_dir, prior)
+    encoder = _store_encoder(
+        out_dir, prior, codec, _UpsertPartition,
+        by_part=_by_part(mf.load_records(out_dir)), key=(prior["conv_col"], prior["order_col"]),
     )
-    ctx = DataContext.get_current()
-    prev_strategy = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    try:
-        taken = lineage.take_all()
-    finally:
-        ctx.shuffle_strategy = prev_strategy
-    # snapshot watermark: same rule as delete — folding generations into
-    # rewritten bases invalidates generation-level snapshots below that point
-    folded_gen = max((int(r["folded_gen"]) for r in taken), default=0)
-    if folded_gen > int(prior.get("snapshot_watermark") or 0):
-        prior["snapshot_watermark"] = folded_gen
-        mf.write_run_record(out_dir, prior)
+    executor, rows = inp.exchange(assign, encoder)
+    _stamp_watermark(out_dir, prior, max((int(r["folded_gen"]) for r in rows), default=0))
     summary = mf.consolidate(out_dir)
-    summary["n_parts"] = n_parts
-    summary["rows_updated"] = int(sum(r["updated"] for r in taken))
-    summary["rows_inserted"] = int(sum(r["inserted"] for r in taken))
-    summary["parts_rewritten"] = len(taken)
+    summary["n_parts"] = inp.n_parts
+    summary["rows_updated"] = int(sum(r["updated"] for r in rows))
+    summary["rows_inserted"] = int(sum(r["inserted"] for r in rows))
+    summary["parts_rewritten"] = len(rows)
+    summary["executor"] = executor
     return summary
 
 
@@ -1513,6 +1372,26 @@ def _generation_of(path: str) -> int:
         return int(os.path.basename(path).rsplit("-g", 1)[1].split(".")[0])
     except (IndexError, ValueError):
         return 0
+
+
+def _by_part(recs: list[dict]) -> dict[int, list[dict]]:
+    """Lineage records grouped by partition."""
+    by_part: dict[int, list[dict]] = {}
+    for r in recs:
+        by_part.setdefault(int(r["part_id"]), []).append(r)
+    return by_part
+
+
+def _stamp_watermark(out_dir: str, prior: dict, folded_gen: int) -> None:
+    """Raise the run record's snapshot watermark to ``folded_gen``: a
+    snapshot at a generation below the highest one folded into a rewritten
+    base would mix rewritten partitions with untouched ones — a state that
+    never existed. Only the touched partitions' generations count, so a
+    rewrite of never-appended partitions keeps old snapshots."""
+    if folded_gen > int(prior.get("snapshot_watermark") or 0):
+        prior["snapshot_watermark"] = folded_gen
+        mf.write_run_record(out_dir, prior)
+
 
 def _fold_partition(
     pid: int,
@@ -1557,30 +1436,19 @@ def _fold_partition(
     return pa.concat_tables(tabs).combine_chunks(), folded
 
 
-def _rewrite_partition(
-    pid: int,
-    container_paths: list[str],
-    leftover_paths: list[str],
-    gen_record_files: list[str],
-    prior_folded: dict,
-    base_crc: int | None,
-    out_dir: str,
-    conv_col: str,
-    sort_key: Sequence[str],
-    codec: str | dict,
-    victims: list,
-    bound_cols: "frozenset[str]" = frozenset(),
-    bloom_cols: "frozenset[str]" = frozenset(),
-    text_bloom_cols: "frozenset[str]" = frozenset(),
-    where_dnf=None,
-) -> tuple[int, int]:
-    """Rewrite ONE partition without the victim conversations (delete worker)
-    — or, with ``where_dnf``, without the rows MATCHING that predicate
-    (``delete_rows``: the retention path).
+def _rewrite_partition(out_dir: str, pid: int, recs: list[dict], edit, write) -> tuple[int, int, int]:
+    """Rewrite ONE partition in place as a fresh base container holding
+    ``edit(rows)`` — the rewrite behind ``upsert_dataset`` (merge a
+    delivery), ``delete_conversations`` (drop the victims) and
+    ``delete_rows`` (drop the predicate's matches). ``recs`` are the
+    partition's lineage records; ``edit`` gets the partition's rows (None
+    when it has no container) and ``write(pid, table, folded=...)`` encodes
+    and records the base. Returns ``(rows before the edit, rows after,
+    highest generation folded)``.
 
     Inputs are the partition's RECORDED containers (base + appended
-    generations) plus any record-less generation files (``leftover_paths``) a
-    previously crashed delete left behind. Step order is the crash-safety
+    generations) plus any record-less generation files (leftovers) a
+    previously crashed rewrite left behind. Step order is the crash-safety
     contract:
 
       1. decode everything. A leftover file is included only if the base
@@ -1600,48 +1468,91 @@ def _rewrite_partition(
 
     A crash at any point leaves the store either untouched, loudly invalid
     (stray-container guard), or finished — never silently duplicated or
-    silently missing rows; re-running any delete on the partition repairs the
-    middle states.
+    silently missing rows; re-running any rewrite of the partition repairs
+    the middle states. A partition with no records but a base container is
+    refused: the crash split step 3 (the rename landed, the record write did
+    not) and the ``folded`` map that tells merged rows from unmerged ones is
+    gone. With no base container (a generation-only partition) nothing can
+    have folded a leftover, so every leftover row is kept.
     """
-    import pyarrow.compute as pc
+    import glob
 
-    t, folded = _fold_partition(pid, container_paths, leftover_paths, prior_folded, base_crc)
-    if t is None:  # unreachable from delete: probes only select partitions with containers
-        return 0, 0
-    before = t.num_rows
-    if where_dnf is not None:
-        # predicate delete (retention): drop rows MATCHING the DNF; SQL
-        # semantics — a null comparison never matches, so null rows stay,
-        # exactly like DELETE ... WHERE in the oracle
-        from .zonemap import dnf_mask
+    from .decode import resolve_container_path
 
-        m = dnf_mask(t, where_dnf)
-        if m is not None:
-            t = t.filter(pc.invert(pc.fill_null(m, False)))
-    else:
-        vict = pa.array(victims).cast(t[conv_col].type)
-        t = t.filter(pc.invert(pc.is_in(t[conv_col], value_set=vict)))
-    deleted = before - t.num_rows
-
-    for rf in gen_record_files:
-        try:
-            os.remove(rf)
-        except OSError:
-            pass
-    enc = EncodePartition(
-        out_dir, codec=codec, sort_key=sort_key, generation=0,
-        bound_cols=bound_cols, bloom_cols=bloom_cols,
-        text_bloom_cols=text_bloom_cols,
-    )
-    enc.encode_one(pid, t, folded=folded)
+    paths = [resolve_container_path(out_dir, r) for r in recs]
     base = os.path.join(out_dir, f"part-{pid:05d}.pcc")
-    for p in container_paths + leftover_paths:
+    if not recs and os.path.exists(base):
+        raise ValueError(
+            f"partition {pid} in {out_dir} has a base container but no lineage "
+            "record — the folded map needed to separate already-merged rows "
+            "from unmerged ones is gone; refusing to guess"
+        )
+    leftovers = sorted(set(glob.glob(os.path.join(out_dir, f"part-{pid:05d}-g*.pcc"))) - set(paths))
+    base_rec = next((r for r in recs if not int(r.get("generation", 0))), {})
+    t, folded = _fold_partition(pid, paths, leftovers, base_rec.get("folded") or {},
+                                base_rec.get("crc32"))
+    before = t.num_rows if t is not None else 0
+    t = edit(t)
+    gens = [int(r.get("generation", 0)) for r in recs]
+    for g in gens:
+        if g:
+            try:
+                os.remove(mf.record_path(out_dir, pid, g))
+            except OSError:
+                pass
+    write(pid, t, folded=folded)
+    for p in paths + leftovers:
         if os.path.abspath(p) != os.path.abspath(base):
             try:
                 os.remove(p)
             except OSError:
                 pass
-    return deleted, t.num_rows
+    return before, t.num_rows, max(gens + [_generation_of(p) for p in leftovers] + [0])
+
+
+def _rewrite_touched(out_dir: str, prior: dict, by_part: dict, touched: set, edit,
+                     codec) -> list[tuple[int, int, int]]:
+    """The deletes' write side: rewrite every touched partition with
+    ``edit`` (``_rewrite_partition``), one Ray task each, and stamp the
+    snapshot watermark; returns each rewrite's result.
+
+    Crash leftovers are swept in first: a rewrite that died between writing
+    the new base and removing a generation file leaves a record-less
+    part-NNNNN-gNNNN.pcc that keeps the store loudly invalid (stray guard)
+    — and its partition may no longer hold any row the edit removes, so the
+    touched set alone would never revisit it. When a rewrite fails, every
+    other one finishes before the error re-raises."""
+    import glob
+
+    recorded = {os.path.basename(r["path"]) for rs in by_part.values() for r in rs}
+    for f in glob.glob(os.path.join(out_dir, "part-*-g*.pcc")):
+        if os.path.basename(f) not in recorded:
+            try:
+                touched.add(int(os.path.basename(f)[5:10]))
+            except ValueError:
+                pass
+    write = _store_encoder(out_dir, prior, codec).encode_one
+    rewrite = _remote(_rewrite_partition)
+    results = _get_drained([rewrite.remote(out_dir, pid, by_part.get(pid, []), edit, write)
+                            for pid in sorted(touched)])
+    _stamp_watermark(out_dir, prior, max((g for _, _, g in results), default=0))
+    return results
+
+
+def _drop_convs(conv_col: str, victims: list, t: pa.Table) -> pa.Table:
+    """Delete edit: ``t`` without the victim conversations' rows."""
+    vict = pa.array(victims).cast(t[conv_col].type)
+    return t.filter(pc.invert(pc.is_in(t[conv_col], value_set=vict)))
+
+
+def _drop_matches(dnf, t: pa.Table) -> pa.Table:
+    """Retention edit: ``t`` without the rows MATCHING the DNF. SQL
+    semantics — a null comparison never matches, so null rows stay, exactly
+    like DELETE ... WHERE in the oracle."""
+    from .zonemap import dnf_mask
+
+    m = dnf_mask(t, dnf)
+    return t if m is None else t.filter(pc.invert(pc.fill_null(m, False)))
 
 
 def _probe_partition_victims(paths: list[str], conv_col: str, victims: list) -> list:
@@ -1649,8 +1560,6 @@ def _probe_partition_victims(paths: list[str], conv_col: str, victims: list) -> 
     decode over the partition's containers (delete probe worker — runs as a
     Ray task so a long delete list probes its candidate partitions in
     parallel, never driver-serially)."""
-    import pyarrow.compute as pc
-
     from .container import decode_table
 
     tabs = []
@@ -1682,10 +1591,6 @@ def delete_conversations(out_dir: str, conv_values: list, codec: str | dict = "a
     for the crash-safety contract). Untouched partitions keep their exact
     bytes, so resume/fsck/zonemap state stays valid everywhere else.
     """
-    import glob as _glob
-
-    import numpy as np
-
     from .decode import _part_for, resolve_container_path
     from .partition import HASH_VERSION, hash_conv_values
 
@@ -1700,7 +1605,6 @@ def delete_conversations(out_dir: str, conv_values: list, codec: str | dict = "a
     n_parts = int(prior["n_parts"])
     conv_col, order_col = prior["conv_col"], prior.get("order_col")
     salt_rows = int(prior.get("salt_rows") or 0)
-    sort_key = tuple(prior.get("sort_key") or ([conv_col] + ([order_col] if order_col else [])))
     salted = bool(salt_rows) and order_col is not None
 
     conv_values = list(dict.fromkeys(conv_values))
@@ -1717,9 +1621,7 @@ def delete_conversations(out_dir: str, conv_values: list, codec: str | dict = "a
             )
 
     recs = mf.load_records(out_dir)
-    by_part: dict[int, list[dict]] = {}
-    for r in recs:
-        by_part.setdefault(int(r["part_id"]), []).append(r)
+    by_part = _by_part(recs)
 
     touched: set[int] = set()
     found_vals: set = set()
@@ -1751,7 +1653,7 @@ def delete_conversations(out_dir: str, conv_values: list, codec: str | dict = "a
         # One pruned key-column decode per candidate partition, fanned out as
         # Ray tasks (a 1000-conversation delete list must not probe
         # driver-serially).
-        probe = ray.remote(num_cpus=1)(_probe_partition_victims)
+        probe = _remote(_probe_partition_victims)
         vict_ref = ray.put(conv_values)
         pids = sorted(cand)
         present = ray.get(
@@ -1769,106 +1671,17 @@ def delete_conversations(out_dir: str, conv_values: list, codec: str | dict = "a
                 touched.add(pid)
                 found_vals.update(hit)
 
-    # sweep crash leftovers: a previous delete that died between writing the
-    # new base and removing a generation file leaves a record-less
-    # part-NNNNN-gNNNN.pcc that keeps the store loudly invalid (stray guard)
-    # — and its partition may no longer contain any victim row, so the
-    # escalation alone would never revisit it. Force those partitions into
-    # the rewrite set; the leftover fold in _rewrite_partition finishes the
-    # interrupted delete.
-    recorded_names = {os.path.basename(r["path"]) for r in recs}
-    for f in _glob.glob(os.path.join(out_dir, "part-*-g*.pcc")):
-        if os.path.basename(f) not in recorded_names:
-            try:
-                touched.add(int(os.path.basename(f)[5:10]))
-            except ValueError:
-                pass
-
-    if not touched:
+    results = _rewrite_touched(out_dir, prior, by_part, touched,
+                               functools.partial(_drop_convs, conv_col, conv_values), codec)
+    if not results:
         return {**summary_base, "convs_found": 0, "rows_deleted": 0, "parts_rewritten": 0}
-
-    victims = conv_values
-    rewrite = ray.remote(num_cpus=1)(_rewrite_partition)
-    def _gen_of(path: str) -> int:
-        # part-NNNNN-gKKKK.pcc -> KKKK (0 on anything unexpected)
-        try:
-            return int(os.path.basename(path).rsplit("-g", 1)[1].split(".")[0])
-        except (IndexError, ValueError):
-            return 0
-
-    folded_gen = 0
-    futures = []
-    for pid in sorted(touched):
-        if pid not in by_part:
-            # A generation-ONLY partition (base encode emitted no rows for
-            # this pid, an append did) whose sole gen record a crashed rewrite
-            # removed in step 2 before the new base landed: no base container
-            # means nothing could have folded the leftover rows — keep all.
-            # If a BASE container exists without any record, the crash split
-            # step 3 (container rename landed, record write didn't) AND the
-            # folded map that disambiguates it is gone — genuinely ambiguous.
-            if os.path.exists(os.path.join(out_dir, f"part-{pid:05d}.pcc")):
-                raise ValueError(
-                    f"partition {pid} in {out_dir} has a base container and "
-                    "generation file(s) but no lineage records at all — the "
-                    "folded map needed to separate already-merged rows from "
-                    "unmerged ones is gone; refusing to guess"
-                )
-            leftovers = sorted(_glob.glob(os.path.join(out_dir, f"part-{pid:05d}-g*.pcc")))
-            folded_gen = max([folded_gen] + [_gen_of(p) for p in leftovers])
-            futures.append(
-                rewrite.remote(
-                    pid, [], leftovers, [], {}, None,
-                    out_dir, conv_col, sort_key, codec, victims,
-                    frozenset(prior.get("cluster_by") or ()),
-                    frozenset(prior.get("bloom_cols") or ()),
-                    frozenset(prior.get("text_bloom_cols") or ()),
-                )
-            )
-            continue
-        paths = [resolve_container_path(out_dir, r) for r in by_part[pid]]
-        # crash leftovers: generation containers whose record is already gone
-        leftovers = sorted(
-            set(_glob.glob(os.path.join(out_dir, f"part-{pid:05d}-g*.pcc"))) - set(paths)
-        )
-        folded_gen = max(
-            [folded_gen]
-            + [int(r.get("generation", 0)) for r in by_part[pid]]
-            + [_gen_of(p) for p in leftovers]
-        )
-        gen_recs = [
-            mf.record_path(out_dir, pid, int(r.get("generation", 0)))
-            for r in by_part[pid]
-            if int(r.get("generation", 0))
-        ]
-        base_rec = next(
-            (r for r in by_part[pid] if not int(r.get("generation", 0))), None
-        )
-        futures.append(
-            rewrite.remote(
-                pid, paths, leftovers, gen_recs,
-                (base_rec or {}).get("folded") or {},
-                (base_rec or {}).get("crc32"),
-                out_dir, conv_col, sort_key, codec, victims,
-                frozenset(prior.get("cluster_by") or ()),
-                frozenset(prior.get("bloom_cols") or ()),
-                frozenset(prior.get("text_bloom_cols") or ()),
-            )
-        )
-    results = ray.get(futures)
-    # Stamp the snapshot watermark: snapshots at max_generation < the highest
-    # generation folded here would mix rewritten (folded-at-g=0) partitions
-    # with untouched ones — a state that never existed. Touched-partition max
-    # only, so deleting from never-appended partitions keeps old snapshots.
-    if folded_gen > int(prior.get("snapshot_watermark") or 0):
-        prior["snapshot_watermark"] = folded_gen
-        mf.write_run_record(out_dir, prior)
     summary = mf.consolidate(out_dir)
     summary.update(summary_base)
     summary["convs_found"] = len(found_vals)
-    summary["rows_deleted"] = int(sum(d for d, _ in results))
+    summary["rows_deleted"] = int(sum(b - a for b, a, _ in results))
     summary["parts_rewritten"] = len(results)
     return summary
+
 
 def delete_rows(out_dir: str, predicate, codec: str | dict = "auto") -> dict:
     """Delete the ROWS matching a predicate from an encoded store IN PLACE —
@@ -1885,12 +1698,10 @@ def delete_rows(out_dir: str, predicate, codec: str | dict = "auto") -> dict:
     of the store keeps its exact bytes (resume/fsck/zonemap state stays
     valid). Each touched partition folds base + generations + crash
     leftovers and rewrites atomically under the same crash contract as
-    ``delete_conversations`` (shared ``_rewrite_partition`` worker; SQL null
+    ``delete_conversations`` (shared ``_rewrite_partition``; SQL null
     semantics — null comparisons never match, so null rows survive, same as
     the oracle's DELETE). Works on hash-routed, salted, and range-clustered
     layouts alike: candidates come from statistics, not key routing."""
-    import glob as _glob
-
     from .decode import resolve_container_path
     from .zonemap import (
         _normalize_dnf,
@@ -1902,18 +1713,12 @@ def delete_rows(out_dir: str, predicate, codec: str | dict = "auto") -> dict:
     prior = mf.load_run_record(out_dir)
     if prior is None:
         raise ValueError(f"no run record in {out_dir} — delete needs an encoded store")
-    conv_col, order_col = prior["conv_col"], prior.get("order_col")
-    sort_key = tuple(prior.get("sort_key") or ([conv_col] + ([order_col] if order_col else [])))
     dnf = _normalize_dnf(predicate)
     if not any(br for br in dnf):
         raise ValueError("delete_rows needs a non-empty predicate — an empty "
                          "one would delete the whole store; use a fresh encode instead")
 
-    recs = mf.load_records(out_dir)
-    by_part: dict[int, list[dict]] = {}
-    for r in recs:
-        by_part.setdefault(int(r["part_id"]), []).append(r)
-
+    by_part = _by_part(mf.load_records(out_dir))
     # pruning stack, inverted into a write plan: container may hold a match
     # if ANY DNF branch may match its zone maps
     may: dict[int, list[dict]] = {}
@@ -1938,89 +1743,18 @@ def delete_rows(out_dir: str, predicate, codec: str | dict = "auto") -> dict:
                 refined[pid] = keep
         plan["pruned_probe"] = len(may) - len(refined)
         may = refined
-    touched = set(may)
 
-    # sweep crash leftovers exactly like delete_conversations: record-less
-    # generation files force their partitions into the rewrite set
-    recorded_names = {os.path.basename(r["path"]) for r in recs}
-    for f in _glob.glob(os.path.join(out_dir, "part-*-g*.pcc")):
-        if os.path.basename(f) not in recorded_names:
-            try:
-                touched.add(int(os.path.basename(f)[5:10]))
-            except ValueError:
-                pass
-
-    if not touched:
-        return {"rows_deleted": 0, "parts_rewritten": 0, "plan": plan,
-                **{k: v for k, v in mf.consolidate(out_dir).items()}}
-
-    rewrite = ray.remote(num_cpus=1)(_rewrite_partition)
-
-    def _gen_of(path: str) -> int:
-        try:
-            return int(os.path.basename(path).rsplit("-g", 1)[1].split(".")[0])
-        except (IndexError, ValueError):
-            return 0
-
-    folded_gen = 0
-    futures = []
-    for pid in sorted(touched):
-        if pid not in by_part:
-            if os.path.exists(os.path.join(out_dir, f"part-{pid:05d}.pcc")):
-                raise ValueError(
-                    f"partition {pid} in {out_dir} has a base container and "
-                    "generation file(s) but no lineage records at all — "
-                    "refusing to guess; run fsck --repair"
-                )
-            leftovers = sorted(_glob.glob(os.path.join(out_dir, f"part-{pid:05d}-g*.pcc")))
-            folded_gen = max([folded_gen] + [_gen_of(p) for p in leftovers])
-            futures.append(rewrite.remote(
-                pid, [], leftovers, [], {}, None,
-                out_dir, conv_col, sort_key, codec, [],
-                frozenset(prior.get("cluster_by") or ()),
-                frozenset(prior.get("bloom_cols") or ()),
-                frozenset(prior.get("text_bloom_cols") or ()),
-                where_dnf=dnf,
-            ))
-            continue
-        paths = [resolve_container_path(out_dir, r) for r in by_part[pid]]
-        leftovers = sorted(
-            set(_glob.glob(os.path.join(out_dir, f"part-{pid:05d}-g*.pcc"))) - set(paths)
-        )
-        folded_gen = max(
-            [folded_gen]
-            + [int(r.get("generation", 0)) for r in by_part[pid]]
-            + [_gen_of(p) for p in leftovers]
-        )
-        gen_recs = [
-            mf.record_path(out_dir, pid, int(r.get("generation", 0)))
-            for r in by_part[pid]
-            if int(r.get("generation", 0))
-        ]
-        base_rec = next((r for r in by_part[pid] if not int(r.get("generation", 0))), None)
-        futures.append(rewrite.remote(
-            pid, paths, leftovers, gen_recs,
-            (base_rec or {}).get("folded") or {},
-            (base_rec or {}).get("crc32"),
-            out_dir, conv_col, sort_key, codec, [],
-            frozenset(prior.get("cluster_by") or ()),
-            frozenset(prior.get("bloom_cols") or ()),
-            frozenset(prior.get("text_bloom_cols") or ()),
-            where_dnf=dnf,
-        ))
-    results = ray.get(futures)
-    if folded_gen > int(prior.get("snapshot_watermark") or 0):
-        prior["snapshot_watermark"] = folded_gen
-        mf.write_run_record(out_dir, prior)
+    results = _rewrite_touched(out_dir, prior, by_part, set(may),
+                               functools.partial(_drop_matches, dnf), codec)
     summary = mf.consolidate(out_dir)
-    summary["rows_deleted"] = int(sum(d for d, _ in results))
+    summary["rows_deleted"] = int(sum(b - a for b, a, _ in results))
     summary["parts_rewritten"] = len(results)
     summary["plan"] = plan
     return summary
 
 
 def repair_store(out_dir: str) -> dict:
-    """Finish any interrupted ``delete_conversations``: sweep record-less
+    """Finish any interrupted in-place rewrite: sweep record-less
     generation containers into their partitions' rewrite (the step-1 fold
     decides keep-vs-drop exactly via the base record's content-addressed
     ``folded`` map) and restore manifest/container consistency. A no-op on a

@@ -2,8 +2,9 @@
 
 Covers the happy path (base + appended generations, salted multi-chunk
 conversations), idempotence, and both crash windows of the rewrite contract
-(_rewrite_partition docstring): gen records gone / base not yet rewritten,
-and base rewritten / gen file not yet removed.
+(_rewrite_partition docstring) for each of its three callers
+(delete_conversations, delete_rows, upsert_dataset): gen records gone / base
+not yet rewritten, and base rewritten / gen file not yet removed.
 """
 
 import os
@@ -23,7 +24,9 @@ from parquet_converter_ray.decode import (
 from parquet_converter_ray.encode import (
     append_dataset,
     delete_conversations,
+    delete_rows,
     encode_dataset,
+    upsert_dataset,
 )
 from parquet_converter_ray.fsck import fsck_store
 from parquet_converter_ray.synth import make_transcripts
@@ -86,20 +89,61 @@ def test_delete_conversations(ray_session, tmp_path):
     assert _eq(_decode_all(enc), _minus(expect_all, victims))
 
 
-def test_delete_recovers_crash_before_base_rewrite(ray_session, tmp_path):
+def _victim_pid(enc: str, victim: str) -> int:
+    """The partition of ``victim``'s salt chunk 0 (its first turns)."""
+    import numpy as np
+
+    from parquet_converter_ray.decode import _part_for
+    from parquet_converter_ray.partition import stable_hash_strings
+
+    h = stable_hash_strings(pa.array([victim]))[0]
+    return _part_for(np.uint64(h), 0, int(mf.load_run_record(enc)["n_parts"]))
+
+
+def _rewrite(op: str, enc: str, victim: str, expect_all: pa.Table):
+    """Run one of the three in-place rewrites on ``victim``'s partition:
+    delete the victim conversation (by key or by predicate), or upsert new
+    text into the victim's first turn. Returns the summary and the table
+    the store must then hold."""
+    if op == "delete_conversations":
+        return delete_conversations(enc, [victim]), _minus(expect_all, [victim])
+    if op == "delete_rows":
+        return delete_rows(enc, [("conv_id", "==", victim)]), _minus(expect_all, [victim])
+    rows = expect_all.filter(pc.equal(expect_all["conv_id"], victim)).sort_by("turn_idx")
+    row = rows.slice(0, 1)
+    row = row.set_column(row.schema.get_field_index("text"), "text",
+                         pa.array(["rewritten"], row.schema.field("text").type))
+    same = pc.and_(pc.equal(expect_all["conv_id"], victim),
+                   pc.equal(expect_all["turn_idx"], row["turn_idx"][0]))
+    want = pa.concat_tables([expect_all.filter(pc.invert(same)), row])
+    return upsert_dataset(ray.data.from_arrow(row), enc), want
+
+
+REWRITES = ["delete_conversations", "delete_rows", "upsert_dataset"]
+
+
+@pytest.mark.parametrize("op", REWRITES)
+def test_delete_recovers_crash_before_base_rewrite(ray_session, tmp_path, op):
     """Post-step-2 state: generation record removed, base NOT yet rewritten,
     generation container still on disk. The store is loudly invalid; a re-run
-    must keep the generation's rows and finish the delete."""
+    must keep the generation's rows and finish the rewrite. The deletes
+    sweep the orphan wherever it is; an upsert rewrites only the partition
+    its row lands in, so there the orphan is in the victim's partition."""
     enc, expect_all = _mk_store(tmp_path)
-    victims = [sorted(set(expect_all["conv_id"].to_pylist()))[0]]
+    victim = sorted(set(expect_all["conv_id"].to_pylist()))[0]
 
     gen_recs = [r for r in mf.load_records(enc) if r.get("generation", 0)]
+    if op == "upsert_dataset":
+        pid = _victim_pid(enc, victim)
+        gen_recs = [r for r in gen_recs if int(r["part_id"]) == pid]
+        if not gen_recs:
+            pytest.skip("victim partition has no appended generation")
     os.remove(mf.record_path(enc, int(gen_recs[0]["part_id"]), int(gen_recs[0]["generation"])))
     with pytest.raises(ValueError, match="not in the manifest"):
         container_files(enc)
 
-    s = delete_conversations(enc, victims)
-    assert _eq(_decode_all(enc), _minus(expect_all, victims))
+    s, want = _rewrite(op, enc, victim, expect_all)
+    assert _eq(_decode_all(enc), want)
     assert fsck_store(enc)["ok"]
     # the orphaned partition was swept into the rewrite even when no victim
     # row lives there
@@ -107,22 +151,16 @@ def test_delete_recovers_crash_before_base_rewrite(ray_session, tmp_path):
     assert s["parts_rewritten"] >= 1
 
 
-def test_delete_recovers_crash_after_base_rewrite(ray_session, tmp_path):
+@pytest.mark.parametrize("op", REWRITES)
+def test_delete_recovers_crash_after_base_rewrite(ray_session, tmp_path, op):
     """Post-step-3 state: new base written (victims gone, generation folded
     in), generation container file left behind with no record. A re-run must
     fold the duplicate rows instead of resurrecting them."""
     enc, expect_all = _mk_store(tmp_path)
-    victims = [sorted(set(expect_all["conv_id"].to_pylist()))[0]]
+    victim = sorted(set(expect_all["conv_id"].to_pylist()))[0]
 
-    # snapshot a generation container of a partition the delete WILL touch
-    import numpy as np
-
-    from parquet_converter_ray.decode import _part_for
-    from parquet_converter_ray.partition import stable_hash_strings
-
-    params = mf.load_run_record(enc)
-    h = stable_hash_strings(pa.array(victims))[0]
-    pid = _part_for(np.uint64(h), 0, int(params["n_parts"]))
+    # snapshot a generation container of a partition the rewrite WILL touch
+    pid = _victim_pid(enc, victim)
     gen_paths = [
         r["path"] for r in mf.load_records(enc)
         if int(r["part_id"]) == pid and r.get("generation", 0)
@@ -132,8 +170,7 @@ def test_delete_recovers_crash_after_base_rewrite(ray_session, tmp_path):
     backup = str(tmp_path / os.path.basename(gen_paths[0]))
     shutil.copy(gen_paths[0], backup)
 
-    delete_conversations(enc, victims)
-    want = _minus(expect_all, victims)
+    _, want = _rewrite(op, enc, victim, expect_all)
     assert _eq(_decode_all(enc), want)
 
     # resurrect the generation file record-less (= crash between steps 3 and 4)
@@ -141,11 +178,37 @@ def test_delete_recovers_crash_after_base_rewrite(ray_session, tmp_path):
     with pytest.raises(ValueError, match="not in the manifest"):
         container_files(enc)
 
-    s = delete_conversations(enc, victims)  # victims already gone: orphan sweep only
-    assert s["convs_found"] == 0
+    # victims already gone (or the row already upserted): the re-run only
+    # folds the orphan
+    s, _ = _rewrite(op, enc, victim, want)
+    assert s.get("convs_found", 0) == 0 and s.get("rows_deleted", 0) == 0
     assert s["parts_rewritten"] >= 1
     assert _eq(_decode_all(enc), want)
     assert fsck_store(enc)["ok"]
+
+
+def test_failed_delete_drains_before_raising(ray_session, tmp_path):
+    """One touched partition's generation container is truncated: the
+    delete raises, and only after every other partition's rewrite has
+    finished — nothing in the store changes after the raise."""
+    import time
+    import zlib
+
+    enc, _ = _mk_store(tmp_path)
+    gen = next(r for r in mf.load_records(enc) if r.get("generation", 0))
+    with open(gen["path"], "r+b") as f:
+        f.truncate(os.path.getsize(gen["path"]) // 2)
+
+    def state() -> set:
+        return {(p, zlib.crc32(open(p, "rb").read()))
+                for p in sorted(os.path.join(enc, n) for n in os.listdir(enc))
+                if p.endswith(".pcc")}
+
+    with pytest.raises(ValueError, match="bad container magic"):
+        delete_rows(enc, [("turn_idx", ">=", 1)])
+    after = state()
+    time.sleep(3)
+    assert state() == after
 
 
 def test_delete_unsalted_int_keys(ray_session, tmp_path):

@@ -1,8 +1,9 @@
 """Small encodes and decodes as plain Ray tasks.
 
-``encode_dataset`` exchanges a small input (local Parquet files or a
-materialized Dataset under the crossover ``zonemap.fits_tasks``) in map and
-reduce tasks, and ``decode_dataset`` decodes a small store in slice tasks
+``encode_dataset``, ``append_dataset`` and ``upsert_dataset`` exchange a
+small input (local Parquet files or a materialized Dataset under the
+crossover ``zonemap.fits_tasks``) in map and reduce tasks, and
+``decode_dataset`` decodes a small store in slice tasks
 (``zonemap.map_slices``); past the crossover each streams as one Ray Data
 job. Forcing the streaming side with ``_TASKS_MAX_STORE_SHARE = 0``, these
 tests pin that both write crc-identical containers and read equal tables,
@@ -19,6 +20,7 @@ import sys
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -27,7 +29,7 @@ import ray
 from parquet_converter_ray import manifest as mf
 from parquet_converter_ray import zonemap
 from parquet_converter_ray.decode import container_files, decode_dataset
-from parquet_converter_ray.encode import append_dataset, encode_dataset
+from parquet_converter_ray.encode import append_dataset, encode_dataset, upsert_dataset
 from parquet_converter_ray.synth import make_transcripts
 from test_footer_tasks import _collect, _count_jobs
 from test_task_executor import _logical_ops
@@ -54,7 +56,7 @@ def data(ray_session, tmp_path_factory):
 
 
 def _crcs(out: str) -> dict:
-    return {r["part_id"]: r["crc32"] for r in mf.load_records(out)}
+    return {os.path.basename(r["path"]): r["crc32"] for r in mf.load_records(out)}
 
 
 def _encode(source, out, monkeypatch, executor, **kw) -> dict:
@@ -65,22 +67,55 @@ def _encode(source, out, monkeypatch, executor, **kw) -> dict:
     return summary
 
 
-@pytest.mark.parametrize("layout", list(LAYOUTS))
+def _delivery(op: str, t: pa.Table) -> "tuple[pa.Table, pa.Table]":
+    """A base table and a delivery into it: for an append the rows the base
+    lacks, for an upsert also every third base row with new text."""
+    base, new = t.slice(0, 4_000), t.slice(4_000)
+    if op == "append":
+        return base, new
+    old = base.take(pa.array(range(0, 4_000, 3)))
+    text = pc.binary_join_element_wise("rev", pc.fill_null(old["text"], ""), " ")
+    old = old.set_column(old.schema.get_field_index("text"), "text", text)
+    return base, pa.concat_tables([old, new])
+
+
+@pytest.mark.parametrize("layout", [*LAYOUTS, "append", "upsert"])
 @pytest.mark.parametrize("src", ["path", "from_arrow"])
 def test_tasks_match_streaming(data, tmp_path, monkeypatch, layout, src):
-    """Both executors write the same containers for each layout and source."""
+    """Both executors write the same containers and report the same summary
+    for each layout and source, and for an append or an upsert delivered
+    from that source into a hash store."""
     t = data["table"]
-    source = (data["dir"] if src == "path"
-              else lambda: ray.data.from_arrow([t.slice(0, 2_500), t.slice(2_500)]))
-    got = {}
+    if layout in LAYOUTS:
+        source = (data["dir"] if src == "path"
+                  else lambda: ray.data.from_arrow([t.slice(0, 2_500), t.slice(2_500)]))
+    else:
+        base, t = _delivery(layout, t)
+        source = lambda: ray.data.from_arrow(t)  # noqa: E731
+        if src == "path":
+            os.makedirs(tmp_path / "d")
+            pq.write_table(t, str(tmp_path / "d" / "d.parquet"), row_group_size=700)
+            source = str(tmp_path / "d")
+    got, summaries = {}, {}
     for ex in ("tasks", "ray_data"):
         out = str(tmp_path / ex)
-        s = _encode(source() if callable(source) else source, out, monkeypatch, ex,
-                    **LAYOUTS[layout])
-        assert s["rows"] == N
+        inp = source() if callable(source) else source
+        if layout in LAYOUTS:
+            s = _encode(inp, out, monkeypatch, ex, **LAYOUTS[layout])
+            assert s["rows"] == N
+        else:
+            encode_dataset(ray.data.from_arrow(base), out, n_parts=4, salt_rows=500)
+            monkeypatch.setattr(zonemap, "_TASKS_MAX_STORE_SHARE",
+                                1 / 6 if ex == "tasks" else 0)
+            s = (append_dataset if layout == "append" else upsert_dataset)(inp, out)
+            assert s["executor"] == ex
         got[ex] = _crcs(out)
-    assert len(got["tasks"]) == 4
+        summaries[ex] = {k: v for k, v in s.items() if k != "executor"}
+    assert len(got["tasks"]) == (8 if layout == "append" else 4)
     assert got["tasks"] == got["ray_data"]
+    assert summaries["tasks"] == summaries["ray_data"]
+    if layout == "upsert":
+        assert summaries["tasks"]["rows_updated"] == len(range(0, 4_000, 3))
 
 
 def test_failed_encode_drains_then_resumes(data, tmp_path, monkeypatch):
@@ -137,14 +172,20 @@ def test_small_encode_and_decode_start_no_ray_data_job(data, tmp_path, monkeypat
     assert s["executor"] == "tasks" and not jobs
     s = encode_dataset(ray.data.from_arrow(data["table"]), str(tmp_path / "a"), n_parts=4)
     assert s["executor"] == "tasks" and not jobs
+    # an empty materialized Dataset is sized as it is: nothing to write
+    s = encode_dataset(ray.data.from_arrow(data["table"].slice(0, 0)), str(tmp_path / "e"),
+                       n_parts=4)
+    assert s["executor"] == "tasks" and s["rows"] == 0 and not jobs
     ds = decode_dataset(out)
     assert ds.count() == N and not jobs
     assert _logical_ops(ds) == ["FromArrow"]
-
-
-def test_page_shuffle_keeps_ray_data(data, tmp_path):
-    s = encode_dataset(data["dir"], str(tmp_path / "p"), n_parts=2, page_shuffle=True)
-    assert s["executor"] == "ray_data"
+    new = make_transcripts(300, seed=18, conv_offset=1_000_000)
+    pq.write_table(new, str(tmp_path / "new.parquet"))
+    s = append_dataset(str(tmp_path / "new.parquet"), out)
+    assert s["executor"] == "tasks" and s["rows_appended"] == 300 and not jobs
+    s = upsert_dataset(ray.data.from_arrow(new.slice(0, 50)), out)
+    assert s["executor"] == "tasks" and s["rows_updated"] == 50 and not jobs
+    assert s["rows"] == N + 300
 
 
 @pytest.fixture(scope="module")

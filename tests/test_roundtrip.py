@@ -157,21 +157,6 @@ def test_distributed_fingerprint_verify(ray_session, transcripts, tmp_path):
     assert fp_bad != fp_good
 
 
-def test_row_shuffle_path_equivalent(ray_session, transcripts, tmp_path):
-    """page_shuffle=True (compressed exchange) produces byte-identical containers."""
-    import ray.data
-
-    a, b = str(tmp_path / "pages"), str(tmp_path / "rows")
-    encode_dataset(
-        ray.data.from_arrow(transcripts), a, n_parts=4, salt_rows=2000, page_shuffle=True
-    )
-    encode_dataset(ray.data.from_arrow(transcripts), b, n_parts=4, salt_rows=2000)
-    fa, fb = container_files(a), container_files(b)
-    assert [os.path.basename(p) for p in fa] == [os.path.basename(p) for p in fb]
-    for pa_, pb_ in zip(fa, fb):
-        assert open(pa_, "rb").read() == open(pb_, "rb").read()
-
-
 def test_partition_assignment_cross_process_stable(transcripts):
     """Resume depends on part_id being a pure, process-stable function of row
     content — verify in a fresh interpreter."""
