@@ -57,10 +57,13 @@ def run_kernels() -> dict:
     Arrow bytes (every rep is kept); the encode includes the codec choice,
     the decode the transport unwrap, as in a container read. ``auto_ms``
     (that encode, codec choice included) beside ``forced_ms`` (the chosen
-    codec forced, no choice) is what the choice costs, in min-of-N ms."""
+    codec forced, no choice) is what the choice costs, in min-of-N ms.
+    ``trials`` splits the choice per candidate: the trial's min-of-N ms and
+    its wrapped sample bytes; a string column also reports ``fsst_trial``
+    ("run" or "skipped") and, when run, ``fsst_train_ms``."""
     import pyarrow as pa
 
-    from parquet_converter_ray.codecs import decode_array, encode_array
+    from parquet_converter_ray.codecs import codec_trials, decode_array, encode_array
     from parquet_converter_ray.synth import make_transcripts
 
     pa.set_cpu_count(1)
@@ -69,8 +72,9 @@ def run_kernels() -> dict:
     cols = {}
     for name in table.column_names:
         arr = table[name].chunk(0)
-        enc_s, dec_s, forced_s = [], [], []
+        enc_s, dec_s, forced_s, reps = [], [], [], []
         for _ in range(KERNEL_REPS):
+            reps.append(codec_trials(arr))
             t0 = time.perf_counter()
             blob = encode_array(arr)
             enc_s.append(time.perf_counter() - t0)
@@ -91,10 +95,17 @@ def run_kernels() -> dict:
             "decode_MBps": round(mb / min(dec_s), 1),
             "auto_ms": round(min(enc_s) * 1e3, 2),
             "forced_ms": round(min(forced_s) * 1e3, 2),
+            "trials": {t["codec"]: {"ms": round(min(r[i]["s"] for r in reps) * 1e3, 2),
+                                    "bytes": t["bytes"]} for i, t in enumerate(reps[0])},
             "encode_s": [round(x, 5) for x in enc_s],
             "decode_s": [round(x, 5) for x in dec_s],
             "forced_s": [round(x, 5) for x in forced_s],
         }
+        fsst = [r[-1] for r in reps if r[-1]["codec"] == "fsst"]  # FSST is tried last
+        if fsst:
+            cols[name]["fsst_trial"] = "skipped" if fsst[0]["skipped"] else "run"
+            if not fsst[0]["skipped"]:
+                cols[name]["fsst_train_ms"] = round(min(t["train_s"] for t in fsst) * 1e3, 2)
     return {"mode": "kernels", "turns": KERNEL_TURNS, "reps": KERNEL_REPS,
             "arrow_threads": 1, "columns": cols, "host": host()}
 

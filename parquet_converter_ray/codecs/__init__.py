@@ -18,6 +18,7 @@ config.py:175); this module is the north-star replacement.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,8 @@ class ColumnBlob:
     meta: dict
     bufs: list[bytes] = field(default_factory=list)  # transport-wrapped
     validity: bytes | None = None  # transport-wrapped packed bitmap
+    # codec-choice seconds of an ``auto`` encode (lineage timings); not stored
+    choose_s: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def nbytes(self) -> int:
@@ -189,42 +192,70 @@ def _sample(kind: str, vals, n: int):
     return pa.concat_arrays([p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p for p in parts]), 4 * k
 
 
-def choose_codec(kind: str, vals, n: int) -> tuple[str, dict]:
-    """Sampled cost model: encode a sample with each candidate, pick the
-    smallest. Returns (codec_name, encode_params) — params carry reusable
-    trial artifacts (e.g. the FSST table trained on the sample) so the full
-    encode doesn't redo the training."""
-    if n == 0:
-        return "plain", {}
+def _trials(kind: str, vals, n: int) -> list[dict]:
+    """The cost model's trials on a sample of ``vals``, in candidate order:
+    one dict per candidate with its ``codec``, its wrapped sample ``bytes``
+    (``None`` when the candidate raised or was skipped) and its trial
+    seconds ``s``. The FSST trial also carries ``skipped``, or its
+    sample-trained ``table`` and ``train_s``."""
     table = _NUM_CODECS if kind == "num" else _STR_CODECS
-    sample, sn = _sample(kind, vals, n)
-    best, best_size, best_params = "plain", float("inf"), {}
-    plain_size = None
-    fsst_table = None
+    sample, _ = _sample(kind, vals, n)
+    best_size = float("inf")
+    out = []
     for name in _candidates(kind, vals):
         enc, _ = table[name]
+        trial = {"codec": name, "bytes": None}
+        out.append(trial)
+        t0 = time.perf_counter()
         try:
             if name == "fsst":
-                # training is the priciest trial; skip it when dict/plain
-                # already compressed below FSST's practical floor (~0.15x)
-                if plain_size is not None and best_size < 0.15 * plain_size:
+                _, payload = _str.str_parts(sample)
+                # one FSST code stands for at most 8 payload bytes: training
+                # is the priciest trial, so skip it when a cheaper trial is
+                # already at or below that bound
+                trial["skipped"] = best_size <= len(payload) / _fsst._MAX_SYMBOL_LEN
+                if trial["skipped"]:
                     continue
-                from .strings import str_parts as _sp
-
-                _, sample_payload = _sp(sample if not isinstance(sample, pa.ChunkedArray) else sample.combine_chunks())
-                fsst_table = _fsst.train(sample_payload)
-                _, bufs = enc(sample, table=fsst_table)
+                trial["table"] = _fsst.train(payload)
+                trial["train_s"] = time.perf_counter() - t0
+                _, bufs = enc(sample, table=trial["table"])
             else:
                 _, bufs = enc(sample)
+            trial["bytes"] = sum(len(wrap_buf(b)) for b in bufs)
+            best_size = min(best_size, trial["bytes"])
         except (ValueError, OverflowError):
-            continue
-        size = sum(len(wrap_buf(b)) for b in bufs)
-        if name == "plain":
-            plain_size = size
-        if size < best_size:
-            best, best_size = name, size
-            best_params = {"table": fsst_table} if name == "fsst" else {}
+            pass
+        finally:
+            trial["s"] = time.perf_counter() - t0
+    return out
+
+
+def choose_codec(kind: str, vals, n: int) -> tuple[str, dict]:
+    """Sampled cost model: encode a sample with each candidate, pick the
+    smallest (the first on a tie). Returns (codec_name, encode_params) —
+    params carry reusable trial artifacts (the FSST table trained on the
+    sample) so the full encode doesn't redo the training.
+
+    One skip rule: the FSST trial is not run when the best wrapped trial so
+    far is at most 1/8 of the sample's raw payload bytes, FSST's best
+    pre-entropy ratio (one code stands for at most 8 bytes)."""
+    if n == 0:
+        return "plain", {}
+    best, best_size, best_params = "plain", float("inf"), {}
+    for trial in _trials(kind, vals, n):
+        if trial["bytes"] is not None and trial["bytes"] < best_size:
+            best, best_size = trial["codec"], trial["bytes"]
+            best_params = {"table": trial["table"]} if best == "fsst" else {}
     return best, best_params
+
+
+def codec_trials(arr: pa.Array) -> list[dict]:
+    """The cost model's trials (``_trials``) for one column, on the values
+    ``encode_array(arr)`` samples: nulls filled as the encode fills them."""
+    if arr.null_count:
+        arr = pc.fill_null(arr, pa.scalar(_fill_default(arr.type), type=arr.type))
+    kind, vals = _to_physical(arr)
+    return _trials(kind, vals, len(arr))
 
 
 # --- top level --------------------------------------------------------------
@@ -252,8 +283,11 @@ def encode_array(arr, codec: str = "auto") -> ColumnBlob:
         arr = pc.fill_null(arr, pa.scalar(_fill_default(t), type=t))
     kind, vals = _to_physical(arr)
     params: dict = {}
+    choose_s = 0.0
     if codec == "auto":
+        t0 = time.perf_counter()
         codec, params = choose_codec(kind, vals, n)
+        choose_s = time.perf_counter() - t0
     table = _NUM_CODECS if kind == "num" else _STR_CODECS
     enc, _ = table[codec]
     meta, bufs = enc(vals, **params)
@@ -265,6 +299,7 @@ def encode_array(arr, codec: str = "auto") -> ColumnBlob:
         meta=meta,
         bufs=[wrap_buf(b) for b in bufs],
         validity=validity_buf,
+        choose_s=choose_s,
     )
 
 

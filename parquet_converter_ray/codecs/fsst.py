@@ -11,10 +11,11 @@ from frequent pairs), then applies ALL merges to the full payload with
 generation-parallel vectorized numpy pair replacement — no per-byte Python
 loops anywhere:
 
-  train:   sample bytes -> uint16 working array; repeatedly bincount adjacent
-           pairs, merge the most frequent pair into a new code (256+i), cap
-           symbol length at 8, stop at <=128 merges (leaves >=127 codes for
-           frequent single bytes).
+  train:   sample bytes -> uint16 working array; repeatedly count adjacent
+           pairs, rank the pairs frequent enough to merge (count desc, key
+           asc) and merge the top ones, a round at a time, into new codes
+           (256+i); cap symbol length at 8, stop at <=128 merges (leaves
+           >=127 codes for frequent single bytes).
   encode:  slab-wise (256 KB — cache-resident working set): one uint16-key
            pass applies every first-generation merge simultaneously, then up
            to 8 full-pairmap passes apply deeper generations (any greedy
@@ -88,11 +89,14 @@ def train(
     """Train a symbol table by byte-pair merging on a bounded sample.
 
     Merges are committed in ROUNDS of up to ``round_size`` pairs per
-    pair-count pass: the full count histogram + top-k selection is the
-    expensive step (bincount over the 512x512 pair space + argpartition), so
-    amortising it over several merges cuts training ~3x. Within a round the
-    counts go slightly stale (an earlier replace can shrink a later pair's
-    true count), costing <1% compression vs strictly-greedy BPE (measured)."""
+    pair-count pass: counting the adjacent pairs and ranking the candidates
+    is the expensive step, so amortising it over several merges cuts
+    training ~3x. A round ranks only the candidate pairs (count >=
+    ``min_count``), by count descending then pair key ascending, so it
+    costs time in the number of candidates, not the 512x512 pair space,
+    and the table is deterministic. Within a round the counts go slightly
+    stale (an earlier replace can shrink a later pair's true count),
+    costing <1% compression vs strictly-greedy BPE (measured)."""
     sample = _sample_bytes(data, sample_cap)
     seq = np.frombuffer(sample, dtype=np.uint8).astype(np.uint16)
     sym_len = np.ones(_ALPHA, dtype=np.int64)  # working value -> symbol byte length
@@ -100,14 +104,21 @@ def train(
     min_count = max(4, len(seq) // (1 << 16))
     while len(merges) < max_merges and len(seq) >= 2:
         key = seq[:-1].astype(np.int32) * _ALPHA + seq[1:]
-        counts = np.bincount(key, minlength=_ALPHA * _ALPHA)
+        counts = np.bincount(key)
+        # rank only the candidate pairs (count >= min_count), by count
+        # descending then pair key ascending: a unique rank, so ties have
+        # a defined order and the top 64 are exact
+        cand = np.flatnonzero(counts >= min_count)
+        rank = cand - counts[cand].astype(np.int64) * (_ALPHA * _ALPHA)
+        if len(cand) > 64:
+            keep = np.argpartition(rank, 63)[:64]
+            cand, rank = cand[keep], rank[keep]
+        top = cand[np.argsort(rank)]
         # best pairs whose merged symbols stay within 8 bytes
-        top = np.argpartition(counts, -64)[-64:]
-        top = top[np.argsort(counts[top])[::-1]]
         round_pairs: list[tuple[int, int]] = []
         used: set[int] = set()
         for k in top:
-            if counts[k] < min_count or len(round_pairs) >= round_size:
+            if len(round_pairs) >= round_size:
                 break
             l, r = divmod(int(k), _ALPHA)
             if l in used or r in used:

@@ -150,6 +150,7 @@ class EncodePartition:
         t_sort = time.monotonic()
         blobs = encode_table(table, codec=self.codec)
         t_enc = time.monotonic()
+        choose_s = sum(blob.choose_s for blob in blobs.values())
         from .zonemap import column_stats
 
         stats = column_stats(
@@ -182,7 +183,8 @@ class EncodePartition:
             "in_chunks": n_chunks,
             "combine": round(combine_s, 2),
             "sort": round(t_sort - t_comb, 2),
-            "encode": round(t_enc - t_sort, 2),
+            "choose": round(choose_s, 2),  # codec choice (cost-model trials)
+            "encode": round(t_enc - t_sort - choose_s, 2),
             "stats": round(t_stats - t_enc, 2),  # zone maps, page stats, blooms
             "write": round(time.monotonic() - t_stats, 2),  # pack + atomic write
         }
@@ -779,20 +781,7 @@ def _exchange_ray_data(ds, assign, encoder, done) -> list[dict]:
         return encoder(group)
 
     lineage = ds.groupby("part_id").map_groups(encode_partition, batch_format="pyarrow")
-    # the large side's exchange only needs GROUPING by part_id, not a
-    # global sort: hash_shuffle (actor-aggregator exchange, no sort-merge)
-    # beat the push-based sort shuffle in every interleaved rep on the 3GB
-    # exchange (13.6 vs 16.6s min-of-3 at 32 CPUs; sort-push itself was 7x
-    # over the pull-based default, ROUND1_NOTES)
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    ctx = DataContext.get_current()
-    prev_strategy = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    try:
-        return lineage.take_all()  # one tiny row per partition
-    finally:
-        ctx.shuffle_strategy = prev_strategy
+    return lineage.take_all()  # one tiny row per partition
 
 
 def compact_dataset(

@@ -165,6 +165,29 @@ def test_resume_under_streaming_matches(data, tmp_path, monkeypatch):
     assert _crcs(out) == _crcs(ref)
 
 
+def test_streaming_exchange_plans_the_sort_shuffle(data, tmp_path, monkeypatch):
+    """The streaming exchange groups by ``part_id`` through Ray Data's sort
+    shuffle. Ray 2.49's hash shuffle asks for 64 aggregator actors (16 CPUs,
+    33 GiB) and an encode of this input under it had not finished after
+    3 minutes on a 4-CPU session."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    ops, real = [], StreamingExecutor.execute
+
+    def spy(self, dag, *a, **kw):
+        stack = [dag]
+        while stack:
+            op = stack.pop()
+            ops.append(op.name)
+            stack.extend(op.input_dependencies)
+        return real(self, dag, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", spy)
+    _encode(data["dir"], str(tmp_path / "enc"), monkeypatch, "ray_data")
+    assert "Sort" in ops
+    assert not [name for name in ops if "Shuffle" in name or "Repartition" in name]
+
+
 def test_small_encode_and_decode_start_no_ray_data_job(data, tmp_path, monkeypatch):
     out = str(tmp_path / "enc")
     jobs = _count_jobs(monkeypatch)

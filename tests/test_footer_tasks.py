@@ -176,5 +176,5 @@ def test_lineage_counts_the_combine(tmp_path, monkeypatch):
     (rec,) = mf.load_records(out)
     tm = rec["timings"]
     assert tm["combine"] >= 0.05
-    assert set(tm) == {"in_chunks", "combine", "sort", "encode", "stats", "write"}
+    assert set(tm) == {"in_chunks", "combine", "sort", "choose", "encode", "stats", "write"}
     assert rec["wall_s"] >= 0.05
