@@ -66,7 +66,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # the window too: the two range scans follow, and the rest sit in
         # the groups below. Then the round-5 new queries, the 3 entries never
         # driver-checked through round 4, the refactor-touched rows and the
-        # round-4 window remainder. Long-green rows rotate just below slot 50.
+        # round-4 window remainder. The three store-join entries
+        # (rebucket_join, store_three_way_join, store_bucket_join) sit with the
+        # round-5 group. Long-green rows rotate just below slot 50.
         # --- plans that run the footer tasks ---
         "store_distinct_pushdown": transcripts.store_distinct_pushdown,
         "store_sample_pushdown": transcripts.store_sample_pushdown,
@@ -100,6 +102,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "store_upsert_stats": transcripts.store_upsert_stats,
         "store_snapshot_travel": transcripts.store_snapshot_travel,
         "store_three_way_join": transcripts.store_three_way_join,
+        "store_bucket_join": transcripts.store_bucket_join,
         "documents_zorder_scan": transcripts.documents_zorder_scan,
         "image_dedup_phash_store": multimodal.image_dedup_phash_store,
         "orders_transcript_store_stats": transcripts.orders_transcript_store_stats,
@@ -122,10 +125,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "scrub_pii": text.scrub_pii,
         "chunk_documents": text.chunk_documents,
         "token_dup_stats": text.token_dup_stats,
+        # --- slot 50 from here: the window ends above. decontaminate
+        # (long-green, store-free) made room for store_bucket_join, as
+        # fuzzy_name_pairs and name_clusters did for the two range scans ---
         "decontaminate": text.decontaminate,
-        # --- slot 50 from here: the window ends above. fuzzy_name_pairs and
-        # name_clusters (long-green, store-free) made room for the two range
-        # scans ---
         "fuzzy_name_pairs": dedup.fuzzy_name_pairs,
         "name_clusters": dedup.name_clusters,
         "dedup_substring": dedup.dedup_substring,
@@ -148,7 +151,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "asof_attribution_salted": behavior.asof_attribution_salted,
         "events_window_unique_users": windows.events_window_unique_users,
         "q19_disjunctive_revenue": relational.q19_disjunctive_revenue,
-        "store_bucket_join": transcripts.store_bucket_join,
         "range_search": similarity.range_search,
         # --- (slot >50 from here) rotated-out long-green rows ---
         "export_wds": export.export_wds,

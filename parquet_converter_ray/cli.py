@@ -534,14 +534,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(json.dumps(summary))
         elif args.cmd == "decode":
-            from .decode import decode_dataset, decode_family
+            from .decode import decode_family
 
-            if len(args.input) == 1:
-                ds = decode_dataset(args.input[0], columns=args.columns,
-                                    max_generation=args.max_generation)
-            else:
-                ds = decode_family(args.input, columns=args.columns,
-                                   max_generation=args.max_generation)
+            ds = decode_family(args.input, columns=args.columns,
+                               max_generation=args.max_generation)
             wkw = {"compression": cfg.compression}
             if args.partition_by:
                 wkw["partition_cols"] = list(args.partition_by)
@@ -593,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
             import pyarrow as pa
 
             from .codecs import str_to_type
-            from .encode import compact_dataset
+            from .encode import compact_family
 
             add = None
             if args.add_column:
@@ -608,20 +604,11 @@ def main(argv: list[str] | None = None) -> int:
                     else:
                         add[parts[0]] = typ
             kw = {"n_parts": args.n_parts} if args.n_parts else {}
-            if len(args.input) == 1:
-                summary = compact_dataset(
-                    args.input[0], args.output,
-                    target_part_bytes=args.target_mb << 20,
-                    drop_columns=args.drop_columns, add_columns=add, **kw,
-                )
-            else:
-                from .encode import compact_family
-
-                summary = compact_family(
-                    args.input, args.output,
-                    target_part_bytes=args.target_mb << 20,
-                    drop_columns=args.drop_columns, add_columns=add, **kw,
-                )
+            summary = compact_family(
+                args.input, args.output,
+                target_part_bytes=args.target_mb << 20,
+                drop_columns=args.drop_columns, add_columns=add, **kw,
+            )
             print(json.dumps(summary))
         elif args.cmd == "rebucket":
             from .encode import rebucket_dataset
@@ -907,7 +894,7 @@ def main(argv: list[str] | None = None) -> int:
                 for row in tbl.to_pylist()[: args.limit]:
                     print(json.dumps(row, default=str))
         elif args.cmd == "join":
-            from .storejoin import store_join, store_join_multi
+            from .storejoin import store_join_multi
 
             if len(args.dirs) < 2:
                 print("join needs at least 2 store directories", file=sys.stderr)
@@ -917,22 +904,18 @@ def main(argv: list[str] | None = None) -> int:
                       "--left-columns/--right-columns (2-store form), not both",
                       file=sys.stderr)
                 return 2
-            if len(args.dirs) == 2 and args.columns is None:
-                ds = store_join(
-                    args.dirs[0], args.dirs[1], how=args.how,
-                    left_columns=args.left_columns, right_columns=args.right_columns,
-                )
-            else:
-                cols = None
-                if args.columns is not None:
-                    if len(args.columns) != len(args.dirs):
-                        print(f"{len(args.dirs)} stores but {len(args.columns)} "
-                              "--columns flags", file=sys.stderr)
-                        return 2
-                    cols = [None if c.strip() == "-" else
-                            [x.strip() for x in c.split(",") if x.strip()]
-                            for c in args.columns]
-                ds = store_join_multi(args.dirs, columns=cols, how=args.how)
+            cols = None
+            if args.columns is not None:
+                if len(args.columns) != len(args.dirs):
+                    print(f"{len(args.dirs)} stores but {len(args.columns)} "
+                          "--columns flags", file=sys.stderr)
+                    return 2
+                cols = [None if c.strip() == "-" else
+                        [x.strip() for x in c.split(",") if x.strip()]
+                        for c in args.columns]
+            elif args.left_columns is not None or args.right_columns is not None:
+                cols = [args.left_columns, args.right_columns]
+            ds = store_join_multi(args.dirs, columns=cols, how=args.how)
             if args.output:
                 ds.write_parquet(args.output, compression=cfg.compression)
                 rows = ray.data.read_parquet(args.output).count()

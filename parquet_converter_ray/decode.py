@@ -1,10 +1,12 @@
 """Decode pipeline: container files -> ray.data.Dataset of Arrow batches.
 
 Containers are independently decodable, so the read is embarrassingly
-parallel. A store whose recorded bytes fit the small-plan crossover
-(``zonemap.fits_tasks``) decodes at once in plain Ray tasks over contiguous
-slices of its paths; a larger one streams as ``read_binary_files`` (one row
-per container) -> ``map_batches(Decoder)``.
+parallel. ``decode_dataset`` is a scan with no predicate: it shares the
+scans' executor choice (``zonemap.decoded_dataset``) — a store whose
+recorded bytes fit the small-plan crossover (``zonemap.fits_tasks``)
+decodes at once in plain Ray tasks over contiguous slices of its paths; a
+larger one streams as ``read_binary_files`` (one row per container) ->
+``map_batches(_ScanDecoder)``.
 
 Column pruning works at the container level: the footer records per-buffer
 offsets, so decoding 2 of 6 columns touches only those buffers.
@@ -106,28 +108,23 @@ def _container_sizes(out_dir: str, max_generation: int | None = None) -> "dict[s
     return {p: os.path.getsize(p) for p in sorted(glob.glob(os.path.join(out_dir, "part-*.pcc")))}
 
 
-class Decoder:
-    def __init__(self, columns: list[str] | None = None, verify_crc: bool = False):
-        self.columns = columns
-        self.verify_crc = verify_crc
+def _decode_plan(out_dir: str, columns, max_generation) -> tuple:
+    """A store's containers to decode (``_container_sizes``), the 0-row
+    table of the columns they emit (from the first container's footer) and
+    their recorded decoded bytes."""
+    from .codecs import str_to_type
+    from .container import read_footer_file
 
-    def _one(self, blob: bytes) -> pa.Table:
-        return decode_table(blob, columns=self.columns, verify_crc=self.verify_crc)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .encode import pin_arrow_threads
-
-        pin_arrow_threads(1)
-        return pa.concat_tables([self._one(blob.as_py()) for blob in batch["bytes"]])
-
-
-def _decode_files(paths: list[str], decoder: Decoder) -> pa.Table:
-    """A slice of containers decoded into one table, in path order."""
-    tables = []
-    for p in paths:
-        with open(p, "rb") as f:
-            tables.append(decoder._one(f.read()))
-    return pa.concat_tables(tables)
+    sizes = _container_sizes(out_dir, max_generation=max_generation)
+    if not sizes:
+        raise FileNotFoundError(f"no container files under {out_dir}")
+    files = list(sizes)
+    empty = pa.table({
+        c["name"]: pa.array([], type=str_to_type(c["type"]))
+        for c in read_footer_file(files[0])["columns"]
+        if columns is None or c["name"] in columns
+    })
+    return files, empty, sum(sizes.values())
 
 
 def decode_dataset(
@@ -139,30 +136,18 @@ def decode_dataset(
 ) -> "ray.data.Dataset":
     """The store's rows as a Dataset, container by container in part-id
     order (``container_files``: ``max_generation`` picks a snapshot),
-    decoding only ``columns`` (every column when None); ``verify_crc``
-    checks each column's checksum.
+    decoding only ``columns`` (every column when None, in footer order);
+    ``verify_crc`` checks each column's checksum.
 
-    Two executors, chosen by the containers' recorded decoded bytes against
-    the crossover every small-plan executor shares (``zonemap.fits_tasks``):
-    a small store decodes NOW, in plain Ray tasks over contiguous slices of
-    the paths (``zonemap.map_slices``), and the Dataset holds their tables
-    in path order (``from_arrow_refs``) — a corrupt container raises its
-    ``ValueError`` from this call. A larger one is one streaming Ray Data
-    job (one ``Decoder`` call per container) that runs when the Dataset is
-    consumed, where a decode error surfaces as Ray Data's
-    ``UserCodeException``."""
-    from .zonemap import fits_tasks, map_slices
+    A scan with no predicate: ``zonemap.decoded_dataset`` picks the
+    executor from the containers' recorded decoded bytes (plain Ray tasks
+    under the shared crossover, one streaming Ray Data job past it) and
+    ``zonemap._ScanDecoder`` decodes each container as
+    ``container.decode_table`` does."""
+    from .zonemap import _ScanDecoder, decoded_dataset
 
-    sizes = _container_sizes(out_dir, max_generation=max_generation)
-    if not sizes:
-        raise FileNotFoundError(f"no container files under {out_dir}")
-    files = list(sizes)
-    dec = Decoder(columns=columns, verify_crc=verify_crc)
-    if fits_tasks(sum(sizes.values())):
-        return ray.data.from_arrow_refs(map_slices(_decode_files, files, dec))
-    return ray.data.read_binary_files(files).map_batches(
-        dec, batch_format="pyarrow", batch_size=1
-    )
+    files, empty, nbytes = _decode_plan(out_dir, columns, max_generation)
+    return decoded_dataset(files, _ScanDecoder(columns, None, [], verify_crc), empty, nbytes)
 
 
 def roundtrip_table(
@@ -713,21 +698,18 @@ def decode_family(
     columns: list[str] | None = None,
     max_generation: int | None = None,
 ):
-    """Decode a FAMILY of delivery stores as one streaming Dataset (the
-    export path: ``decode DIR... OUT`` writes the whole family to parquet).
-    Members union metadata-only; emitted schemas must agree on (name, type)
-    — refused loudly, conform via ``compact_family`` first."""
-    from . import manifest as mf
-    from .zonemap import _store_schema
+    """Decode a FAMILY of delivery stores as one Dataset (the export path:
+    ``decode DIR... OUT`` writes the whole family to parquet; one directory
+    is a family of one). Each member decodes as ``decode_dataset`` does and
+    the members union metadata-only; emitted schemas must agree on (name,
+    type) — refused loudly before any decode, conform via
+    ``compact_family`` first."""
+    from .zonemap import _ScanDecoder, decoded_dataset
 
     if not dirs:
         raise ValueError("decode_family needs at least one store directory")
-    schemas = []
-    for d in dirs:
-        full = _store_schema(d, mf.load_records(d))
-        schemas.append(
-            [(n, t) for n, t in full if columns is None or n in columns]
-        )
+    plans = [_decode_plan(d, columns, max_generation) for d in dirs]
+    schemas = [list(zip(e.schema.names, e.schema.types)) for _, e, _ in plans]
     if any(s != schemas[0] for s in schemas[1:]):
         detail = "; ".join(
             f"{d}: {[(n, str(t)) for n, t in s]}" for d, s in zip(dirs, schemas)
@@ -736,9 +718,9 @@ def decode_family(
             "store family schemas differ on the emitted columns — conform "
             f"them via compact_family first: {detail}"
         )
-    ds = decode_dataset(dirs[0], columns=columns, max_generation=max_generation)
-    for d in dirs[1:]:
-        ds = ds.union(
-            decode_dataset(d, columns=columns, max_generation=max_generation)
-        )
+    dec = _ScanDecoder(columns, None, [])
+    ds = None
+    for files, empty, nbytes in plans:
+        member = decoded_dataset(files, dec, empty, nbytes)
+        ds = member if ds is None else ds.union(member)
     return ds

@@ -810,77 +810,9 @@ def compact_dataset(
     through a rewrite): ``drop_columns`` removes retired columns;
     ``add_columns`` maps new name -> pyarrow type (typed-null fill) or
     -> (type, constant) for a backfill default. Partition/order columns
-    cannot be dropped."""
-    from . import manifest as mf
-    from .decode import decode_dataset
-
-    prior = mf.load_run_record(in_dir)
-    if prior is None:
-        raise ValueError(f"no run record in {in_dir} — not an encoded store?")
-    recs = mf.load_records(in_dir)
-    bytes_in = sum(r["bytes_in"] for r in recs) or (64 << 20)
-    n_parts = kw.pop("n_parts", None) or max(1, -(-bytes_in // target_part_bytes))
-    ds = _evolve_columns(decode_dataset(in_dir), prior, drop_columns, add_columns)
-    return encode_dataset(
-        ds,
-        out_dir,
-        n_parts=int(n_parts),
-        conv_col=kw.pop("conv_col", prior["conv_col"]),
-        order_col=kw.pop("order_col", prior["order_col"]),
-        # carry the recorded within-partition sort through the rewrite — the
-        # default key's columns may not even exist in a non-transcript store
-        sort_key=kw.pop(
-            "sort_key",
-            tuple(prior.get("sort_key") or (prior["conv_col"], prior["order_col"])),
-        ),
-        salt_rows=kw.pop("salt_rows", int(prior.get("salt_rows") or 0)),
-        # a range-clustered store stays range-clustered through compaction
-        # (cuts are resampled for the new n_parts); pass cluster_by=None to
-        # convert back to the hash layout
-        cluster_by=kw.pop("cluster_by", prior.get("cluster_by")),
-        # Bloom columns likewise carry through (minus any dropped columns)
-        bloom_cols=kw.pop(
-            "bloom_cols",
-            [c for c in (prior.get("bloom_cols") or []) if c not in set(drop_columns or ())],
-        ),
-        text_bloom_cols=kw.pop(
-            "text_bloom_cols",
-            [c for c in (prior.get("text_bloom_cols") or []) if c not in set(drop_columns or ())],
-        ),
-        **kw,
-    )
-
-
-def _evolve_columns(ds, prior: dict, drop_columns, add_columns):
-    """Schema-evolution step shared by compact paths: drop retired columns
-    (partition/order columns refused — they define the layout), then append
-    new ones as typed nulls or a backfill constant."""
-    if drop_columns:
-        protected = {prior["conv_col"], prior.get("order_col")} & set(drop_columns)
-        if protected:
-            raise ValueError(
-                f"cannot drop partition/order column(s) {sorted(protected)} — "
-                "they define the store layout"
-            )
-        ds = ds.drop_columns(list(drop_columns))
-    if add_columns:
-        existing = set(ds.schema().names)
-        dup = existing & set(add_columns)
-        if dup:
-            raise ValueError(f"add_columns would shadow existing column(s) {sorted(dup)}")
-
-        def _widen(batch: pa.Table) -> pa.Table:
-            for name, spec in add_columns.items():
-                if isinstance(spec, tuple):
-                    typ, const = spec
-                    col = pa.array([const] * batch.num_rows, type=typ)
-                else:
-                    col = pa.nulls(batch.num_rows, spec)
-                batch = batch.append_column(name, col)
-            return batch
-
-        ds = ds.map_batches(_widen, batch_format="pyarrow")
-    return ds
+    cannot be dropped, and a column the store lacks is refused. This is
+    ``compact_family`` over a family of one."""
+    return compact_family([in_dir], out_dir, target_part_bytes, drop_columns, add_columns, **kw)
 
 
 def compact_family(
@@ -904,19 +836,21 @@ def compact_family(
 
     Layout parameters must agree across members on (conv_col, order_col) —
     refused loudly otherwise, since rows from differently-keyed stores cannot
-    share a hash route. Other parameters (salt, cluster_by, bloom_cols)
-    follow the FIRST member's run record exactly like ``compact_dataset``
-    follows its single input, overridable via kwargs. ``drop_columns`` /
-    ``add_columns`` apply uniformly to every member, which is how a drifted
-    family conforms: drop the retired column from the members that still
-    carry it — drops of columns absent from a member are skipped for that
-    member — and/or add the new column with a typed-null/constant backfill.
+    share a hash route. Other parameters (sort key, salt, cluster_by,
+    bloom_cols) follow the FIRST member's run record, overridable via
+    kwargs. ``drop_columns`` / ``add_columns`` apply uniformly to every
+    member, which is how a drifted family conforms: drop the retired column
+    from the members that still carry it — drops of columns absent from a
+    member are skipped for that member, and a drop no member carries is
+    refused — and/or add the new column with a typed-null/constant backfill.
+    Every check runs on the members' footer schemas before any decode.
     After evolution the member schemas must agree on (name, type); any
     residual drift is refused with per-store detail. No cross-delivery key
     dedup happens here (deliveries are disjoint by contract; dedup is its
     own operator family)."""
     from . import manifest as mf
     from .decode import decode_dataset
+    from .zonemap import _store_schema
 
     if not in_dirs:
         raise ValueError("compact_family needs at least one store directory")
@@ -936,53 +870,80 @@ def compact_family(
             f"family members disagree on (conv_col, order_col): {detail}"
         )
 
-    bytes_in = sum(
-        r["bytes_in"] for d in in_dirs for r in mf.load_records(d)
-    ) or (64 << 20)
+    recs = [mf.load_records(d) for d in in_dirs]
+    bytes_in = sum(r["bytes_in"] for rs in recs for r in rs) or (64 << 20)
     n_parts = kw.pop("n_parts", None) or max(1, -(-bytes_in // target_part_bytes))
 
-    members = []
-    schemas = []
-    for d, prior in zip(in_dirs, priors):
-        ds = decode_dataset(d)
-        present = set(ds.schema().names)
-        member_drops = [c for c in (drop_columns or ()) if c in present]
-        ds = _evolve_columns(ds, prior, member_drops, add_columns)
-        s = ds.schema()
-        schemas.append(list(zip(s.names, s.types)))
-        members.append(ds)
-    if any(s != schemas[0] for s in schemas[1:]):
+    first = priors[0]
+    drops = list(drop_columns or ())
+    protected = {first["conv_col"], first.get("order_col")} & set(drops)
+    if protected:
+        raise ValueError(
+            f"cannot drop partition/order column(s) {sorted(protected)} — "
+            "they define the store layout"
+        )
+    schemas = [dict(_store_schema(d, rs)) for d, rs in zip(in_dirs, recs)]
+    unknown = [c for c in drops if not any(c in s for s in schemas)]
+    if unknown:
+        raise ValueError(f"drop_columns {unknown} are in no member's schema")
+    adds = {n: spec[0] if isinstance(spec, tuple) else spec
+            for n, spec in (add_columns or {}).items()}
+    evolved = []
+    for s in schemas:
+        kept = {n: t for n, t in s.items() if n not in drops}
+        dup = set(kept) & set(adds)
+        if dup:
+            raise ValueError(f"add_columns would shadow existing column(s) {sorted(dup)}")
+        evolved.append(list({**kept, **adds}.items()))
+    if any(s != evolved[0] for s in evolved[1:]):
         detail = "; ".join(
-            f"{d}: {[(n, str(t)) for n, t in s]}" for d, s in zip(in_dirs, schemas)
+            f"{d}: {[(n, str(t)) for n, t in s]}" for d, s in zip(in_dirs, evolved)
         )
         raise ValueError(
             "family schemas still differ after drop/add evolution — resolve "
             f"the residual drift explicitly: {detail}"
         )
-    union_ds = members[0]
-    for m in members[1:]:
-        union_ds = union_ds.union(m)
 
-    first = priors[0]
+    def _widen(batch: pa.Table) -> pa.Table:
+        for name, spec in add_columns.items():
+            if isinstance(spec, tuple):
+                typ, const = spec
+                col = pa.array([const] * batch.num_rows, type=typ)
+            else:
+                col = pa.nulls(batch.num_rows, spec)
+            batch = batch.append_column(name, col)
+        return batch
+
+    union_ds = None
+    for d, s in zip(in_dirs, schemas):
+        ds = decode_dataset(d)
+        if member_drops := [c for c in drops if c in s]:
+            ds = ds.drop_columns(member_drops)
+        if add_columns:
+            ds = ds.map_batches(_widen, batch_format="pyarrow")
+        union_ds = ds if union_ds is None else union_ds.union(ds)
+
     return encode_dataset(
         union_ds,
         out_dir,
         n_parts=int(n_parts),
         conv_col=kw.pop("conv_col", first["conv_col"]),
         order_col=kw.pop("order_col", first["order_col"]),
+        # carry the recorded within-partition sort through the rewrite — the
+        # default key's columns may not even exist in a non-transcript store
         sort_key=kw.pop(
             "sort_key",
             tuple(first.get("sort_key") or (first["conv_col"], first["order_col"])),
         ),
         salt_rows=kw.pop("salt_rows", int(first.get("salt_rows") or 0)),
+        # a range-clustered store stays range-clustered (cuts are resampled
+        # for the new n_parts); pass cluster_by=None to convert back to hash
         cluster_by=kw.pop("cluster_by", first.get("cluster_by")),
         bloom_cols=kw.pop(
-            "bloom_cols",
-            [c for c in (first.get("bloom_cols") or []) if c not in set(drop_columns or ())],
+            "bloom_cols", [c for c in (first.get("bloom_cols") or []) if c not in drops]
         ),
         text_bloom_cols=kw.pop(
-            "text_bloom_cols",
-            [c for c in (first.get("text_bloom_cols") or []) if c not in set(drop_columns or ())],
+            "text_bloom_cols", [c for c in (first.get("text_bloom_cols") or []) if c not in drops]
         ),
         **kw,
     )

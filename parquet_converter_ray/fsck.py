@@ -7,10 +7,11 @@ Two levels, both manifest-driven:
   the recorded size, footers parse (tail seek only) and agree with their
   record (part_id, generation, rows) and with each other (one store schema),
   no stray ``part-*.pcc`` the manifest doesn't know.
-* **deep** — a Ray stage over the containers (one task per file, scales with
-  the cluster, never loops file bytes on the driver): whole-payload crc32 vs
-  the lineage record, per-buffer crc32s vs the footer, full decode, decoded
-  row count vs the record.
+* **deep** — plain Ray tasks over slices of the containers
+  (``zonemap.map_footers``: at most one task per cluster CPU, never file
+  bytes on the driver, no Ray Data job): whole-payload crc32 vs the lineage
+  record, per-buffer crc32s vs the footer, full decode, decoded row count vs
+  the record.
 
 A clean report means ``decode_dataset`` / ``lookup_conversation`` /
 ``append_dataset`` can trust the store; any error pinpoints the partition.
@@ -24,8 +25,6 @@ from __future__ import annotations
 import glob
 import os
 import zlib
-
-import pyarrow as pa
 
 from . import manifest as mf
 from .container import read_footer_file
@@ -97,45 +96,34 @@ def fsck_store(out_dir: str, deep: bool = False) -> dict:
 
     deep_checked = 0
     if deep and resolved:
-        import ray.data
+        from .zonemap import map_footers
 
-        items = [
-            {"path": p, "part_id": int(r["part_id"]), "generation": int(r.get("generation", 0)),
-             "rows": int(r["rows"]), "crc32": int(r.get("crc32", 0))}
+        expected = {
+            p: (f"part {int(r['part_id'])} gen {int(r.get('generation', 0))}",
+                int(r["rows"]), int(r.get("crc32", 0)))
             for r, p in resolved
-        ]
-
-        def _check(batch: pa.Table) -> pa.Table:
-            from .container import decode_table
-            from .encode import pin_arrow_threads
-
-            pin_arrow_threads(1)
-            msgs, parts = [], []
-            for row in batch.to_pylist():
-                tag = f"part {row['part_id']} gen {row['generation']}"
-                msg = ""
-                try:
-                    with open(row["path"], "rb") as f:
-                        data = f.read()
-                    if row["crc32"] and (zlib.crc32(data) & 0xFFFFFFFF) != row["crc32"]:
-                        msg = f"{tag}: payload crc32 mismatch (bit rot?)"
-                    else:
-                        t = decode_table(data, verify_crc=True)
-                        if t.num_rows != row["rows"]:
-                            msg = f"{tag}: decoded {t.num_rows} rows != recorded {row['rows']}"
-                except (OSError, ValueError, KeyError) as e:
-                    msg = f"{tag}: deep check failed: {e}"
-                msgs.append(msg)
-                parts.append(row["part_id"])
-            return pa.table({"part_id": pa.array(parts, type=pa.int32()),
-                             "error": pa.array(msgs, type=pa.string())})
-
-        results = (
-            ray.data.from_items(items)
-            .map_batches(_check, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
+        }
+        results = map_footers(_deep_check, list(expected), expected)
         deep_checked = len(results)
-        errors.extend(r["error"] for r in results if r["error"])
+        errors.extend(m for m in results.values() if m)
 
     return {"ok": not errors, "parts": len(recs), "errors": errors, "deep_checked": deep_checked}
+
+
+def _deep_check(path: str, expected: dict) -> str:
+    """The deep check of one container against its ``expected`` (tag, rows,
+    crc32): an error message, or "" when it passes."""
+    from .container import decode_table
+
+    tag, rows, crc = expected[path]
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        if crc and (zlib.crc32(data) & 0xFFFFFFFF) != crc:
+            return f"{tag}: payload crc32 mismatch (bit rot?)"
+        t = decode_table(data, verify_crc=True)
+        if t.num_rows != rows:
+            return f"{tag}: decoded {t.num_rows} rows != recorded {rows}"
+    except (OSError, ValueError, KeyError) as e:
+        return f"{tag}: deep check failed: {e}"
+    return ""

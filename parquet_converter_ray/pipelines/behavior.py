@@ -14,7 +14,7 @@ timestamp per user, broadcast once via ``ray.put``, never per batch.
 Scale notes (100 TB):
  - The per-user driver state ("users x months is bounded") is an assumption
    about the data, not a law, so the three user-keyed operators are
-   two-path: below ``PCR_DRIVER_USER_ROWS`` events the per-batch partials
+   two-path: below ``_DRIVER_USER_ROWS`` events the per-batch partials
    merge on the driver (no exchange at all — strictly cheaper at sandbox
    scale); above it each switches to a distributed ``groupby(user_id)``
    that never holds per-user state on one node. The event row count gates
@@ -45,8 +45,6 @@ Scale notes (100 TB):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -67,7 +65,7 @@ def _t(sf_dir: str, name: str, columns: list[str] | None = None) -> "ray.data.Da
 # at sandbox scale); above it they run the distributed groupby(user_id)
 # paths whose driver state is bounded regardless of user cardinality. The
 # event count is a parquet-metadata-free upper bound on distinct users.
-_DRIVER_USER_ROWS = int(os.environ.get("PCR_DRIVER_USER_ROWS", "50000000"))
+_DRIVER_USER_ROWS = 50_000_000
 
 
 def _n_events(sf_dir: str) -> int:

@@ -325,14 +325,14 @@ def minhash_candidates(sf_dir: str, bands: int = 16, rows: int = 4, m: int = 64)
 # vanishing fraction of the corpus by LSH construction) is collected once and
 # broadcast via ray.put; above it verification switches to the hash-partitioned
 # Dataset.join dataflow (the at-scale path — same outputs, higher constant).
-_BCAST_VERIFY_DOCS = int(os.environ.get("PCR_BCAST_VERIFY_DOCS", "200000"))
+_BCAST_VERIFY_DOCS = 200_000
 
 # Hot-bucket count threshold for minhash_candidate_ds, in (key, doc) bucket
 # rows (= bands x n_docs): below it the distinct-key count merges on the
 # driver (fast at sandbox scale); above it a distributed groupby(key).count()
 # + inner join keeps driver state flat at 100 TB. Both paths byte-identical
 # (tested by forcing this to 0).
-_DRIVER_HOTCOUNT_ROWS = int(os.environ.get("PCR_DRIVER_HOTCOUNT_ROWS", "20000000"))
+_DRIVER_HOTCOUNT_ROWS = 20_000_000
 
 
 def _flat_packed(col, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,7 +9,6 @@ and compiled regexes built once per actor in ``__init__``).
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 
 import numpy as np
@@ -553,7 +552,7 @@ def term_postings(sf_dir: str, k: int = 30) -> pa.Table:
 # switch to the hash-partitioned tf ⋈ df join (web-scale n-gram vocabularies
 # outgrow any broadcast). Both paths asserted identical in tests by forcing
 # this to zero.
-_DRIVER_VOCAB_ROWS = int(os.environ.get("PCR_DRIVER_VOCAB_ROWS", "20000000"))
+_DRIVER_VOCAB_ROWS = 20_000_000
 
 
 def tfidf_top_terms(sf_dir: str) -> pa.Table:

@@ -1,29 +1,32 @@
-"""Co-partitioned (bucketed) join between two encoded stores — no shuffle.
+"""Co-partitioned (bucketed) join across N encoded stores — no shuffle.
 
-Two stores whose rows were hash-routed at ENCODE time with the same
+Stores whose rows were hash-routed at ENCODE time with the same
 ``(hash_version, n_parts)`` on their respective partition columns co-locate
 equal keys in equal ``part_id``s: ``part = stable_hash(key) % n_parts`` is a
 pure function of the value, independent of which table it came from. A join
 on those columns therefore needs ZERO exchange — each part_id's containers
-from both stores decode together in one task and join locally, the Hive /
+from every store decode together in one task and join locally, the Hive /
 Spark bucketed-join idea (bucket metadata checked at plan time, map-side
 join per bucket) applied to this engine's container layout.
+``store_join_multi`` is the one body: it chains N stores on one shared key
+(store 0 is the left/probe side), and ``store_join`` is its two-store form.
 
-Partitioning assumptions enforced (refused loudly, never silently wrong):
+Partitioning assumptions enforced on every store (refused loudly,
+never silently wrong):
 
-* both stores carry a ``_run.json`` with the CURRENT hash version — the
-  part routing must be the same arithmetic on both sides;
-* both are ``partition_mode="hash"`` (a range-clustered store routes by
-  value range, not key hash — its keys don't co-locate);
+* every store carries a ``_run.json`` with the CURRENT hash version — the
+  part routing must be the same arithmetic on every side;
+* every store is ``partition_mode="hash"`` (a range-clustered store routes
+  by value range, not key hash — its keys don't co-locate);
 * equal ``n_parts``;
-* ``salt_rows == 0`` on both — salting splits one key's rows across salt
-  chunks by ORDER ranges, and the two tables' order domains differ, so a
+* ``salt_rows == 0`` everywhere — salting splits one key's rows across salt
+  chunks by ORDER ranges, and the tables' order domains differ, so a
   salted layout only co-locates chunk 0;
 * the join columns ARE the stores' recorded partition columns (joining on
   anything else has no co-location guarantee).
 
 At 100 TB this is the pattern for repeated fact-to-fact joins: pay the
-partition exchange once at ingest (both stores routed on the join key),
+partition exchange once at ingest (every store routed on the join key),
 then every subsequent join is map-only over matched buckets.
 
 ``store_join_dim`` covers the OTHER join shape — fact-to-dimension over a
@@ -45,28 +48,16 @@ from .partition import HASH_VERSION
 
 
 def _layout(out_dir: str) -> dict:
+    """The store's run record, refused unless the store is hash-routed with
+    the current hash version — the arithmetic every co-located join needs."""
     params = mf.load_run_record(out_dir)
     if not params:
         raise ValueError(f"{out_dir}: no _run.json — cannot prove co-partitioning")
+    if params.get("hash_version") != HASH_VERSION:
+        raise ValueError(f"{out_dir}: hash_version {params.get('hash_version')!r} != current {HASH_VERSION!r}")
+    if (params.get("partition_mode") or "hash") != "hash":
+        raise ValueError(f"{out_dir}: partition_mode {params.get('partition_mode')!r} — range-clustered stores don't hash-route keys")
     return params
-
-
-def _check_bucketed(left_dir: str, right_dir: str, left_on: str, right_on: str):
-    lp, rp = _layout(left_dir), _layout(right_dir)
-    for d, p in ((left_dir, lp), (right_dir, rp)):
-        if p.get("hash_version") != HASH_VERSION:
-            raise ValueError(f"{d}: hash_version {p.get('hash_version')!r} != current {HASH_VERSION!r}")
-        if (p.get("partition_mode") or "hash") != "hash":
-            raise ValueError(f"{d}: partition_mode {p.get('partition_mode')!r} — range-clustered stores don't co-locate keys")
-        if int(p.get("salt_rows") or 0) != 0:
-            raise ValueError(f"{d}: salt_rows={p.get('salt_rows')} — salted stores split keys across chunk partitions")
-    if int(lp["n_parts"]) != int(rp["n_parts"]):
-        raise ValueError(f"n_parts mismatch: {lp['n_parts']} vs {rp['n_parts']}")
-    if lp.get("conv_col") != left_on:
-        raise ValueError(f"{left_dir} is partitioned on {lp.get('conv_col')!r}, not the join column {left_on!r}")
-    if rp.get("conv_col") != right_on:
-        raise ValueError(f"{right_dir} is partitioned on {rp.get('conv_col')!r}, not the join column {right_on!r}")
-    return int(lp["n_parts"])
 
 
 def _paths_by_part(out_dir: str) -> dict[int, list[str]]:
@@ -76,51 +67,6 @@ def _paths_by_part(out_dir: str) -> dict[int, list[str]]:
     for r in recs:
         out.setdefault(int(r["part_id"]), []).append(resolve_container_path(out_dir, r))
     return out
-
-
-class _BucketJoiner:
-    """Decode one part_id's containers from both stores and join locally.
-    Works as a plain callable in a task pool (state is a few strings)."""
-
-    def __init__(self, left_on, right_on, left_cols, right_cols, how, right_schema):
-        self.left_on = left_on
-        self.right_on = right_on
-        self.left_cols = left_cols
-        self.right_cols = right_cols
-        self.how = how
-        self.right_schema = right_schema  # [(name, type)] for empty right sides
-
-    def _side(self, paths, cols) -> pa.Table | None:
-        tables = [decode_table(open(p, "rb").read(), columns=cols) for p in paths]
-        return pa.concat_tables(tables) if tables else None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .encode import pin_arrow_threads
-
-        pin_arrow_threads(1)
-        out = []
-        for row in batch.to_pylist():
-            left = self._side(row["left_paths"], self.left_cols)
-            if left is None:
-                continue
-            right = self._side(row["right_paths"], self.right_cols)
-            if right is None:
-                if self.how == "inner":
-                    continue
-                right = pa.table(
-                    {n: pa.array([], type=t) for n, t in self.right_schema if n in self.right_cols}
-                )
-            out.append(
-                left.join(
-                    right,
-                    keys=[self.left_on],
-                    right_keys=[self.right_on],
-                    join_type="inner" if self.how == "inner" else "left outer",
-                )
-            )
-        if not out:
-            return pa.table({})
-        return pa.concat_tables(out, promote_options="default")
 
 
 # Dynamic-partition-pruning thresholds: a dim side with at most this many
@@ -221,10 +167,6 @@ def store_join_dim(
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
     fp = _layout(fact_dir)
-    if fp.get("hash_version") != HASH_VERSION:
-        raise ValueError(f"{fact_dir}: hash_version {fp.get('hash_version')!r} != current {HASH_VERSION!r}")
-    if (fp.get("partition_mode") or "hash") != "hash":
-        raise ValueError(f"{fact_dir}: partition_mode {fp.get('partition_mode')!r} — range-clustered stores don't hash-route keys")
     n_parts = int(fp["n_parts"])
     fact_on = fp["conv_col"]
     salt_rows = int(fp.get("salt_rows") or 0)
@@ -440,11 +382,12 @@ class _MultiBucketJoiner:
     """Decode one part_id's containers from ALL stores and chain local joins.
     Plain callable in a task pool; state is column lists + schemas only."""
 
-    def __init__(self, ons, col_lists, how, schemas):
+    def __init__(self, ons, col_lists, how, schemas, empty):
         self.ons = ons            # join column per store
         self.col_lists = col_lists  # pruned columns per store
         self.how = how
         self.schemas = schemas    # [(name, type)] per store, for empty sides
+        self.empty = empty        # 0-row output table: a bucket that joins to nothing
 
     def _side(self, paths, cols) -> pa.Table | None:
         tables = [decode_table(open(p, "rb").read(), columns=cols) for p in paths]
@@ -481,14 +424,14 @@ class _MultiBucketJoiner:
             if acc is not None:
                 out.append(acc)
         if not out:
-            return pa.table({})
+            return self.empty
         return pa.concat_tables(out, promote_options="default")
 
 
 def store_join_multi(
     dirs: list[str],
     *,
-    ons: list[str] | None = None,
+    ons: list[str | None] | None = None,
     columns: list[list[str] | None] | None = None,
     how: str = "inner",
 ) -> "ray.data.Dataset":
@@ -502,21 +445,34 @@ def store_join_multi(
     entity key (user/customer/conversation) pays the partition exchange once
     at ingest, then every N-way join is map-only over matched buckets.
 
-    Same layout preconditions as ``store_join`` (hash mode, current hash
-    version, equal n_parts, unsalted, join columns ARE the partition
-    columns), checked pairwise against store 0 and refused loudly.
-    ``how``: "inner", or "left" (left-outer chain anchored on store 0).
-    Non-key output columns must be disjoint across stores."""
+    ``ons`` names each store's join column; a None entry (or ``ons=None``)
+    takes that store's recorded partition column. ``columns`` prunes each
+    store's output columns (None: all of them). The layout preconditions
+    (hash mode, current hash version, equal n_parts, unsalted, join columns
+    ARE the partition columns) are checked on every store (n_parts against
+    store 0's) and refused loudly. ``how``: "inner", or "left" (left-outer chain anchored
+    on store 0). Output carries store 0's key (every other key is folded
+    into it) plus the pruned columns in store order; non-key output columns
+    must be disjoint across stores. A bucket that joins to nothing yields a
+    0-row block of that output schema."""
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
     if len(dirs) < 2:
         raise ValueError("store_join_multi needs at least 2 stores")
     layouts = [_layout(d) for d in dirs]
-    ons = list(ons) if ons is not None else [p.get("conv_col") for p in layouts]
+    ons = list(ons) if ons is not None else [None] * len(dirs)
     if len(ons) != len(dirs):
         raise ValueError(f"{len(dirs)} stores but {len(ons)} join columns")
-    for i in range(1, len(dirs)):
-        _check_bucketed(dirs[0], dirs[i], ons[0], ons[i])
+    if columns is not None and len(columns) != len(dirs):
+        raise ValueError(f"{len(dirs)} stores but {len(columns)} column lists")
+    ons = [on or p.get("conv_col") for on, p in zip(ons, layouts)]
+    for d, p, on in zip(dirs, layouts, ons):
+        if int(p.get("salt_rows") or 0) != 0:
+            raise ValueError(f"{d}: salt_rows={p.get('salt_rows')} — salted stores split keys across chunk partitions")
+        if int(p["n_parts"]) != int(layouts[0]["n_parts"]):
+            raise ValueError(f"n_parts mismatch: {layouts[0]['n_parts']} vs {p['n_parts']}")
+        if p.get("conv_col") != on:
+            raise ValueError(f"{d} is partitioned on {p.get('conv_col')!r}, not the join column {on!r}")
 
     from .zonemap import _store_schema
 
@@ -529,12 +485,16 @@ def store_join_multi(
         cols = list(dict.fromkeys([ons[i]] + list(want)))
         missing = [c for c in cols if c not in names]
         if missing:
-            raise ValueError(f"columns {missing} not in {d} schema")
+            raise ValueError(f"columns {missing} not in store schemas ({d})")
         overlap = taken & (set(cols) - {ons[i]})
         if overlap:
             raise ValueError(f"non-key columns {sorted(overlap)} appear on multiple sides — prune one")
         taken |= set(cols) - {ons[i]}
         col_lists.append(cols)
+    empty = pa.table({
+        c: pa.array([], type=dict(sch)[c])
+        for i, sch in enumerate(schemas) for c in col_lists[i] if i == 0 or c != ons[i]
+    })
 
     by_part = [_paths_by_part(d) for d in dirs]
     pids = set(by_part[0])
@@ -547,14 +507,8 @@ def store_join_multi(
         if by_part[0].get(p)
     ]
     if not items:
-        empty_cols: dict[str, pa.Array] = {}
-        for i, sch in enumerate(schemas):
-            t = dict(sch)
-            for c in col_lists[i]:
-                if i == 0 or c != ons[i]:
-                    empty_cols[c] = pa.array([], type=t[c])
-        return ray.data.from_arrow(pa.table(empty_cols))
-    joiner = _MultiBucketJoiner(ons, col_lists, how, schemas)
+        return ray.data.from_arrow(empty)
+    joiner = _MultiBucketJoiner(ons, col_lists, how, schemas, empty)
     return ray.data.from_items(items).map_batches(joiner, batch_format="pyarrow", batch_size=1)
 
 
@@ -568,51 +522,10 @@ def store_join(
     right_columns: list[str] | None = None,
     how: str = "inner",
 ) -> "ray.data.Dataset":
-    """Join two co-partitioned stores on their partition columns -> streaming
-    Dataset. ``left_on``/``right_on`` default to each store's recorded
-    partition column. Output carries ``left_on`` (the right key is folded
-    into it) plus the pruned column selections; non-key column names must be
-    disjoint between the sides."""
-    if how not in ("inner", "left"):
-        raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
-    lp, rp = _layout(left_dir), _layout(right_dir)
-    left_on = left_on or lp.get("conv_col")
-    right_on = right_on or rp.get("conv_col")
-    _check_bucketed(left_dir, right_dir, left_on, right_on)
-
-    from .zonemap import _store_schema
-
-    l_schema = _store_schema(left_dir, mf.load_records(left_dir))
-    r_schema = _store_schema(right_dir, mf.load_records(right_dir))
-    l_names = [n for n, _ in l_schema]
-    r_names = [n for n, _ in r_schema]
-    left_cols = list(dict.fromkeys([left_on] + (left_columns if left_columns is not None else l_names)))
-    right_cols = list(dict.fromkeys([right_on] + (right_columns if right_columns is not None else r_names)))
-    missing = [c for c in left_cols if c not in l_names] + [c for c in right_cols if c not in r_names]
-    if missing:
-        raise ValueError(f"columns {missing} not in store schemas")
-    overlap = (set(left_cols) - {left_on}) & (set(right_cols) - {right_on})
-    if overlap:
-        raise ValueError(f"non-key columns {sorted(overlap)} appear on both sides — prune one")
-
-    lparts, rparts = _paths_by_part(left_dir), _paths_by_part(right_dir)
-    pids = sorted(set(lparts) | (set(rparts) if how == "left" else set(rparts) & set(lparts)))
-    items = [
-        {
-            "part_id": p,
-            "left_paths": lparts.get(p, []),
-            "right_paths": rparts.get(p, []),
-        }
-        for p in pids
-        if lparts.get(p)
-    ]
-    if not items:
-        lt = dict(l_schema)
-        rt = dict(r_schema)
-        empty = pa.table(
-            {c: pa.array([], type=lt[c]) for c in left_cols}
-            | {c: pa.array([], type=rt[c]) for c in right_cols if c != right_on}
-        )
-        return ray.data.from_arrow(empty)
-    joiner = _BucketJoiner(left_on, right_on, left_cols, right_cols, how, r_schema)
-    return ray.data.from_items(items).map_batches(joiner, batch_format="pyarrow", batch_size=1)
+    """Join two co-partitioned stores on their partition columns -> Dataset:
+    ``store_join_multi`` over the pair. ``left_on``/``right_on`` default to
+    each store's recorded partition column. Output carries ``left_on`` (the
+    right key is folded into it) plus the pruned column selections; non-key
+    column names must be disjoint between the sides."""
+    return store_join_multi([left_dir, right_dir], ons=[left_on, right_on],
+                            columns=[left_columns, right_columns], how=how)

@@ -1188,6 +1188,30 @@ def _decode_table(paths, decoder, empty: pa.Table) -> pa.Table:
     return pa.concat_tables(out) if out else empty
 
 
+def decoded_dataset(paths, decoder, empty: pa.Table, nbytes: int):
+    """``decoder``'s rows of the containers at ``paths`` as a Dataset, in
+    path order — the one executor choice of ``PrunedScan.dataset`` (a scan)
+    and ``decode.decode_dataset`` (a whole store). ``nbytes`` is the
+    decoded size the plan holds; ``empty`` is the 0-row table of the output
+    schema.
+
+    While ``fits_tasks(nbytes)`` holds, the containers decode NOW, in plain
+    Ray tasks over contiguous slices of ``paths`` (``map_slices``), and the
+    Dataset is built from the tasks' tables (``from_arrow_refs``) — no read
+    or map operator; a corrupt container raises its ``ValueError`` from
+    this call. Past it the decode is one streaming Ray Data job, one
+    ``decoder`` call per container (``batch_size=1``), run when the Dataset
+    is consumed, where a decode error surfaces as Ray Data's
+    ``UserCodeException``."""
+    import ray.data
+
+    if fits_tasks(nbytes):
+        return ray.data.from_arrow_refs(map_slices(_decode_table, paths, decoder, empty))
+    return ray.data.read_binary_files(paths).map_batches(
+        decoder, batch_format="pyarrow", batch_size=1
+    )
+
+
 class PrunedScan:
     """The read path every pushdown operator shares, over a store FAMILY (a
     single store is a family of one).
@@ -1360,27 +1384,16 @@ class PrunedScan:
     def dataset(self, paths, work_cols=None, verify_crc=False):
         """The decoded, exactly filtered rows of ``paths`` as a Dataset,
         reading ``work_cols`` plus the predicate columns and emitting
-        ``work_cols`` (every column when None). A typed empty Dataset when
-        nothing survived.
-
-        A large plan (``executor``) streams: one ``_ScanDecoder`` call per
-        container (``batch_size=1``) that runs when the Dataset is
-        consumed. A small plan decodes NOW, in plain Ray tasks over
-        contiguous slices of ``paths``, and the Dataset is built from the
-        tasks' tables (``from_arrow_refs``) in path order — no read or map
-        operator."""
+        ``work_cols`` (every column when None), on ``executor``'s side of
+        ``decoded_dataset``. A typed empty Dataset when nothing survived."""
         import ray.data
 
         names = list(self.schema) if work_cols is None else work_cols
         empty = pa.table({n: pa.array([], type=self.schema[n]) for n in names})
         if not paths:
             return ray.data.from_arrow(empty)
-        dec = self._decoder(work_cols, verify_crc)
-        if self.executor(paths) == "tasks":
-            return ray.data.from_arrow_refs(map_slices(_decode_table, paths, dec, empty))
-        return ray.data.read_binary_files(paths).map_batches(
-            dec, batch_format="pyarrow", batch_size=1
-        )
+        return decoded_dataset(paths, self._decoder(work_cols, verify_crc), empty,
+                               sum(self.sizes[p] for p in paths))
 
     def run(self, paths, partial, work_cols, verify_crc=False):
         """Decode + ``partial`` over ``paths`` in plain Ray tasks over

@@ -211,6 +211,21 @@ def test_compact_family_key_mismatch_refused(ray_session, family, tmp_path):
         compact_family([family["dirs"][0], other], str(tmp_path / "never"))
 
 
+def test_compact_refuses_drop_no_member_carries(ray_session, family, tmp_path):
+    """A ``drop_columns`` entry that no member carries (a typo) is refused
+    before anything is written, for one store and for a family. A column
+    that only some members carry is still skipped where it is absent
+    (``test_compact_family_conforms_schema_drift``)."""
+    from parquet_converter_ray.encode import compact_dataset, compact_family
+
+    one, fam = tmp_path / "one", tmp_path / "fam"
+    with pytest.raises(ValueError, match=r"drop_columns \['tol'\] are in no member"):
+        compact_dataset(family["dirs"][0], str(one), drop_columns=["tol"])
+    with pytest.raises(ValueError, match=r"drop_columns \['tol'\] are in no member"):
+        compact_family(family["dirs"], str(fam), drop_columns=["tool", "tol"])
+    assert not one.exists() and not fam.exists()
+
+
 def test_cli_compact_family(family, tmp_path, capsys):
     from parquet_converter_ray.cli import main
     from parquet_converter_ray.decode import decode_dataset

@@ -599,3 +599,75 @@ def test_store_join_dim_dpp_fallbacks(ray_session, tmp_path, monkeypatch):
     total = duckdb.sql(
         f"SELECT count(*) FROM '{SF_DIR}/lineitem.parquet'").fetchone()[0]
     assert _collect(ds).num_rows == total
+
+
+# --- one joiner: empty buckets and the two-store form ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def sparse_stores(ray_session, tmp_path_factory):
+    """Three co-bucketed stores (4 parts) that share ONE key, 0: every other
+    bucket holds containers on every side whose keys never meet."""
+    base = tmp_path_factory.mktemp("storejoin_sparse")
+    dirs = []
+    for tag, keys, vals in [
+        ("a", range(0, 64), pa.array([i / 4 for i in range(64)], pa.float64())),
+        ("b", [0, *range(1000, 1063)], pa.array([f"b{i}" for i in range(64)])),
+        ("c", [0, *range(2000, 2063)], pa.array(range(64), pa.int32())),
+    ]:
+        t = pa.table({f"k{tag}": pa.array(keys, pa.int64()),
+                      f"{tag}_ord": pa.array(range(64), pa.int64()),
+                      f"{tag}_val": vals})
+        d = str(base / tag)
+        encode_dataset(ray.data.from_arrow(t), d, n_parts=4, conv_col=f"k{tag}",
+                       order_col=f"{tag}_ord", sort_key=(f"k{tag}", f"{tag}_ord"),
+                       salt_rows=0)
+        dirs.append(d)
+    return dirs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bucket_that_joins_to_nothing_keeps_output_schema(sparse_stores, monkeypatch, n):
+    """An inner join's bucket with no matching key yields a 0-row block of
+    the output schema (never a column-less table), for the two-store form
+    and for three stores; the joined Dataset reports that schema too."""
+    from parquet_converter_ray import storejoin
+
+    made = []
+
+    class Spy(storejoin._MultiBucketJoiner):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(storejoin, "_MultiBucketJoiner", Spy)
+    dirs = sparse_stores[:n]
+    ds = store_join(*dirs) if n == 2 else storejoin.store_join_multi(dirs)
+    (joiner,) = made
+    by_part = [storejoin._paths_by_part(d) for d in dirs]
+    outs = [
+        joiner(pa.Table.from_pylist([{"part_id": p, "paths": [m[p] for m in by_part]}]))
+        for p in sorted(set.intersection(*(set(m) for m in by_part)))
+    ]
+    full = [t for t in outs if t.num_rows]
+    assert len(full) == 1 and full[0].num_rows == 1 and len(outs) > 1
+    schema = full[0].schema
+    want = ["ka", "a_ord", "a_val", "b_ord", "b_val", "c_ord", "c_val"][: 1 + 2 * n]
+    assert schema.names == want
+    for t in outs:
+        assert t.schema.equals(schema)
+    s = ds.schema()
+    assert (list(s.names), list(s.types)) == (schema.names, schema.types)
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_store_join_equals_multi(stores, how):
+    from parquet_converter_ray.storejoin import store_join_multi
+
+    o_dir, l_dir = stores
+    cols = ["l_quantity", "l_shipdate"]
+    a = _collect(store_join(o_dir, l_dir, how=how, right_columns=cols))
+    b = _collect(store_join_multi([o_dir, l_dir], columns=[None, cols], how=how))
+    assert a.num_rows > 0 and a.column_names == b.column_names
+    key = [(c, "ascending") for c in a.column_names]
+    assert a.sort_by(key).equals(b.sort_by(key))

@@ -309,6 +309,52 @@ def test_fsck_clean_and_corrupt(ray_session, store, tmp_path):
     assert not rep4["ok"] and any("stray" in e for e in rep4["errors"])
 
 
+def test_fsck_deep_check_runs_on_plain_tasks(ray_session, store, tmp_path, monkeypatch):
+    """The deep check fans out as plain Ray tasks (``zonemap.map_footers``):
+    on a bit-rotted and on a truncated copy it reports exactly the damaged
+    partition and checks every intact container, with 0 Ray Data jobs."""
+    import shutil
+
+    from test_footer_tasks import _count_jobs
+
+    jobs = _count_jobs(monkeypatch)
+    recs = mf.load_records(store)
+    by_name = {os.path.basename(r["path"]): r for r in recs}
+
+    rot = str(tmp_path / "rot")
+    shutil.copytree(store, rot)
+    victim = sorted(glob.glob(os.path.join(rot, "part-*.pcc")))[0]
+    with open(victim, "rb") as fh:
+        data = bytearray(fh.read())
+    data[len(data) // 2] ^= 0xFF
+    with open(victim, "wb") as fh:
+        fh.write(bytes(data))
+    r = by_name[os.path.basename(victim)]
+    rep = fsck_store(rot, deep=True)
+    assert rep["errors"] == [f"part {r['part_id']} gen {r.get('generation', 0)}: "
+                             "payload crc32 mismatch (bit rot?)"]
+    assert rep["deep_checked"] == rep["parts"] == len(recs)
+
+    trunc = str(tmp_path / "trunc")
+    shutil.copytree(store, trunc)
+    for rf in glob.glob(os.path.join(mf.manifest_dir(trunc), "part-*.json")):
+        with open(rf) as fh:
+            rec = json.load(fh)
+        rec["path"] = os.path.join(trunc, os.path.basename(rec["path"]))
+        with open(rf, "w") as fh:
+            json.dump(rec, fh)
+    victim = sorted(glob.glob(os.path.join(trunc, "part-*.pcc")))[1]
+    size = os.path.getsize(victim)
+    with open(victim, "r+b") as fh:
+        fh.truncate(size - 10)
+    r = by_name[os.path.basename(victim)]
+    rep = fsck_store(trunc, deep=True)
+    assert rep["errors"] == [f"part {r['part_id']} gen {r.get('generation', 0)}: "
+                             f"size {size - 10} != recorded bytes_out {size}"]
+    assert rep["deep_checked"] == len(recs) - 1
+    assert jobs == []
+
+
 def test_scan_hash_routes_partition_column(store, transcripts, tmp_path):
     """Level-0 pruning: equality/in on the PARTITION column prunes by hash
     arithmetic alone (plan['pruned_hash']), with the salt-chunk range bounded
