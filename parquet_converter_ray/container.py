@@ -153,6 +153,13 @@ def decode_table(data: bytes, columns: list[str] | None = None, verify_crc: bool
     return pa.table({name: decode_array(blobs[name]) for name in names})
 
 
+def read_table(path: str, columns: list[str] | None = None, verify_crc: bool = False) -> pa.Table:
+    """``decode_table`` of the container file at ``path``: the one read of a
+    whole container's columns from disk."""
+    with open(path, "rb") as f:
+        return decode_table(f.read(), columns=columns, verify_crc=verify_crc)
+
+
 def write_container_atomic(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:

@@ -1,12 +1,13 @@
 """Decode pipeline: container files -> ray.data.Dataset of Arrow batches.
 
 Containers are independently decodable, so the read is embarrassingly
-parallel. ``decode_dataset`` is a scan with no predicate: it shares the
-scans' executor choice (``zonemap.decoded_dataset``) — a store whose
-recorded bytes fit the small-plan crossover (``zonemap.fits_tasks``)
-decodes at once in plain Ray tasks over contiguous slices of its paths; a
-larger one streams as ``read_binary_files`` (one row per container) ->
-``map_batches(_ScanDecoder)``.
+parallel. ``decode_dataset`` is a scan with no predicate: it runs on the
+executor every container fan-out shares (``zonemap.decoded_dataset``) — a
+store whose recorded bytes fit the small-plan crossover
+(``zonemap.fits_tasks``) decodes at once in plain Ray tasks over
+contiguous slices of its paths; a larger one streams as one Ray Data job
+with one ``_ScanDecoder`` call per container. ``store_changes`` runs on the
+same executor, one partition per unit.
 
 Column pruning works at the container level: the footer records per-buffer
 offsets, so decoding 2 of 6 columns touches only those buffers.
@@ -19,9 +20,7 @@ import os
 
 import pyarrow as pa
 
-import ray.data
-
-from .container import decode_table
+from .container import read_table
 from .pipelines._util import read_parquet_clean
 
 
@@ -147,7 +146,7 @@ def decode_dataset(
     from .zonemap import _ScanDecoder, decoded_dataset
 
     files, empty, nbytes = _decode_plan(out_dir, columns, max_generation)
-    return decoded_dataset(files, _ScanDecoder(columns, None, [], verify_crc), empty, nbytes)
+    return decoded_dataset(files, _ScanDecoder(columns, None, [], verify_crc).read, empty, nbytes)
 
 
 def roundtrip_table(
@@ -291,7 +290,9 @@ def store_diff(
     fingerprint fold is commutative, so a family's fingerprint is the fold
     over all members' batches — which is exactly how ``compact_family``
     output is proven equal to the family it conformed, without decoding
-    anything twice or moving a row."""
+    anything twice or moving a row. Each side decodes as one
+    ``decode_family``, so its members must agree on the shared columns'
+    types."""
     from .zonemap import _store_schema
 
     from . import manifest as mf
@@ -321,14 +322,8 @@ def store_diff(
             f"stores share no columns (a: {sorted(sa)}, b: {sorted(sb)}) — nothing to compare"
         )
 
-    def _side_ds(dirs: list[str]):
-        ds = decode_dataset(dirs[0], columns=shared)
-        for d in dirs[1:]:
-            ds = ds.union(decode_dataset(d, columns=shared))
-        return ds
-
-    fa = dataset_fingerprint(_side_ds(a_dirs), columns=shared)
-    fb = dataset_fingerprint(_side_ds(b_dirs), columns=shared)
+    fa = dataset_fingerprint(decode_family(a_dirs, columns=shared), columns=shared)
+    fb = dataset_fingerprint(decode_family(b_dirs, columns=shared), columns=shared)
     return {
         "equal": fa == fb,
         "columns": shared,
@@ -340,25 +335,22 @@ def store_diff(
 
 
 class _ChangeScanner:
-    """Decode one part_id's containers from BOTH stores and emit the
-    row-level change set keyed by the store key. Plain callable in a task
-    pool; state is column lists only."""
+    """The unit function of ``store_changes``: decode one part_id's
+    containers from BOTH stores and emit the row-level change set keyed by
+    the store key. State is column lists only."""
 
     def __init__(self, key_fields: "list[tuple[str, pa.DataType]]", value_cols: list[str]):
         self.key_cols = [n for n, _ in key_fields]
         self.value_cols = value_cols
         self.out_schema = pa.schema(list(key_fields) + [("change", pa.string())])
 
-    def _side(self, paths) -> "pa.Table | None":
-        cols = list(dict.fromkeys(self.key_cols + self.value_cols))
-        tables = [decode_table(open(p, "rb").read(), columns=cols) for p in paths]
-        return pa.concat_tables(tables) if tables else None
-
-    def _fold(self, t: "pa.Table | None"):
-        """(pandas frame keyed by key_cols with n + wrapped hash-sum) or None."""
+    def _fold(self, paths: "list[str]"):
+        """(pandas frame keyed by key_cols with n + wrapped hash-sum) of the
+        containers at ``paths``, or None when they hold no row."""
         import numpy as np
-        import pandas as pd
 
+        cols = list(dict.fromkeys(self.key_cols + self.value_cols))
+        t = pa.concat_tables([read_table(p, columns=cols) for p in paths]) if paths else None
         if t is None or t.num_rows == 0:
             return None
         if self.value_cols:
@@ -371,26 +363,20 @@ class _ChangeScanner:
         out = g.agg(n="size", hs="sum")  # int64 sum wraps (numpy), fine for hashing
         return out.reset_index()
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, part: "tuple[list[str], list[str]]") -> pa.Table:
+        """One partition: its old and its new container paths."""
         import pandas as pd
 
-        from .encode import pin_arrow_threads
-
-        pin_arrow_threads(1)
-        frames = []
-        for row in batch.to_pylist():
-            old = self._fold(self._side(row["old_paths"]))
-            new = self._fold(self._side(row["new_paths"]))
-            if old is None and new is None:
-                continue
-            if old is None:
-                new["change"] = "insert"
-                frames.append(new[self.key_cols + ["change"]])
-                continue
-            if new is None:
-                old["change"] = "delete"
-                frames.append(old[self.key_cols + ["change"]])
-                continue
+        old, new = (self._fold(paths) for paths in part)
+        if old is None and new is None:
+            return self.out_schema.empty_table()
+        if old is None:
+            new["change"] = "insert"
+            m = new
+        elif new is None:
+            old["change"] = "delete"
+            m = old
+        else:
             m = old.merge(new, on=self.key_cols, how="outer",
                           suffixes=("_o", "_n"), indicator=True)
             change = pd.Series("update", index=m.index)
@@ -399,11 +385,7 @@ class _ChangeScanner:
             same = (m["_merge"] == "both") & (m["n_o"] == m["n_n"]) & (m["hs_o"] == m["hs_n"])
             m = m[~same]
             m["change"] = change[~same]
-            frames.append(m[self.key_cols + ["change"]])
-        if not frames:
-            return self.out_schema.empty_table()
-        out = pa.Table.from_pandas(pd.concat(frames, ignore_index=True),
-                                   preserve_index=False)
+        out = pa.Table.from_pandas(m[self.key_cols + ["change"]], preserve_index=False)
         # pin key-column types to the store schema (pandas may widen)
         return out.select(self.out_schema.names).cast(self.out_schema)
 
@@ -433,23 +415,19 @@ def store_changes(
     ``store_diff``'s job and is not flagged here).
 
     Iceberg/Delta expose the same thing as incremental scans / CDF reads;
-    here it costs metadata + the touched partitions only."""
-    from . import manifest as mf
-    from .partition import HASH_VERSION
-    from .zonemap import _store_schema
+    here it costs metadata + the touched partitions only.
 
-    po, pn = mf.load_run_record(old_dir), mf.load_run_record(new_dir)
-    for d, p in ((old_dir, po), (new_dir, pn)):
-        if not p:
-            raise ValueError(f"{d}: no _run.json — cannot prove layouts comparable")
-        if p.get("hash_version") != HASH_VERSION:
-            raise ValueError(f"{d}: hash_version {p.get('hash_version')!r} != current {HASH_VERSION!r}")
-        if (p.get("partition_mode") or "hash") != "hash":
-            raise ValueError(
-                f"{d}: partition_mode {p.get('partition_mode')!r} — range-clustered "
-                "partition boundaries are data-dependent, so partition-local CDC "
-                "is unsound; rebucket both states first"
-            )
+    The touched partitions run on the executor every container fan-out
+    shares (``zonemap.decoded_dataset``, one ``_ChangeScanner`` call per
+    partition): while their recorded bytes fit the small-plan crossover the
+    diff runs NOW in plain Ray tasks, so a corrupt container raises its
+    ``ValueError`` from this call; past it the diff streams as one Ray Data
+    job when the Dataset is consumed, where the error surfaces as Ray
+    Data's ``UserCodeException``."""
+    from . import manifest as mf
+    from .zonemap import _store_schema, decoded_dataset
+
+    po, pn = mf.hash_layout(old_dir), mf.hash_layout(new_dir)
     for field in ("n_parts", "conv_col", "order_col", "salt_rows"):
         if po.get(field) != pn.get(field):
             raise ValueError(
@@ -479,44 +457,24 @@ def store_changes(
 
     all_parts = sorted(set(bo) | set(bn))
     plan = {"parts_total": len(all_parts), "parts_skipped": 0, "parts_compared": 0}
-    spec_rows = []
+    parts, nbytes = [], 0
     for pid in all_parts:
         ro, rn = bo.get(pid, []), bn.get(pid, [])
         if _sig(ro) == _sig(rn):
             plan["parts_skipped"] += 1
             continue
         plan["parts_compared"] += 1
-        spec_rows.append({
-            "part_id": pid,
-            "old_paths": [resolve_container_path(old_dir, r) for r in ro],
-            "new_paths": [resolve_container_path(new_dir, r) for r in rn],
-        })
+        parts.append(([resolve_container_path(old_dir, r) for r in ro],
+                      [resolve_container_path(new_dir, r) for r in rn]))
+        nbytes += sum(int(r.get("bytes_in", 0)) for r in ro + rn)
 
     schema_o = dict(_store_schema(old_dir, recs_o)) if recs_o else {}
     schema_n = dict(_store_schema(new_dir, recs_n)) if recs_n else {}
     value_cols = sorted((set(schema_o) & set(schema_n)) - set(key_cols))
     key_fields = [(c, schema_n.get(c) or schema_o.get(c) or pa.string())
                   for c in key_cols]
-
-    if not spec_rows:
-        empty = pa.schema(key_fields + [("change", pa.string())]).empty_table()
-        ds = ray.data.from_arrow(empty)
-        return (ds, plan) if return_plan else ds
-
-    spec = pa.table(
-        {
-            "part_id": pa.array([s["part_id"] for s in spec_rows], pa.int32()),
-            "old_paths": pa.array([s["old_paths"] for s in spec_rows],
-                                  pa.list_(pa.string())),
-            "new_paths": pa.array([s["new_paths"] for s in spec_rows],
-                                  pa.list_(pa.string())),
-        }
-    )
-    ds = (
-        ray.data.from_arrow(spec)
-        .repartition(len(spec_rows))
-        .map_batches(_ChangeScanner(key_fields, value_cols), batch_format="pyarrow")
-    )
+    scanner = _ChangeScanner(key_fields, value_cols)
+    ds = decoded_dataset(parts, scanner, scanner.out_schema.empty_table(), nbytes)
     return (ds, plan) if return_plan else ds
 
 
@@ -635,11 +593,9 @@ def lookup_conversation(
         if part not in decoded:
             if part not in by_part:
                 raise FileNotFoundError(f"partition {part} missing from {out_dir}")
-            parts = []
-            for path in by_part[part]:  # base container + any appended deliveries
-                with open(path, "rb") as f:
-                    parts.append(decode_table(f.read(), columns=read_cols))
-            decoded[part] = pa.concat_tables(parts)
+            decoded[part] = pa.concat_tables(  # base container + any appended deliveries
+                [read_table(p, columns=read_cols) for p in by_part[part]]
+            )
         tbl = decoded[part]
         sel = tbl.filter(pc.equal(tbl[conv_col], conv_value))
         if salted:
@@ -718,7 +674,7 @@ def decode_family(
             "store family schemas differ on the emitted columns — conform "
             f"them via compact_family first: {detail}"
         )
-    dec = _ScanDecoder(columns, None, [])
+    dec = _ScanDecoder(columns, None, []).read
     ds = None
     for files, empty, nbytes in plans:
         member = decoded_dataset(files, dec, empty, nbytes)

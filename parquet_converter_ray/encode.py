@@ -978,34 +978,13 @@ def rebucket_dataset(
     bucketed-join layout (current hash version, hash mode, unsalted) —
     matching a non-joinable store's n_parts buys nothing, so that is
     refused with the real reason instead of succeeding uselessly."""
-    from .partition import HASH_VERSION
-
     if (like is None) == (n_parts is None):
         raise ValueError("rebucket needs exactly one of like= / n_parts=")
     prior = mf.load_run_record(in_dir)
     if prior is None:
         raise ValueError(f"no run record in {in_dir} — not an encoded store?")
     if like is not None:
-        target = mf.load_run_record(like)
-        if target is None:
-            raise ValueError(f"no run record in {like} — not an encoded store?")
-        if target.get("hash_version") != HASH_VERSION:
-            raise ValueError(
-                f"{like}: hash_version {target.get('hash_version')!r} != current "
-                f"{HASH_VERSION!r} — rebucketing against it cannot co-locate keys"
-            )
-        if (target.get("partition_mode") or "hash") != "hash":
-            raise ValueError(
-                f"{like}: partition_mode {target.get('partition_mode')!r} — a "
-                "range-clustered store routes by value range; rebucket against "
-                "a hash-partitioned store (or pass n_parts= directly)"
-            )
-        if int(target.get("salt_rows") or 0) != 0:
-            raise ValueError(
-                f"{like}: salt_rows={target.get('salt_rows')} — a salted store "
-                "splits keys across chunk partitions and never bucketed-joins"
-            )
-        n_parts = int(target["n_parts"])
+        n_parts = int(mf.hash_layout(like, unsalted=True)["n_parts"])
     return compact_dataset(
         in_dir,
         out_dir,
@@ -1033,15 +1012,14 @@ def _existing_part_keys(out_dir: str, part_id: int, conv_col: str, order_col: st
     + every appended generation) — a partition-local pruned decode, never a
     store scan: re-delivered rows hash to the same part_id, so idempotence
     only needs the keys of the partition being written."""
-    from .container import decode_table
+    from .container import read_table
     from .decode import resolve_container_path
 
     chunks = []
     for r in mf.load_records(out_dir):
         if int(r["part_id"]) != part_id:
             continue
-        with open(resolve_container_path(out_dir, r), "rb") as f:
-            t = decode_table(f.read(), columns=[conv_col, order_col])
+        t = read_table(resolve_container_path(out_dir, r), columns=[conv_col, order_col])
         k = _row_keys(t[conv_col], t[order_col])
         chunks.extend(k.chunks if isinstance(k, pa.ChunkedArray) else [k])
     return pa.chunked_array(chunks) if chunks else None
@@ -1510,12 +1488,9 @@ def _probe_partition_victims(paths: list[str], conv_col: str, victims: list) -> 
     decode over the partition's containers (delete probe worker — runs as a
     Ray task so a long delete list probes its candidate partitions in
     parallel, never driver-serially)."""
-    from .container import decode_table
+    from .container import read_table
 
-    tabs = []
-    for p in paths:
-        with open(p, "rb") as f:
-            tabs.append(decode_table(f.read(), columns=[conv_col]))
+    tabs = [read_table(p, columns=[conv_col]) for p in paths]
     if not tabs:
         return []
     col = pa.concat_tables(tabs)[conv_col].combine_chunks()

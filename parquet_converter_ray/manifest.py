@@ -81,6 +81,36 @@ def load_run_record(out_dir: str) -> dict | None:
         return None
 
 
+def hash_layout(out_dir: str, *, unsalted: bool = False) -> dict:
+    """The run record of a store whose keys route to partitions by the
+    current hash arithmetic: the precondition of every job that relies on
+    that routing (bucketed and dimension joins, CDC, rebucketing against a
+    store).
+    Refuses a store with no run record, another ``hash_version``, a
+    range-clustered layout and, with ``unsalted``, a salted one."""
+    from .partition import HASH_VERSION
+
+    params = load_run_record(out_dir)
+    if not params:
+        raise ValueError(f"{out_dir}: no _run.json — its partition layout is unknown")
+    if params.get("hash_version") != HASH_VERSION:
+        raise ValueError(
+            f"{out_dir}: hash_version {params.get('hash_version')!r} != current "
+            f"{HASH_VERSION!r} — its keys route by other arithmetic"
+        )
+    if (params.get("partition_mode") or "hash") != "hash":
+        raise ValueError(
+            f"{out_dir}: partition_mode {params.get('partition_mode')!r} — range-clustered "
+            "stores route by data-dependent value ranges and don't hash-route keys"
+        )
+    if unsalted and int(params.get("salt_rows") or 0):
+        raise ValueError(
+            f"{out_dir}: salt_rows={params.get('salt_rows')} — salted stores split "
+            "keys across chunk partitions"
+        )
+    return params
+
+
 def record_path(out_dir: str, part_id: int, generation: int = 0) -> str:
     # generation 0 keeps the original name (backward compatible with stores
     # written before append existed); appended deliveries get a -gNNNN suffix

@@ -43,21 +43,8 @@ import pyarrow as pa
 import ray.data
 
 from . import manifest as mf
-from .decode import container_files, decode_table, resolve_container_path
-from .partition import HASH_VERSION
-
-
-def _layout(out_dir: str) -> dict:
-    """The store's run record, refused unless the store is hash-routed with
-    the current hash version — the arithmetic every co-located join needs."""
-    params = mf.load_run_record(out_dir)
-    if not params:
-        raise ValueError(f"{out_dir}: no _run.json — cannot prove co-partitioning")
-    if params.get("hash_version") != HASH_VERSION:
-        raise ValueError(f"{out_dir}: hash_version {params.get('hash_version')!r} != current {HASH_VERSION!r}")
-    if (params.get("partition_mode") or "hash") != "hash":
-        raise ValueError(f"{out_dir}: partition_mode {params.get('partition_mode')!r} — range-clustered stores don't hash-route keys")
-    return params
+from .container import read_table
+from .decode import container_files, resolve_container_path
 
 
 def _paths_by_part(out_dir: str) -> dict[int, list[str]]:
@@ -166,7 +153,7 @@ def store_join_dim(
 
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
-    fp = _layout(fact_dir)
+    fp = mf.hash_layout(fact_dir)
     n_parts = int(fp["n_parts"])
     fact_on = fp["conv_col"]
     salt_rows = int(fp.get("salt_rows") or 0)
@@ -327,6 +314,12 @@ def store_join_dim(
     )
 
     specs_for_join = [(tag, on_i, fields) for tag, on_i, _, fields, _ in dim_specs]
+    # a group that joins to nothing: fact columns, then dim columns in join order
+    empty = pa.table({
+        **{n: pa.array([], type=t) for n, t in f_schema if n in fact_cols},
+        **{c: pa.array([], type=t) for _, on_i, fields in specs_for_join
+           for c, t in fields if c != on_i},
+    })
 
     def _join_group(g: pa.Table) -> pa.Table:
         from .encode import pin_arrow_threads
@@ -342,16 +335,14 @@ def store_join_dim(
             if s == "file" and p
         ]
         if not paths:
-            return pa.table({})
+            return empty
         # inner join: a group missing ANY dim side joins to nothing —
         # decide that before paying for the fact-container decode
         if how == "inner":
             present = set(side)
             if any(tag not in present for tag, _, _ in specs_for_join):
-                return pa.table({})
-        out = pa.concat_tables(
-            [decode_table(open(p, "rb").read(), columns=fact_cols) for p in paths]
-        )
+                return empty
+        out = pa.concat_tables([read_table(p, columns=fact_cols) for p in paths])
         for tag, on_i, fields in specs_for_join:
             keep = pa.array([s == tag for s in side])
             dim_t = g.filter(keep)
@@ -361,7 +352,7 @@ def store_join_dim(
                 else pa.table({c: pa.array([], type=t) for c, t in fields})
             )
             if dim_t.num_rows == 0 and how == "inner":
-                return pa.table({})
+                return empty
             out = out.join(
                 dim_t,
                 keys=[fact_on],
@@ -379,8 +370,9 @@ def store_join_dim(
 
 
 class _MultiBucketJoiner:
-    """Decode one part_id's containers from ALL stores and chain local joins.
-    Plain callable in a task pool; state is column lists + schemas only."""
+    """The unit function of ``store_join_multi``: decode one part_id's
+    containers from ALL stores and chain local joins. State is column lists
+    and schemas only."""
 
     def __init__(self, ons, col_lists, how, schemas, empty):
         self.ons = ons            # join column per store
@@ -389,43 +381,24 @@ class _MultiBucketJoiner:
         self.schemas = schemas    # [(name, type)] per store, for empty sides
         self.empty = empty        # 0-row output table: a bucket that joins to nothing
 
-    def _side(self, paths, cols) -> pa.Table | None:
-        tables = [decode_table(open(p, "rb").read(), columns=cols) for p in paths]
-        return pa.concat_tables(tables) if tables else None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .encode import pin_arrow_threads
-
-        pin_arrow_threads(1)
-        out = []
-        for row in batch.to_pylist():
-            acc = self._side(row["paths"][0], self.col_lists[0])
-            if acc is None:
-                continue
-            for i in range(1, len(self.ons)):
-                side = self._side(row["paths"][i], self.col_lists[i])
-                if side is None:
-                    if self.how == "inner":
-                        acc = None
-                        break
-                    side = pa.table(
-                        {n: pa.array([], type=t) for n, t in self.schemas[i]
-                         if n in self.col_lists[i]}
-                    )
-                acc = acc.join(
-                    side,
-                    keys=[self.ons[0]],
-                    right_keys=[self.ons[i]],
-                    join_type="inner" if self.how == "inner" else "left outer",
-                )
-                if self.how == "inner" and acc.num_rows == 0:
-                    acc = None
-                    break
-            if acc is not None:
-                out.append(acc)
-        if not out:
-            return self.empty
-        return pa.concat_tables(out, promote_options="default")
+    def __call__(self, bucket: "list[list[str]]") -> pa.Table:
+        """One bucket: ``bucket[i]`` lists store i's containers of the
+        part_id (store 0's is never empty)."""
+        acc = None
+        for i, (paths, cols) in enumerate(zip(bucket, self.col_lists)):
+            side = (
+                pa.concat_tables([read_table(p, columns=cols) for p in paths]) if paths
+                else pa.table({n: pa.array([], type=t) for n, t in self.schemas[i] if n in cols})
+            )
+            acc = side if acc is None else acc.join(
+                side,
+                keys=[self.ons[0]],
+                right_keys=[self.ons[i]],
+                join_type="inner" if self.how == "inner" else "left outer",
+            )
+            if self.how == "inner" and acc.num_rows == 0:
+                return self.empty
+        return acc
 
 
 def store_join_multi(
@@ -454,12 +427,20 @@ def store_join_multi(
     on store 0). Output carries store 0's key (every other key is folded
     into it) plus the pruned columns in store order; non-key output columns
     must be disjoint across stores. A bucket that joins to nothing yields a
-    0-row block of that output schema."""
+    0-row block of that output schema.
+
+    The buckets run on the executor every container fan-out shares
+    (``zonemap.decoded_dataset``, one ``_MultiBucketJoiner`` call per
+    bucket): while the stores' recorded bytes fit the small-plan crossover
+    the join runs NOW in plain Ray tasks, so a corrupt container raises its
+    ``ValueError`` from this call; past it the join streams as one Ray Data
+    job when the Dataset is consumed, where the error surfaces as Ray
+    Data's ``UserCodeException``."""
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
     if len(dirs) < 2:
         raise ValueError("store_join_multi needs at least 2 stores")
-    layouts = [_layout(d) for d in dirs]
+    layouts = [mf.hash_layout(d, unsalted=True) for d in dirs]
     ons = list(ons) if ons is not None else [None] * len(dirs)
     if len(ons) != len(dirs):
         raise ValueError(f"{len(dirs)} stores but {len(ons)} join columns")
@@ -467,16 +448,15 @@ def store_join_multi(
         raise ValueError(f"{len(dirs)} stores but {len(columns)} column lists")
     ons = [on or p.get("conv_col") for on, p in zip(ons, layouts)]
     for d, p, on in zip(dirs, layouts, ons):
-        if int(p.get("salt_rows") or 0) != 0:
-            raise ValueError(f"{d}: salt_rows={p.get('salt_rows')} — salted stores split keys across chunk partitions")
         if int(p["n_parts"]) != int(layouts[0]["n_parts"]):
             raise ValueError(f"n_parts mismatch: {layouts[0]['n_parts']} vs {p['n_parts']}")
         if p.get("conv_col") != on:
             raise ValueError(f"{d} is partitioned on {p.get('conv_col')!r}, not the join column {on!r}")
 
-    from .zonemap import _store_schema
+    from .zonemap import _store_schema, decoded_dataset
 
-    schemas = [_store_schema(d, mf.load_records(d)) for d in dirs]
+    recs = [mf.load_records(d) for d in dirs]
+    schemas = [_store_schema(d, r) for d, r in zip(dirs, recs)]
     col_lists: list[list[str]] = []
     taken: set[str] = set()
     for i, d in enumerate(dirs):
@@ -491,9 +471,10 @@ def store_join_multi(
             raise ValueError(f"non-key columns {sorted(overlap)} appear on multiple sides — prune one")
         taken |= set(cols) - {ons[i]}
         col_lists.append(cols)
-    empty = pa.table({
-        c: pa.array([], type=dict(sch)[c])
-        for i, sch in enumerate(schemas) for c in col_lists[i] if i == 0 or c != ons[i]
+    empty = pa.table({  # columns in decode (footer) order, as a joined bucket has them
+        c: pa.array([], type=t)
+        for i, sch in enumerate(schemas) for c, t in sch
+        if c in col_lists[i] and (i == 0 or c != ons[i])
     })
 
     by_part = [_paths_by_part(d) for d in dirs]
@@ -501,15 +482,10 @@ def store_join_multi(
     if how == "inner":
         for m in by_part[1:]:
             pids &= set(m)
-    items = [
-        {"part_id": p, "paths": [m.get(p, []) for m in by_part]}
-        for p in sorted(pids)
-        if by_part[0].get(p)
-    ]
-    if not items:
-        return ray.data.from_arrow(empty)
-    joiner = _MultiBucketJoiner(ons, col_lists, how, schemas, empty)
-    return ray.data.from_items(items).map_batches(joiner, batch_format="pyarrow", batch_size=1)
+    buckets = [[m.get(p, []) for m in by_part] for p in sorted(pids) if by_part[0].get(p)]
+    nbytes = sum(int(r.get("bytes_in", 0)) for rs in recs for r in rs)
+    return decoded_dataset(buckets, _MultiBucketJoiner(ons, col_lists, how, schemas, empty),
+                           empty, nbytes)
 
 
 def store_join(

@@ -986,11 +986,11 @@ class _ScanDecoder:
         t = pa.table({nm: pred[nm] if nm in pred else decode_array(blobs[nm]) for nm in out_names})
         return t.filter(mask)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .encode import pin_arrow_threads
-
-        pin_arrow_threads(1)
-        return pa.concat_tables([self._one(blob.as_py()) for blob in batch["bytes"]])
+    def read(self, path: str) -> pa.Table:
+        """``_one`` of the container file at ``path``: a scan's unit
+        function in ``decoded_dataset``."""
+        with open(path, "rb") as f:
+            return self._one(f.read())
 
 
 def _store_schema(out_dir: str, recs: list[dict]) -> list[tuple[str, pa.DataType]]:
@@ -1053,12 +1053,12 @@ def slices(items: list, n: int) -> list:
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def map_slices(fn, paths: "list[str]", *args) -> list:
+def map_slices(fn, items: list, *args) -> list:
     """``fn(slice, *args)`` as plain Ray tasks over contiguous slices of a
-    non-empty ``paths``, at most one task per cluster CPU. Returns the
-    tasks' object refs, in path order."""
+    non-empty ``items`` (container paths, or a fan-out's units), at most
+    one task per cluster CPU. Returns the tasks' object refs, in order."""
     n = int(_cluster_resources().get("CPU", 1))
-    return [_remote_slice().remote(fn, part, args) for part in slices(paths, n)]
+    return [_remote_slice().remote(fn, part, args) for part in slices(items, n)]
 
 
 def _each(paths, fn, *args) -> dict:
@@ -1144,13 +1144,14 @@ _TEXT_OPS = ("hastok", "hasphrase", "hasany")
 # transcripts), so such a plan can overrun the share; Ray then spills task
 # outputs to disk, which slows the scan but does not fail it.
 #
-# ``encode_dataset`` and ``decode_dataset`` choose by the same share
-# (``fits_tasks``), for the same reason: their task side holds the whole
-# input (encode: map pieces until the reduces read them) or the whole
-# decode (decode: the Dataset's tables) in the object store. On a 60k-turn
-# synth input (16 partitions, same Ray settings, a shared 4-vCPU VM) the
-# tasks cut the median encode from 3.8 to 2.2 s and the median full decode
-# from 369 to 104 ms, with identical containers.
+# ``encode_dataset`` and every other ``decoded_dataset`` user
+# (``decode_dataset``, ``store_join_multi``, ``store_changes``) choose by
+# the same share (``fits_tasks``), for the same reason: their task side
+# holds the whole input (encode: map pieces until the reduces read them) or
+# the whole output (the Dataset's tables) in the object store. On a
+# 60k-turn synth input (16 partitions, same Ray settings, a shared 4-vCPU
+# VM) the tasks cut the median encode from 3.8 to 2.2 s and the median
+# full decode from 369 to 104 ms, with identical containers.
 _TASKS_MAX_STORE_SHARE = 1 / 6
 
 
@@ -1159,56 +1160,70 @@ def fits_tasks(nbytes: int) -> bool:
     plain Ray tasks: true while they stay under ``_TASKS_MAX_STORE_SHARE``
     of the cluster's ``object_store_memory``. The one crossover test of
     every small-plan executor — ``PrunedScan.executor`` (scanned bytes),
-    ``decode.decode_dataset`` (recorded container bytes) and
+    ``decoded_dataset``'s other users ``decode.decode_dataset``,
+    ``storejoin.store_join_multi`` and ``decode.store_changes`` (the
+    recorded bytes of the containers they read) and
     ``encode.encode_dataset`` (the input's estimated in-memory size)."""
     store = _cluster_resources().get("object_store_memory", 0)
     return nbytes < store * _TASKS_MAX_STORE_SHARE
 
 
-def _decode_slice(paths, decoder, partial) -> "list[pa.Table]":
-    """Task body of the task executor: decode each container of a slice,
-    skip 0-row tables (Ray Data never hands a 0-row block to a
-    ``batch_size=None`` stage either), apply ``partial`` when given, and
-    keep the non-empty results."""
+def _unit_tables(units, fn, partial, empty):
+    """The task body of every container fan-out: ``fn(unit)`` for each unit
+    of a slice, in order, skipping 0-row tables (Ray Data never hands a
+    0-row block to a ``batch_size=None`` stage either) and applying
+    ``partial`` when given. Returns the non-empty tables as a list when
+    ``empty`` is None (``PrunedScan.run``), else as one table (``empty``
+    when no row survived) for ``decoded_dataset``."""
     out = []
-    for p in paths:
-        with open(p, "rb") as f:
-            t = decoder._one(f.read())
+    for u in units:
+        t = fn(u)
         if t.num_rows and partial is not None:
             t = partial(t)
         if t.num_rows:
             out.append(t)
-    return out
-
-
-def _decode_table(paths, decoder, empty: pa.Table) -> pa.Table:
-    """A slice's decoded rows as one table, in path order (``empty`` when
-    no row survived)."""
-    out = _decode_slice(paths, decoder, None)
+    if empty is None:
+        return out
     return pa.concat_tables(out) if out else empty
 
 
-def decoded_dataset(paths, decoder, empty: pa.Table, nbytes: int):
-    """``decoder``'s rows of the containers at ``paths`` as a Dataset, in
-    path order — the one executor choice of ``PrunedScan.dataset`` (a scan)
-    and ``decode.decode_dataset`` (a whole store). ``nbytes`` is the
-    decoded size the plan holds; ``empty`` is the 0-row table of the output
-    schema.
+def _unit_batch(batch: pa.Table, units, fn) -> pa.Table:
+    """The streaming body of ``decoded_dataset``: one ``fn`` call for the
+    one unit index a ``batch_size=1`` batch holds."""
+    from .encode import pin_arrow_threads
 
-    While ``fits_tasks(nbytes)`` holds, the containers decode NOW, in plain
-    Ray tasks over contiguous slices of ``paths`` (``map_slices``), and the
-    Dataset is built from the tasks' tables (``from_arrow_refs``) — no read
-    or map operator; a corrupt container raises its ``ValueError`` from
-    this call. Past it the decode is one streaming Ray Data job, one
-    ``decoder`` call per container (``batch_size=1``), run when the Dataset
-    is consumed, where a decode error surfaces as Ray Data's
+    pin_arrow_threads(1)
+    (i,) = batch["id"].to_pylist()
+    return fn(units[i])
+
+
+def decoded_dataset(units: list, fn, empty: pa.Table, nbytes: int):
+    """``fn(unit)``'s tables over ``units`` as one Dataset, in unit order:
+    the one executor of every container fan-out. A unit is a container
+    path for ``PrunedScan.dataset`` (a scan) and ``decode.decode_dataset``
+    (a whole store), one bucket's path lists for
+    ``storejoin.store_join_multi`` and one partition's old and new paths
+    for ``decode.store_changes``. ``nbytes`` is the decoded size the plan
+    holds; ``empty`` is the 0-row table of the output schema, and no units
+    give a Dataset of it.
+
+    While ``fits_tasks(nbytes)`` holds, ``fn`` runs NOW, in plain Ray tasks
+    over contiguous slices of ``units`` (``map_slices``, the task body that
+    ``PrunedScan.run`` shares), and the Dataset is built from the tasks'
+    tables (``from_arrow_refs``) — no read or map operator; a corrupt
+    container raises its ``ValueError`` from this call. Past it the
+    fan-out is one streaming Ray Data job, one ``fn`` call per unit
+    (``range`` -> ``map_batches`` with ``batch_size=1``), run when the
+    Dataset is consumed, where an error surfaces as Ray Data's
     ``UserCodeException``."""
     import ray.data
 
+    if not units:
+        return ray.data.from_arrow(empty)
     if fits_tasks(nbytes):
-        return ray.data.from_arrow_refs(map_slices(_decode_table, paths, decoder, empty))
-    return ray.data.read_binary_files(paths).map_batches(
-        decoder, batch_format="pyarrow", batch_size=1
+        return ray.data.from_arrow_refs(map_slices(_unit_tables, units, fn, None, empty))
+    return ray.data.range(len(units)).map_batches(
+        _unit_batch, fn_args=(units, fn), batch_format="pyarrow", batch_size=1
     )
 
 
@@ -1386,13 +1401,9 @@ class PrunedScan:
         reading ``work_cols`` plus the predicate columns and emitting
         ``work_cols`` (every column when None), on ``executor``'s side of
         ``decoded_dataset``. A typed empty Dataset when nothing survived."""
-        import ray.data
-
         names = list(self.schema) if work_cols is None else work_cols
         empty = pa.table({n: pa.array([], type=self.schema[n]) for n in names})
-        if not paths:
-            return ray.data.from_arrow(empty)
-        return decoded_dataset(paths, self._decoder(work_cols, verify_crc), empty,
+        return decoded_dataset(paths, self._decoder(work_cols, verify_crc).read, empty,
                                sum(self.sizes[p] for p in paths))
 
     def run(self, paths, partial, work_cols, verify_crc=False):
@@ -1406,7 +1417,7 @@ class PrunedScan:
         import ray
 
         dec = self._decoder(work_cols, verify_crc)
-        for ref in map_slices(_decode_slice, paths, dec, partial):
+        for ref in map_slices(_unit_tables, paths, dec.read, partial, None):
             yield from ray.get(ref)
 
 

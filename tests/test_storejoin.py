@@ -3,6 +3,8 @@ preconditions it must refuse, and left-join semantics for missing buckets."""
 
 from __future__ import annotations
 
+import pathlib
+
 import duckdb
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -386,8 +388,8 @@ def test_three_way_join_matches_duckdb_zero_exchange(tri_stores):
     assert round(float(pc.sum(t["value"]).as_py()), 2) == float(sv)
     assert round(float(pc.sum(t["o_totalprice"]).as_py()), 2) == float(sp)
     assert set(t.column_names) == {"user_id", "value", "o_totalprice", "c_mktsegment"}
-    # zero exchange: the executed lineage is from_items -> one map stage —
-    # no all-to-all (sort/shuffle/aggregate) operator anywhere in the plan
+    # zero exchange: the buckets join in plain tasks (one map stage when
+    # streaming) — no all-to-all (sort/shuffle/aggregate) operator anywhere
     stats = ds.stats()
     assert "AllToAll" not in stats and "Sort" not in stats and "Aggregate" not in stats
 
@@ -645,10 +647,8 @@ def test_bucket_that_joins_to_nothing_keeps_output_schema(sparse_stores, monkeyp
     ds = store_join(*dirs) if n == 2 else storejoin.store_join_multi(dirs)
     (joiner,) = made
     by_part = [storejoin._paths_by_part(d) for d in dirs]
-    outs = [
-        joiner(pa.Table.from_pylist([{"part_id": p, "paths": [m[p] for m in by_part]}]))
-        for p in sorted(set.intersection(*(set(m) for m in by_part)))
-    ]
+    outs = [joiner([m[p] for m in by_part])
+            for p in sorted(set.intersection(*(set(m) for m in by_part)))]
     full = [t for t in outs if t.num_rows]
     assert len(full) == 1 and full[0].num_rows == 1 and len(outs) > 1
     schema = full[0].schema
@@ -671,3 +671,47 @@ def test_store_join_equals_multi(stores, how):
     assert a.num_rows > 0 and a.column_names == b.column_names
     key = [(c, "ascending") for c in a.column_names]
     assert a.sort_by(key).equals(b.sort_by(key))
+
+
+def test_dim_group_that_joins_to_nothing_keeps_output_schema(sparse_stores, monkeypatch):
+    """``store_join_dim``'s group joiner returns a 0-row table of the output
+    schema (fact columns, then each dimension's columns in join order) for a
+    group with no fact container and for an inner-join group missing a
+    dimension side — never a column-less table."""
+    from ray.data.grouped_data import GroupedData
+
+    from parquet_converter_ray.container import decode_table
+    from parquet_converter_ray.storejoin import _paths_by_part, store_join_dim
+
+    made = []
+    real = GroupedData.map_groups
+
+    def spy(self, fn, *a, **kw):
+        made.append(fn)
+        return real(self, fn, *a, **kw)
+
+    monkeypatch.setattr(GroupedData, "map_groups", spy)
+    fact = sparse_stores[0]
+    dims = [(ray.data.from_arrow(pa.table({"k": pa.array([0], pa.int64()), "d1": ["x"]})),
+             "k", ["d1"]),
+            (ray.data.from_arrow(pa.table({"k2": pa.array([0], pa.int64()), "d2": [1.5]})),
+             "k2", ["d2"])]
+    store_join_dim(fact, dims=dims, dpp=False)
+    (join_group,) = made
+    path = next(p for ps in _paths_by_part(fact).values() for p in ps
+                if 0 in decode_table(pathlib.Path(p).read_bytes(), ["ka"])["ka"].to_pylist())
+
+    def group(rows):  # one co-group as the union hands it over, null-filled
+        cols = {"part_id": pa.int32(), "path": pa.string(), "side": pa.string(),
+                "k": pa.int64(), "d1": pa.string(), "k2": pa.int64(), "d2": pa.float64()}
+        return pa.table({c: pa.array([r.get(c) for r in rows], t) for c, t in cols.items()})
+
+    file = {"part_id": 0, "path": path, "side": "file"}
+    full = join_group(group([file, {"side": "dim0", "k": 0, "d1": "x"},
+                             {"side": "dim1", "k2": 0, "d2": 1.5}]))
+    assert full.num_rows == 1
+    assert full.column_names == ["ka", "a_ord", "a_val", "d1", "d2"]
+    no_fact = join_group(group([{"side": "dim0", "k": 0, "d1": "x"}]))
+    no_dim = join_group(group([file, {"side": "dim0", "k": 0, "d1": "x"}]))
+    for t in (no_fact, no_dim):
+        assert t.num_rows == 0 and t.schema.equals(full.schema)

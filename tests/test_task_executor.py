@@ -36,11 +36,14 @@ SHARES = {"tasks": 1 << 40, "ray_data": 0}  # forces ``dataset``'s executor
 
 def _streaming_run(self, paths, partial, work_cols, verify_crc=False):
     """``PrunedScan.run`` as one streaming Ray Data job, the executor the
-    tasks replaced: the reference they must match."""
+    tasks replaced: the reference they must match. Ray Data reads each
+    container's bytes and the decoder's ``_one`` decodes them."""
     if not paths:
         return
+    dec = self._decoder(work_cols, verify_crc)
     ds = ray.data.read_binary_files(paths).map_batches(
-        self._decoder(work_cols, verify_crc), batch_format="pyarrow", batch_size=1
+        lambda b: pa.concat_tables([dec._one(v.as_py()) for v in b["bytes"]]),
+        batch_format="pyarrow", batch_size=1,
     )
     if partial is not None:
         ds = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
