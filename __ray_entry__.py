@@ -14,12 +14,16 @@ aggregates are rounded identically (4 decimals) on both sides.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Callable
 from typing import Any
 
-if "/root/repo" not in sys.path:
-    sys.path.insert(0, "/root/repo")
+# this file's own checkout first, so that each copy of the repo imports its
+# own engine
+_CHECKOUT = os.path.dirname(os.path.abspath(__file__))
+if sys.path[:1] != [_CHECKOUT]:
+    sys.path.insert(0, _CHECKOUT)
 
 # Ray workers import UDF modules by name: force by-value serialisation of our
 # package so worker importability never depends on the driver's cwd.
@@ -61,10 +65,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # footer tasks (zonemap.probe_verdicts, storedistinct's footer
         # class): the ==/in/prefix/text pushdowns, the DPP dimension joins
         # and store_retention_delete (delete_rows probes on membership
-        # predicates). Every entry whose decode runs as plain Ray tasks
-        # (zonemap.PrunedScan.run, and scans under its crossover) is inside
-        # the window too: the two range scans follow, and the rest sit in
-        # the groups below. Then the round-5 new queries, the 3 entries never
+        # predicates), then transcript_lookup and transcript_delete, whose
+        # lookup and key delete plan through the partition router
+        # (zonemap._hash_route_parts). Every entry whose decode runs as
+        # plain Ray tasks (zonemap.PrunedScan.run, and scans under its
+        # crossover) is inside the window too: the two range scans follow,
+        # and the rest sit in the groups below. Then the round-5 new queries, the 3 entries never
         # driver-checked through round 4, the refactor-touched rows and the
         # round-4 window remainder. The three store-join entries
         # (rebucket_join, store_three_way_join, store_bucket_join) sit with the
@@ -86,6 +92,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dpp_dim_join": transcripts.dpp_dim_join,
         "salted_dim_join": transcripts.salted_dim_join,
         "store_retention_delete": transcripts.store_retention_delete,
+        # --- the point lookup and key delete: the partition router's plans ---
+        "transcript_lookup": transcripts.transcript_lookup,
+        "transcript_delete": transcripts.transcript_delete,
         # --- small-plan decode as plain Ray tasks, no footer probe ---
         "lineitem_range_scan": transcripts.lineitem_range_scan,
         "lineitem_band_union_revenue": transcripts.lineitem_band_union_revenue,
@@ -123,18 +132,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "user_rolling_peak": behavior.user_rolling_peak,
         "user_rolling_peak_salted": behavior.user_rolling_peak_salted,
         "scrub_pii": text.scrub_pii,
+        # --- slot 50 from here: the window ends above. chunk_documents and
+        # token_dup_stats (long-green, store-free) made room for
+        # transcript_lookup and transcript_delete, decontaminate for
+        # store_bucket_join, and fuzzy_name_pairs and name_clusters for the
+        # two range scans ---
         "chunk_documents": text.chunk_documents,
         "token_dup_stats": text.token_dup_stats,
-        # --- slot 50 from here: the window ends above. decontaminate
-        # (long-green, store-free) made room for store_bucket_join, as
-        # fuzzy_name_pairs and name_clusters did for the two range scans ---
         "decontaminate": text.decontaminate,
         "fuzzy_name_pairs": dedup.fuzzy_name_pairs,
         "name_clusters": dedup.name_clusters,
         "dedup_substring": dedup.dedup_substring,
         "dedup_incremental": dedup.dedup_incremental,
-        "transcript_lookup": transcripts.transcript_lookup,
-        "transcript_delete": transcripts.transcript_delete,
         "transcript_role_stats": transcripts.transcript_role_stats,
         "transcript_length_histogram": transcripts.transcript_length_histogram,
         "transcript_tool_usage": transcripts.transcript_tool_usage,

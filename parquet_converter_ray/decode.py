@@ -489,164 +489,68 @@ def verify_distributed(source: "ray.data.Dataset | str", out_dir: str) -> tuple[
     return a == b, {"source": a, "decoded": b}
 
 
-# --- O(1) point lookup: fetch one conversation from an encoded dataset --------
-
-
-def _part_for(h: "np.uint64", k: int, n_parts: int) -> int:
-    """Partition id for hash ``h`` and salt chunk ``k`` — the exact mix used
-    by ``partition.assign_part_id`` (kept in lockstep; HASH_VERSION guards)."""
-    import numpy as np
-
-    from .partition import GOLDEN
-
-    arr = np.array([h], dtype=np.uint64)  # array ops: silent mod-2^64 wrap
-    if k:
-        kk = np.array([k], dtype=np.uint64)
-        arr = (arr ^ (kk * GOLDEN)) + kk
-    return int(arr[0] % np.uint64(n_parts))
+# --- point lookup: fetch one conversation from an encoded dataset ------------
 
 
 def lookup_conversation(
     out_dir: str, conv_value, columns: list[str] | None = None
 ) -> pa.Table:
     """Fetch ONE conversation from an encoded dataset by key — decoding only
-    the container(s) its rows can live in, never scanning the dataset.
-
-    This is the point-access path a 100 TB store needs: ``part_id`` is a pure
-    function of (conv_value, salt chunk), recorded in ``_run.json``, so the
-    lookup probes the candidate partition for each salt chunk k = 0..k_max,
-    where k_max is bounded by the ORDER column's zone-map max across the
-    store's lineage records (chunk k exists only if some row has
-    order >= k*salt_rows). No density assumption on turn indices — sparse
-    appended turn ranges are still found. Cost: at most
-    min(k_max+1, n_parts) DISTINCT partition decodes (decoded partitions are
-    cached across chunks) with container-level column pruning. Only when
-    records predate zone maps does the walk fall back to the legacy
-    dense-turn escalation (stop at the first partial chunk).
-
-    ``conv_value``'s Python type selects the hash (int -> integer-column
-    hash, str/bytes -> byte hash), matching how the column was hashed at
-    encode time."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from . import manifest as mf
-    from .partition import stable_hash_ints, stable_hash_strings
-
-    params = mf.load_run_record(out_dir)
-    if params is None:
-        raise ValueError(
-            f"no run record in {out_dir} — lookup needs the partitioning "
-            "parameters written by encode_dataset (_run.json)"
-        )
-    if (params.get("partition_mode") or "hash") != "hash":
-        # range-clustered layout: conversation keys have no hash route, so
-        # point access degrades to the predicate-pushdown scan — zone maps
-        # and the dictionary probe prune it instead of the partition
-        # arithmetic (slower than O(1) routing, still never a full decode
-        # when the key column is dict-encoded or zone-mapped)
-        from .zonemap import scan_store
-
-        conv_col = params["conv_col"]
-        order_col = params.get("order_col")
-        ds = scan_store(out_dir, [(conv_col, "==", conv_value)], columns=columns)
-        batches = list(ds.iter_batches(batch_format="pyarrow"))
-        if batches:
-            out = pa.concat_tables(batches)
-        else:
-            s = ds.schema()
-            out = pa.table({n: pa.array([], type=t) for n, t in zip(s.names, s.types)})
-        if out.num_rows and order_col and order_col in out.column_names:
-            out = out.sort_by([(conv_col, "ascending"), (order_col, "ascending")])
-        return out.combine_chunks()
-    n_parts = int(params["n_parts"])
-    salt_rows = int(params.get("salt_rows") or 0)
-    conv_col = params["conv_col"]
-    order_col = params.get("order_col")
-
-    files = container_files(out_dir)  # validates manifest/glob consistency
-    recs = mf.load_records(out_dir)
-    by_part: dict[int, list[str]] = {}
-    for r in recs:  # (part, generation) order — appends included
-        by_part.setdefault(int(r["part_id"]), []).append(resolve_container_path(out_dir, r))
-    if not by_part:  # glob-only layout (no manifest): part-<id>[...].pcc names
-        for f in files:
-            pid = int(os.path.basename(f).split("-")[1].split(".")[0])
-            by_part.setdefault(pid, []).append(f)
-
-    if isinstance(conv_value, (int, np.integer)):
-        h = stable_hash_ints(pa.array([int(conv_value)], pa.int64()))[0]
-    else:
-        h = stable_hash_strings(pa.array([conv_value]))[0]
-
-    salted = bool(salt_rows) and order_col is not None
-    k_max = mf.order_chunk_bound(recs, order_col, salt_rows) if salted else 0
-    read_cols = None
-    if columns is not None:
-        read_cols = list(dict.fromkeys([conv_col] + ([order_col] if salted and order_col else []) + columns))
-
-    decoded: dict[int, pa.Table] = {}
-    chunks: list[pa.Table] = []
-    k = 0
-    while True:
-        part = _part_for(np.uint64(h), k if salted else 0, n_parts)
-        if part not in decoded:
-            if part not in by_part:
-                raise FileNotFoundError(f"partition {part} missing from {out_dir}")
-            decoded[part] = pa.concat_tables(  # base container + any appended deliveries
-                [read_table(p, columns=read_cols) for p in by_part[part]]
-            )
-        tbl = decoded[part]
-        sel = tbl.filter(pc.equal(tbl[conv_col], conv_value))
-        if salted:
-            order = pc.fill_null(sel[order_col], 0).cast(pa.int64()).to_numpy(zero_copy_only=False)
-            sel = sel.filter(pa.array(order // salt_rows == k))
-        chunks.append(sel)
-        if not salted:
-            break
-        if k_max is not None:
-            if k >= k_max:
-                break
-        elif sel.num_rows < salt_rows:
-            # pre-zonemap records: chunk bound unknowable — legacy dense-turn
-            # escalation (a partial chunk is assumed to be the last one)
-            break
-        k += 1
-
-    out = pa.concat_tables(chunks)
-    if salted and out.num_rows:
-        out = out.sort_by([(conv_col, "ascending"), (order_col, "ascending")])
-    if columns is not None:
-        out = out.select(columns)
-    return out.combine_chunks()
+    the containers its rows can live in, never scanning the dataset: the
+    one-store form of ``lookup_conversation_multi``."""
+    return lookup_conversation_multi([out_dir], conv_value, columns=columns)
 
 
 def lookup_conversation_multi(
     dirs: "list[str]", conv_value, columns: list[str] | None = None
 ) -> pa.Table:
-    """Point lookup across a FAMILY of delivery stores: a conversation's
-    rows may span deliveries (later turns arrive in later stores), so this
-    runs each member's O(min(k_max+1, n_parts))-container lookup and concats
-    — total cost stays a handful of container decodes per member, never a
-    scan. Output re-sorts by (conv_col, order_col) of the first member's
-    run record when those columns are emitted, so turns read in order even
-    when deliveries interleaved them."""
+    """Point lookup across a FAMILY of delivery stores (a conversation's
+    later turns may arrive in later stores), as ONE plan over the family.
+
+    The plan is ``zonemap.PrunedScan.candidates`` of ``conv_col == value``.
+    When every member is a hash store with zone maps, the partition router
+    (``zonemap._hash_route_parts``) keeps only the partitions the key's
+    salt chunks 0..k_max can reach, k_max bounded by the order column's
+    zone-map maximum (sparse appended turn ranges are still found); the
+    plan skips the footer probe and the few routed containers decode here,
+    in the calling process (``zonemap._unit_tables`` over the scan
+    decoder: the key column first, the rest at the matching rows only),
+    starting no Ray task and no Ray Data job. A key whose partition holds
+    no container yields no candidate and a 0-row table. Otherwise (a
+    range-clustered store, records that predate zone maps, a glob-only
+    store) the key has no route: zone maps and the dictionary/Bloom footer
+    probe prune, and the survivors decode as plain Ray tasks
+    (``PrunedScan.run``), as a scan would. The rows come back sorted by
+    (conv_col, order_col) of the first member's run record, then cut to
+    ``columns``. With ``columns=None`` the members must agree on their
+    whole schema.
+
+    ``conv_value`` is cast to the key column's type, as a scan's exact
+    filter casts it, both to route and to match."""
     from . import manifest as mf
+    from .zonemap import PrunedScan, _unit_tables, route_pids
 
     if not dirs:
         raise ValueError("lookup_conversation_multi needs at least one store")
-    parts = [lookup_conversation(d, conv_value, columns=columns) for d in dirs]
-    nonempty = [p for p in parts if p.num_rows] or parts[:1]
-    out = pa.concat_tables(nonempty, promote_options="none")
-    params = mf.load_run_record(dirs[0]) or {}
-    conv_col, order_col = params.get("conv_col"), params.get("order_col")
-    if (
-        out.num_rows
-        and conv_col in out.column_names
-        and order_col and order_col in out.column_names
-    ):
-        out = out.sort_by([(conv_col, "ascending"), (order_col, "ascending")])
-    return out.combine_chunks()
+    params = [mf.load_run_record(d) for d in dirs]
+    if None in params:
+        raise ValueError(
+            f"no run record in {dirs[params.index(None)]} — lookup needs the "
+            "partitioning parameters written by encode_dataset (_run.json)"
+        )
+    keys = [c for c in (params[0]["conv_col"], params[0].get("order_col")) if c]
+    work = None if columns is None else list(dict.fromkeys([*keys, *columns]))
+    scan = PrunedScan(dirs, [(keys[0], "==", conv_value)], work or (),
+                      all_columns=work is None)
+    routed = all(recs and route_pids(d, recs, scan.dnf) is not None
+                 for d, recs, _ in scan.members)
+    paths, _ = scan.candidates(probe=not routed)
+    read, empty = scan.reader(work)
+    tabs = _unit_tables(paths, read, None, None) if routed else list(scan.run(paths, None, work))
+    out = pa.concat_tables(tabs) if tabs else empty
+    if out.num_rows:
+        out = out.sort_by([(c, "ascending") for c in keys])
+    return (out if columns is None else out.select(columns)).combine_chunks()
 
 
 def decode_family(

@@ -386,10 +386,9 @@ def encode_dataset(
     per container actually PRUNE range predicates on that column
     (``scan_store`` level 1), which a hash layout never can (every hash
     partition spans the full domain). The layout trade: conv-key point
-    lookup loses its hash route (``lookup_conversation`` refuses; use
-    ``scan_store``), while delete/append stay correct (delete probes all
-    partitions, append reuses the recorded cuts). Resume reuses the recorded
-    cuts — never resamples. The sample is a small Ray Data job on either
+    lookup and deletes lose their hash route (the partition router skips
+    the level and zone maps prune instead), while append reuses the
+    recorded cuts. Resume reuses the recorded cuts — never resamples. The sample is a small Ray Data job on either
     executor, over the same read, so both executors cut identically.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -1467,6 +1466,11 @@ def _rewrite_touched(out_dir: str, prior: dict, by_part: dict, touched: set, edi
     return results
 
 
+def _keep_rows(t: pa.Table) -> pa.Table:
+    """Repair edit: every row stays; the fold alone finishes the rewrite."""
+    return t
+
+
 def _drop_convs(conv_col: str, victims: list, t: pa.Table) -> pa.Table:
     """Delete edit: ``t`` without the victim conversations' rows."""
     vict = pa.array(victims).cast(t[conv_col].type)
@@ -1484,39 +1488,59 @@ def _drop_matches(dnf, t: pa.Table) -> pa.Table:
 
 
 def _probe_partition_victims(paths: list[str], conv_col: str, victims: list) -> list:
-    """Which victim keys have rows in this partition? One pruned key-column
-    decode over the partition's containers (delete probe worker — runs as a
-    Ray task so a long delete list probes its candidate partitions in
+    """Which victim keys have rows in these containers of one partition?
+    One pruned key-column decode over them (delete probe worker — runs as
+    a Ray task so a long delete list probes its candidate partitions in
     parallel, never driver-serially)."""
     from .container import read_table
 
-    tabs = [read_table(p, columns=[conv_col]) for p in paths]
-    if not tabs:
-        return []
-    col = pa.concat_tables(tabs)[conv_col].combine_chunks()
+    col = pa.concat_tables([read_table(p, columns=[conv_col]) for p in paths])[conv_col]
     vict = pa.array(victims).cast(col.type)
-    mask = pc.is_in(vict, value_set=col)
+    mask = pc.is_in(vict, value_set=col.combine_chunks())
     return [v for v, m in zip(victims, mask.to_pylist()) if m]
+
+
+def _delete_candidates(out_dir: str, recs: list[dict], dnf) -> "tuple[dict[int, list[str]], dict]":
+    """The deletes' one candidate loop: the containers of ``recs`` that may
+    hold a row matching ``dnf``, as ``{part_id: [path, ...]}``, and the
+    plan. The levels are a scan's (``zonemap.prune_containers``): hash route
+    (``==``/``in`` on the partition column, ``zonemap._hash_route_parts``),
+    then per-container zone maps, then the batched dictionary/Bloom footer
+    probe. The plan counts containers: ``parts_total`` and the levels that
+    ruled them out, ``pruned_hash``, ``pruned_stats``, ``pruned_dict`` and
+    ``pruned_bloom``."""
+    from .decode import resolve_container_path
+    from .zonemap import prune_containers
+
+    paths = [resolve_container_path(out_dir, r) for r in recs]
+    keys = ("parts_total", "pruned_hash", "pruned_stats", "pruned_dict", "pruned_bloom")
+    stores, survivors = prune_containers([(out_dir, recs, paths)], dnf, keys)
+    pid_of = {p: int(r["part_id"]) for p, r in zip(paths, recs)}
+    cand: dict[int, list[str]] = {}
+    for p in survivors:
+        cand.setdefault(pid_of[p], []).append(p)
+    return cand, stores[out_dir]
 
 
 def delete_conversations(out_dir: str, conv_values: list, codec: str | dict = "auto") -> dict:
     """Delete whole conversations from an encoded store IN PLACE, rewriting
-    only the partitions that can contain them — the retention / right-to-be-
+    only the partitions that hold them — the retention / right-to-be-
     forgotten path a long-lived 100 TB store needs.
 
-    ``part_id`` is a pure function of (conv hash, salt chunk) recorded in
-    ``_run.json``, so the touched-partition set is computed driver-side for
-    every (victim, salt chunk 0..k_max) pair — k_max bounded by the order
-    column's zone-map max, the same arithmetic ``scan_store`` routing uses —
-    at the cost of one pruned key-column decode per CANDIDATE partition
-    (fanned out as parallel Ray tasks), never a store scan. No density
-    assumption on turn indices: sparse appended turn ranges are still found.
+    Candidates come from the deletes' one loop (``_delete_candidates``) on
+    ``conv_col in conv_values``: on a hash store the partition router keeps
+    only the partitions the victims' salt chunks 0..k_max can reach (k_max
+    bounded by the order column's zone-map max, so sparse appended turn
+    ranges are still found), then zone maps and the footer probe prune
+    containers; a range-clustered store is pruned by its zone maps alone.
+    One pruned key-column decode per candidate partition (parallel Ray
+    tasks) then finds which victims are really there — never a store scan.
     Each touched partition is then rewritten in parallel (base + appended
     generations fold into a fresh base container; see ``_rewrite_partition``
     for the crash-safety contract). Untouched partitions keep their exact
-    bytes, so resume/fsck/zonemap state stays valid everywhere else.
+    bytes, so resume/fsck/zonemap state stays valid everywhere else. An
+    empty ``conv_values`` deletes and rewrites nothing.
     """
-    from .decode import _part_for, resolve_container_path
     from .partition import HASH_VERSION, hash_conv_values
 
     prior = mf.load_run_record(out_dir)
@@ -1527,79 +1551,32 @@ def delete_conversations(out_dir: str, conv_values: list, codec: str | dict = "a
             f"store {out_dir} was partitioned with hash {prior.get('hash_version')!r}; "
             f"this build uses {HASH_VERSION!r} — cannot locate conversations"
         )
-    n_parts = int(prior["n_parts"])
-    conv_col, order_col = prior["conv_col"], prior.get("order_col")
-    salt_rows = int(prior.get("salt_rows") or 0)
-    salted = bool(salt_rows) and order_col is not None
-
+    conv_col = prior["conv_col"]
     conv_values = list(dict.fromkeys(conv_values))
+    if hash_conv_values(conv_values) is None:
+        raise TypeError(
+            "delete_conversations: conversation keys must be uniformly "
+            "int, str, or bytes (matching the encoded key column) — got "
+            f"{sorted({type(v).__name__ for v in conv_values})}"
+        )
     summary_base = {"convs_requested": len(conv_values)}
-    # an EMPTY victim list is repair-only mode (repair_store / fsck --repair):
-    # skip the candidate probe, run just the orphan sweep + rewrite
-    if conv_values:
-        hashes = hash_conv_values(conv_values)
-        if hashes is None:
-            raise TypeError(
-                "delete_conversations: conversation keys must be uniformly "
-                "int, str, or bytes (matching the encoded key column) — got "
-                f"{sorted({type(v).__name__ for v in conv_values})}"
-            )
+    nothing = {**summary_base, "convs_found": 0, "rows_deleted": 0, "parts_rewritten": 0}
+    if not conv_values:
+        return nothing
 
     recs = mf.load_records(out_dir)
-    by_part = _by_part(recs)
+    cand, _ = _delete_candidates(out_dir, recs, [[(conv_col, "in", conv_values)]])
+    probe = _remote(_probe_partition_victims)
+    vict_ref = ray.put(conv_values)
+    pids = sorted(cand)
+    present = ray.get([probe.remote(cand[pid], conv_col, vict_ref) for pid in pids])
+    touched = {pid for pid, hit in zip(pids, present) if hit}
+    found_vals = {v for hit in present for v in hit}
 
-    touched: set[int] = set()
-    found_vals: set = set()
-    if conv_values:
-        # Candidate partitions: every (victim hash, salt chunk 0..k_max) pair,
-        # with k_max bounded by the ORDER column's zone-map max — NOT by
-        # walking chunks until the first partial one, which silently
-        # under-deletes when turn indices aren't dense (e.g. an append of
-        # turns 300..319 after 0..99 with salt_rows=300 lands in chunk 1,
-        # which a stop-at-partial walk never visits).
-        if (prior.get("partition_mode") or "hash") == "range":
-            # range-clustered layout: conv keys have no hash route, so every
-            # partition is a candidate — the parallel key-column probe below
-            # still prunes the rewrite set to partitions with actual victims
-            cand = set(by_part)
-        elif salted:
-            k_max = mf.order_chunk_bound(recs, order_col, salt_rows)
-            if k_max is None:
-                cand = set(by_part)  # pre-zonemap store: probe everything — sound
-            else:
-                cand = {
-                    _part_for(np.uint64(h), k, n_parts)
-                    for h in hashes
-                    for k in range(k_max + 1)
-                }
-        else:
-            cand = {_part_for(np.uint64(h), 0, n_parts) for h in hashes}
-        cand &= set(by_part)
-        # One pruned key-column decode per candidate partition, fanned out as
-        # Ray tasks (a 1000-conversation delete list must not probe
-        # driver-serially).
-        probe = _remote(_probe_partition_victims)
-        vict_ref = ray.put(conv_values)
-        pids = sorted(cand)
-        present = ray.get(
-            [
-                probe.remote(
-                    [resolve_container_path(out_dir, r) for r in by_part[pid]],
-                    conv_col,
-                    vict_ref,
-                )
-                for pid in pids
-            ]
-        )
-        for pid, hit in zip(pids, present):
-            if hit:
-                touched.add(pid)
-                found_vals.update(hit)
-
-    results = _rewrite_touched(out_dir, prior, by_part, touched,
+    results = _rewrite_touched(out_dir, prior, _by_part(recs), touched,
                                functools.partial(_drop_convs, conv_col, conv_values), codec)
     if not results:
-        return {**summary_base, "convs_found": 0, "rows_deleted": 0, "parts_rewritten": 0}
+        return nothing
     summary = mf.consolidate(out_dir)
     summary.update(summary_base)
     summary["convs_found"] = len(found_vals)
@@ -1613,27 +1590,24 @@ def delete_rows(out_dir: str, predicate, codec: str | dict = "auto") -> dict:
     the retention / TTL path (``DELETE FROM store WHERE ...``), rewriting
     only the partitions that can contain matches.
 
-    The touched set comes from the same pruning stack ``scan_store`` reads
-    with, inverted into a write plan: per-container zone maps rule out
-    containers where NO row can match (``record_may_match`` per DNF branch),
-    then the batched dictionary/Bloom footer probe refines membership-style
-    predicates — a partition is rewritten only if some container survives
-    both. On a range-clustered store a TTL delete ("ts < horizon") therefore
-    rewrites only the horizon's boundary and interior containers; the rest
-    of the store keeps its exact bytes (resume/fsck/zonemap state stays
-    valid). Each touched partition folds base + generations + crash
-    leftovers and rewrites atomically under the same crash contract as
-    ``delete_conversations`` (shared ``_rewrite_partition``; SQL null
-    semantics — null comparisons never match, so null rows survive, same as
-    the oracle's DELETE). Works on hash-routed, salted, and range-clustered
-    layouts alike: candidates come from statistics, not key routing."""
-    from .decode import resolve_container_path
-    from .zonemap import (
-        _normalize_dnf,
-        _probe_applies,
-        probe_verdicts,
-        record_may_match,
-    )
+    The touched set is the deletes' one candidate loop
+    (``_delete_candidates``): the pruning a scan reads with, inverted into
+    a write plan — hash route for ``==``/``in`` on the partition column,
+    per-container zone maps (``record_may_match`` per DNF branch), then the
+    batched dictionary/Bloom footer probe; a partition is rewritten only if
+    some container survives all three. A key delete on a hash store
+    therefore rewrites only the key's routed partitions, and a TTL delete
+    ("ts < horizon") on a range-clustered store only the horizon's boundary
+    and interior containers; the rest of the store keeps its exact bytes
+    (resume/fsck/zonemap state stays valid). Each touched partition folds
+    base + generations + crash leftovers and rewrites atomically under the
+    same crash contract as ``delete_conversations`` (shared
+    ``_rewrite_partition``; SQL null semantics — null comparisons never
+    match, so null rows survive, same as the oracle's DELETE). The
+    summary's ``plan`` is ``_delete_candidates``': ``parts_total``,
+    ``pruned_hash``, ``pruned_stats``, ``pruned_dict`` and
+    ``pruned_bloom``, counted in containers."""
+    from .zonemap import _normalize_dnf
 
     prior = mf.load_run_record(out_dir)
     if prior is None:
@@ -1643,33 +1617,9 @@ def delete_rows(out_dir: str, predicate, codec: str | dict = "auto") -> dict:
         raise ValueError("delete_rows needs a non-empty predicate — an empty "
                          "one would delete the whole store; use a fresh encode instead")
 
-    by_part = _by_part(mf.load_records(out_dir))
-    # pruning stack, inverted into a write plan: container may hold a match
-    # if ANY DNF branch may match its zone maps
-    may: dict[int, list[dict]] = {}
-    for pid, rs in by_part.items():
-        keep = [
-            r for r in rs
-            if any(record_may_match(r.get("stats") or {}, int(r.get("rows", 0)), br)
-                   for br in dnf)
-        ]
-        if keep:
-            may[pid] = keep
-    plan = {"parts_total": len(by_part), "pruned_stats": len(by_part) - len(may),
-            "pruned_probe": 0}
-    if may and _probe_applies(dnf):
-        paths = [resolve_container_path(out_dir, r) for rs in may.values() for r in rs]
-        verdicts = probe_verdicts(paths, dnf)
-        refined: dict[int, list[dict]] = {}
-        for pid, rs in may.items():
-            keep = [r for r in rs
-                    if verdicts.get(resolve_container_path(out_dir, r)) == "keep"]
-            if keep:
-                refined[pid] = keep
-        plan["pruned_probe"] = len(may) - len(refined)
-        may = refined
-
-    results = _rewrite_touched(out_dir, prior, by_part, set(may),
+    recs = mf.load_records(out_dir)
+    cand, plan = _delete_candidates(out_dir, recs, dnf)
+    results = _rewrite_touched(out_dir, prior, _by_part(recs), set(cand),
                                functools.partial(_drop_matches, dnf), codec)
     summary = mf.consolidate(out_dir)
     summary["rows_deleted"] = int(sum(b - a for b, a, _ in results))
@@ -1684,4 +1634,12 @@ def repair_store(out_dir: str) -> dict:
     decides keep-vs-drop exactly via the base record's content-addressed
     ``folded`` map) and restore manifest/container consistency. A no-op on a
     healthy store. Exposed as ``fsck --repair``."""
-    return delete_conversations(out_dir, [])
+    prior = mf.load_run_record(out_dir)
+    if prior is None:
+        raise ValueError(f"no run record in {out_dir} — repair needs an encoded store")
+    results = _rewrite_touched(out_dir, prior, _by_part(mf.load_records(out_dir)), set(),
+                               _keep_rows, "auto")
+    summary = mf.consolidate(out_dir) if results else {}
+    summary.update(convs_requested=0, convs_found=0, rows_deleted=0,
+                   parts_rewritten=len(results))
+    return summary

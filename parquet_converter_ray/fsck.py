@@ -13,8 +13,11 @@ Two levels, both manifest-driven:
   record, per-buffer crc32s vs the footer, full decode, decoded row count vs
   the record.
 
-A clean report means ``decode_dataset`` / ``lookup_conversation`` /
-``append_dataset`` can trust the store; any error pinpoints the partition.
+A clean report means ``decode_dataset``, ``append_dataset`` and the
+readers and writers that route keys through the run record
+(``zonemap._hash_route_parts``: scans, ``lookup_conversation``, both
+deletes, ``store_join_dim``) can trust the store; any error pinpoints the
+partition.
 The reference has no integrity surface at all (a torn parquet write is
 discovered at read time, reference converter.py writes directly to the
 final path).

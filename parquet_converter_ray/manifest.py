@@ -175,9 +175,9 @@ def load_records(out_dir: str) -> list[dict]:
 def order_chunk_bound(recs: list[dict], order_col: str, salt_rows: int) -> int | None:
     """Highest reachable salt chunk across the store, from the ORDER column's
     recorded zone-map maxima: chunk k exists only if some row has
-    order >= k * salt_rows, so k_max = max(order) // salt_rows bounds every
-    chunk walk (lookup / delete / scan routing) WITHOUT assuming dense turn
-    indices per conversation. Returns None when any record predates zone maps
+    order >= k * salt_rows, so k_max = max(order) // salt_rows bounds the
+    partition router (``zonemap._hash_route_parts``) and ``store_join_dim``'s
+    dim-row replication WITHOUT assuming dense turn indices per conversation. Returns None when any record predates zone maps
     (bound unknowable -> callers degrade to their sound fallback), and when
     ``recs`` is empty (glob-only store layout: no lineage records at all)."""
     if not recs:

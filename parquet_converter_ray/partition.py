@@ -163,8 +163,8 @@ def hash_conv_values(vals: list) -> np.ndarray | None:
     the repr, not the payload, and silently miss every partition).
 
     Returns None when the values aren't uniformly hashable (mixed types,
-    nulls, non-key types) so callers degrade soundly: scan routing falls back
-    to a full scan, delete raises instead of reporting a clean no-op.
+    nulls, non-key types) so ``delete_conversations`` raises instead of
+    reporting a clean no-op.
     """
     if not vals:
         return np.empty(0, dtype=np.uint64)
@@ -185,6 +185,13 @@ def hash_conv_values(vals: list) -> np.ndarray | None:
     return None
 
 
+def key_hashes(key: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """uint64 partition hashes of a key column as ``assign_part_id`` hashes
+    it: an integer type through the integer hash, any other type through
+    the byte hash (``TypeError`` when it has no bytes to hash)."""
+    return stable_hash_ints(key) if pa.types.is_integer(key.type) else stable_hash_strings(key)
+
+
 def assign_part_id(
     batch: pa.Table,
     n_parts: int,
@@ -193,21 +200,29 @@ def assign_part_id(
     salt_rows: int = 100_000,
 ) -> pa.Table:
     """Append a ``part_id`` column. Pure function of row content — resume-stable."""
-    key = batch[conv_col]
-    if pa.types.is_integer(key.type if not isinstance(key, pa.ChunkedArray) else key.type):
-        h = stable_hash_ints(key)
-    else:
-        h = stable_hash_strings(key)
+    h = key_hashes(batch[conv_col])
     if salt_rows and order_col in batch.column_names:
         order = batch[order_col]
         if isinstance(order, pa.ChunkedArray):
             order = order.combine_chunks()
         if order.null_count:
             order = pc.fill_null(order, 0)
-        salt = order.cast(pa.int64()).to_numpy(zero_copy_only=False).astype(np.uint64) // np.uint64(salt_rows)
-        h = (h ^ (salt * GOLDEN)) + salt  # mix so chunk k of a mega-conv moves
-    part = (h % np.uint64(n_parts)).astype(np.int32)
-    return batch.append_column("part_id", pa.array(part, type=pa.int32()))
+        chunk = order.cast(pa.int64()).to_numpy(zero_copy_only=False).astype(np.uint64) // np.uint64(salt_rows)
+    else:
+        chunk = 0
+    return batch.append_column("part_id", pa.array(salt_chunk_parts(h, chunk, n_parts)))
+
+
+def salt_chunk_parts(h: np.ndarray, chunk, n_parts: int) -> np.ndarray:
+    """int32 partition ids of key hashes ``h`` in salt chunks ``chunk``
+    (broadcast against ``h``): ``((h ^ chunk*GOLDEN) + chunk) % n_parts``,
+    the one salt-chunk mix, so chunk k of a mega-conversation moves and
+    chunk 0 is the bare hash. ``assign_part_id`` places rows with it; the
+    scan router (``zonemap._hash_route_parts``) and the dimension join's
+    row replication (``storejoin.store_join_dim``) pass a row of chunks
+    0..k_max against a column of hashes."""
+    k = np.asarray(chunk, dtype=np.uint64)  # array ops: silent mod-2^64 wrap
+    return (((h ^ (k * GOLDEN)) + k) % np.uint64(n_parts)).astype(np.int32)
 
 
 def cluster_key_array(col) -> np.ndarray:

@@ -85,23 +85,6 @@ def _collect_dim_table(ds_i, cols_full: list[str], cap: int) -> "pa.Table | None
     return pa.concat_tables(batches).select(cols_full)
 
 
-def _dpp_route_parts(keys: list, n_parts: int, k_max: int) -> "set[int] | None":
-    """Partitions reachable by ANY of ``keys`` under the store's hash+salt
-    routing — the same vectorized arithmetic ``_route_for`` replicates dim
-    rows with, so the pruned container set and the dim exchange stay in
-    lockstep by construction. None when the key type doesn't hash."""
-    import numpy as np
-
-    from .partition import GOLDEN, hash_conv_values
-
-    h = hash_conv_values(keys)
-    if h is None or len(h) == 0:
-        return None
-    ks = np.arange(k_max + 1, dtype=np.uint64)
-    mixed = (h[:, None] ^ (ks[None, :] * GOLDEN)) + ks[None, :]
-    return set((mixed % np.uint64(n_parts)).astype(np.int64).ravel().tolist())
-
-
 def store_join_dim(
     fact_dir: str,
     dim=None,
@@ -118,10 +101,10 @@ def store_join_dim(
     dimension TABLE (parquet path or Dataset), shuffling only the dim side.
 
     The fact store's partition for a key is pure arithmetic
-    (``part = mix(hash(key), salt_chunk) % n_parts`` recorded in _run.json),
+    (``partition.salt_chunk_parts`` under the parameters in _run.json),
     so each dim row is REPLICATED to the partitions its key's salt chunks
-     0..k_max can occupy (k_max bounded by the order column's zone-map max —
-    the same bound lookup/delete use) and co-grouped with that partition's
+    0..k_max can occupy (k_max bounded by the order column's zone-map max —
+    the bound the partition router uses) and co-grouped with that partition's
     containers. One exchange of dim_rows x (k_max + 1) small rows; the fact
     containers never move. This is how a salted 10^12-turn transcript store
     joins per-conversation metadata: the transcript side is the one that
@@ -139,17 +122,18 @@ def store_join_dim(
     small enough to hold driver-side (<= ``_DPP_MAX_DIM_ROWS``, checked by
     streaming its batches with an early abort) is collected ONCE, reused
     for the routing exchange, and its distinct keys prune fact containers
-    before any decode — first by hash route (only partitions some key can
-    reach survive; the intersection across dims, since an inner-join row
-    must match every dim), then per-container zone maps, then the batched
-    dictionary/Bloom footer probe. A dim over the cap streams exactly as
+    before any decode — first by the partition router
+    (``zonemap._hash_route_parts`` with one ``in`` clause per collected dim:
+    only partitions that some key of EVERY dim can reach survive, since an
+    inner-join row must match every dim), then per-container zone maps,
+    then the batched dictionary/Bloom footer probe. A dim over the cap streams exactly as
     before (no pruning from that dim). ``return_plan=True`` also returns
     ``{parts_total, pruned_route, pruned_stats, pruned_probe, scanned,
     dpp_dims}``."""
     import numpy as np
 
-    from .partition import GOLDEN, stable_hash_ints, stable_hash_strings
-    from .zonemap import _store_schema
+    from .partition import key_hashes, salt_chunk_parts
+    from .zonemap import _hash_route_parts, _store_schema
 
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
@@ -236,10 +220,11 @@ def store_join_dim(
             collected_specs.append((tag, on_i, cols_full, fields,
                                     ray.data.from_arrow(t_i)))
         dim_specs = collected_specs
-        parts_sets = [s for s in (_dpp_route_parts(k, n_parts, k_max)
-                                  for k in key_sets) if s is not None]
-        if parts_sets:
-            keep_parts = set.intersection(*parts_sets)
+        # one ``in`` clause per dim: the router intersects them (an inner-join
+        # row must match every dim)
+        keep_parts = _hash_route_parts(fact_dir, recs,
+                                       [(fact_on, "in", k) for k in key_sets if k])
+        if keep_parts is not None:
             before = len(recs)
             recs = [r for r in recs if int(r["part_id"]) in keep_parts]
             plan["pruned_route"] = before - len(recs)
@@ -274,17 +259,8 @@ def store_join_dim(
             # strip pandas metadata: it makes hash(schema) fail inside Ray's
             # schema-dedup fast path (same reason as _util.read_parquet_clean)
             batch = batch.select(cols_full).replace_schema_metadata(None)
-            key = batch[on_col]
-            if isinstance(key, pa.ChunkedArray):
-                key = key.combine_chunks()
-            t = key.type
-            if pa.types.is_integer(t):
-                h = stable_hash_ints(key.cast(pa.int64()))
-            else:
-                h = stable_hash_strings(key)
-            ks = np.arange(k_max + 1, dtype=np.uint64)
-            mixed = (h[:, None] ^ (ks[None, :] * GOLDEN)) + ks[None, :]
-            parts = (mixed % np.uint64(n_parts)).astype(np.int32)
+            h = key_hashes(batch[on_col])
+            parts = salt_chunk_parts(h[:, None], np.arange(k_max + 1, dtype=np.uint64), n_parts)
             idx = np.repeat(np.arange(len(h), dtype=np.int64), k_max + 1)
             out = batch.take(pa.array(idx))
             out = out.append_column("part_id", pa.array(parts.ravel()))

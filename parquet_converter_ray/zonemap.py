@@ -295,58 +295,82 @@ def page_candidate_mask(pages: dict, n: int, clauses) -> "np.ndarray | None":
 
 
 def _hash_route_parts(out_dir: str, recs: list[dict], clauses) -> "set[int] | None":
-    """Pruning level 0: ``==`` / ``in`` on the PARTITION column routes by
-    hash, not by statistics — ``part_id`` is a pure function of (conv hash,
-    salt chunk) recorded in ``_run.json``, the same arithmetic
-    ``lookup_conversation`` uses. For salted stores the reachable salt-chunk
-    range is bounded driver-side by the ORDER column's zone-map maximum
-    (chunk k only exists if some row has order >= k*salt_rows); if any
-    record predates zone maps, routing degrades to None (scan everything) —
-    never unsound. Returns the candidate part_id set, or None when the
-    predicate doesn't constrain the partition column."""
+    """Pruning level 0, the one partition router: the partitions that the
+    rows matching one AND-branch ``clauses`` can live in, from ``==`` /
+    ``in`` on the PARTITION column. ``part_id`` is a pure function of (key
+    hash, salt chunk) under the parameters in ``_run.json``
+    (``partition.salt_chunk_parts``), so every routable clause gives a
+    partition set and, the clauses being AND-ed, the branch reaches only
+    their intersection. Keys are cast to the column's recorded zone-map type
+    before hashing, as the exact filter casts them (``_key_hashes``), and a
+    clause whose keys do not cast is skipped. A salted store's salt chunks
+    0..k_max are bounded by the ORDER column's zone-map maximum across
+    ``recs`` (chunk k exists only if some row has order >= k*salt_rows), so
+    sparse appended turn ranges are still reached. Scans (``route_pids``),
+    ``lookup_conversation``, both deletes and ``store_join_dim``'s DPP route
+    all call it.
+
+    Returns None — route nothing, prune by statistics instead — when the
+    branch has no routable clause, when the run record is missing, of
+    another hash version or range-clustered (keys have no hash route
+    there), and when the records predate zone maps (the key type, and on a
+    salted store the chunk bound, are unknowable): never unsound."""
     import numpy as np
 
     from . import manifest as mf
-    from .partition import HASH_VERSION, hash_conv_values
+    from .partition import HASH_VERSION, salt_chunk_parts
 
     params = mf.load_run_record(out_dir)
-    if not params or params.get("hash_version") != HASH_VERSION:
-        return None
-    if (params.get("partition_mode") or "hash") != "hash":
-        # range-clustered store: part_id is not a hash of the conv key; the
-        # zone maps (level 1) carry the pruning instead
+    if (not params or params.get("hash_version") != HASH_VERSION
+            or (params.get("partition_mode") or "hash") != "hash"):
         return None
     conv_col = params.get("conv_col")
-    vals = None
-    for col, op, val in clauses:
-        if col == conv_col and op in ("==", "in"):
-            vals = val if op == "in" else [val]
-            break
-    if vals is None:
+    ent = next((r["stats"][conv_col] for r in recs if conv_col in (r.get("stats") or {})), None)
+    if ent is None:
         return None
-    n_parts = int(params["n_parts"])
+    t = str_to_type(ent["t"])
+    keys = [val if op == "in" else [val] for col, op, val in clauses
+            if col == conv_col and op in ("==", "in")]
+    hashes = [h for h in (_key_hashes(k, t) for k in keys) if h is not None]
+    if not hashes:
+        return None
     salt_rows = int(params.get("salt_rows") or 0)
     order_col = params.get("order_col")
-    salted = bool(salt_rows) and order_col is not None
-    if salted:
-        k_max = mf.order_chunk_bound(recs, order_col, salt_rows)
-        if k_max is None:
-            return None  # pre-zonemap container: chunk bound unknowable
-    else:
-        k_max = 0
+    k_max = mf.order_chunk_bound(recs, order_col, salt_rows) if salt_rows and order_col else 0
+    if k_max is None:
+        return None
+    chunks = np.arange(k_max + 1, dtype=np.uint64)
+    n_parts = int(params["n_parts"])
+    return set.intersection(*(
+        set(salt_chunk_parts(h[:, None], chunks, n_parts).ravel().tolist()) for h in hashes
+    ))
 
-    # per-type dispatch mirrors encode-time hashing (str(b'x') would hash the
-    # repr, not the payload, and prune the CORRECT partitions — unsound)
-    hashes = hash_conv_values(list(vals))
-    if hashes is None:
-        return None  # unexpected key type: degrade to a full scan, never unsound
-    from .decode import _part_for
 
-    return {
-        _part_for(np.uint64(h), k if salted else 0, n_parts)
-        for h in hashes
-        for k in range(k_max + 1)
-    }
+def _key_hashes(vals: list, t: pa.DataType) -> "np.ndarray | None":
+    """Partition hashes of key values ``vals`` cast to the key column's type
+    ``t`` the way the exact filter casts them (``_pa_scalar``: str '123' on
+    an int key is 123, int 5 on a string key is '5'), hashed like the column
+    itself (``partition.key_hashes``) — a value's Python type never picks
+    the hash. None when a value is null or does not cast."""
+    from .partition import key_hashes
+
+    arr = _cast_values(vals, t)
+    return None if arr is None or arr.null_count else key_hashes(arr)
+
+
+def route_pids(out_dir: str, recs: list[dict], dnf) -> "set[int] | None":
+    """Level 0 over a DNF: a partition is reachable if ANY branch routes to
+    it (``_hash_route_parts``); one unroutable branch — or no predicate —
+    forfeits the level (None)."""
+    if not dnf:
+        return None
+    pids: "set[int]" = set()
+    for br in dnf:
+        got = _hash_route_parts(out_dir, recs, br)
+        if got is None:
+            return None
+        pids |= got
+    return pids
 
 
 def _normalize_dnf(predicate) -> list[list[tuple[str, str, object]]]:
@@ -583,6 +607,21 @@ def _pa_scalar(value, t: pa.DataType) -> pa.Scalar:
         return pa.scalar(value).cast(t)
 
 
+def _cast_values(vals: list, t: pa.DataType) -> "pa.Array | None":
+    """Predicate literals ``vals`` as one Arrow array of type ``t``, cast
+    the way ``_pa_scalar`` casts one literal for the exact filter (int 5 on
+    a string column is '5'); None when a literal does not cast, so a
+    pruning level that needs them keeps its container."""
+    bad = (pa.ArrowException, TypeError, ValueError, OverflowError)
+    try:
+        try:
+            return pa.array(vals, type=t)
+        except bad:
+            return pa.array(vals).cast(t)
+    except bad:
+        return None
+
+
 def predicate_mask(table: pa.Table, clauses):
     """Boolean match mask for the clause list over ``table``'s columns (AND of
     conjuncts, null-safe: nulls come back False). None when no clauses."""
@@ -731,7 +770,9 @@ def dict_probe_path(path: str, clauses, footer: dict | None = None) -> bool:
             if not bool(hit.any()):
                 return False
         else:
-            vs = pa.array([v for v in wanted], type=dv.type)
+            vs = _cast_values(wanted, dv.type)
+            if vs is None:
+                continue
             if not pc.any(pc.is_in(dv, value_set=vs)).as_py():
                 return False
     return True
@@ -1227,6 +1268,48 @@ def decoded_dataset(units: list, fn, empty: pa.Table, nbytes: int):
     )
 
 
+def prune_containers(members, dnf, keys, on_full=None, probe=True) -> "tuple[dict, dict]":
+    """The pruning levels over the containers of ``members`` — ``(dir,
+    records, paths)`` each; a member without records (glob-only) prunes
+    nothing — in order: hash route (``route_pids``), manifest zone maps,
+    ``on_full`` (``PrunedScan.candidates``), then ONE footer probe
+    (``probe_verdicts``) over every member's remainder unless ``probe`` is
+    false. Returns ``({dir: plan}, {surviving path: its member's plan})``,
+    survivors in record order; each plan counts ``keys`` from
+    ``parts_total`` and the ``pruned_*`` levels. ``PrunedScan.candidates``
+    and the deletes (``encode._delete_candidates``) share it; a delete
+    calls it without ``PrunedScan``'s constructor, whose stray-container
+    guard refuses the crashed stores a delete repairs."""
+    stores: dict = {}
+    owner: dict = {}
+    for d, recs, paths in members:
+        sp = stores[d] = dict.fromkeys(keys, 0)
+        sp["parts_total"] = len(paths)
+        if not recs:
+            owner.update(dict.fromkeys(paths, sp))
+            continue
+        pids = route_pids(d, recs, dnf)
+        for r, p in zip(recs, paths):
+            st = r.get("stats") or {}
+            rows = int(r.get("rows", 0))
+            if pids is not None and int(r["part_id"]) not in pids:
+                sp["pruned_hash"] += 1
+            elif dnf and st and not any(record_may_match(st, rows, br) for br in dnf):
+                sp["pruned_stats"] += 1
+            elif on_full is not None and (not dnf or (st and any(
+                record_all_match(st, rows, br) for br in dnf
+            ))) and (key := on_full(r, p)):
+                sp[key] += 1
+            else:
+                owner[p] = sp
+    if owner and probe and dnf and _probe_applies(dnf):
+        verdicts = probe_verdicts(list(owner), dnf)
+        for p, v in verdicts.items():
+            if v != "keep":
+                owner.pop(p)["pruned_" + v] += 1
+    return stores, owner
+
+
 class PrunedScan:
     """The read path every pushdown operator shares, over a store FAMILY (a
     single store is a family of one).
@@ -1306,19 +1389,6 @@ class PrunedScan:
             if op in _TEXT_OPS and not (pa.types.is_string(t) or pa.types.is_large_string(t)):
                 raise ValueError(f"{op} predicate needs a text column; {col!r} is {t}")
 
-    def _hash_pids(self, d: str, recs) -> "set[int] | None":
-        """Level 0 for one member: a container is reachable if ANY branch
-        routes to it; one unroutable branch forfeits the level."""
-        if not self.dnf:
-            return None
-        pids: "set[int]" = set()
-        for br in self.dnf:
-            got = _hash_route_parts(d, recs, br)
-            if got is None:
-                return None
-            pids |= got
-        return pids
-
     def candidates(self, on_full=None, answered=(), probe=True):
         """Surviving container paths plus the plan.
 
@@ -1335,43 +1405,13 @@ class PrunedScan:
         member. ``probe=False`` skips the footer probe."""
         keys = ("parts_total", "pruned_hash", "pruned_stats", "pruned_dict",
                 "pruned_bloom", *answered, "scanned", "scanned_bytes")
-        plan: dict = dict.fromkeys(keys, 0)
-        plan["stores"] = {}
-        owner: dict = {}  # surviving path -> its member's plan
-        for d, recs, paths in self.members:
-            sp = plan["stores"][d] = dict.fromkeys(keys, 0)
-            sp["parts_total"] = len(paths)
-            if not recs:
-                owner.update(dict.fromkeys(paths, sp))
-                continue
-            pids = self._hash_pids(d, recs)
-            for r, p in zip(recs, paths):
-                st = r.get("stats") or {}
-                rows = int(r.get("rows", 0))
-                if pids is not None and int(r["part_id"]) not in pids:
-                    sp["pruned_hash"] += 1
-                elif self.dnf and st and not any(
-                    record_may_match(st, rows, br) for br in self.dnf
-                ):
-                    sp["pruned_stats"] += 1
-                elif on_full is not None and (not self.dnf or (st and any(
-                    record_all_match(st, rows, br) for br in self.dnf
-                ))) and (key := on_full(r, p)):
-                    sp[key] += 1
-                else:
-                    owner[p] = sp
+        stores, owner = prune_containers(self.members, self.dnf, keys, on_full, probe)
         paths = list(owner)
-        if paths and probe and self.dnf and _probe_applies(self.dnf):
-            verdicts = probe_verdicts(paths, self.dnf)
-            for p in paths:
-                if verdicts[p] != "keep":
-                    owner[p]["pruned_" + verdicts[p]] += 1
-            paths = [p for p in paths if verdicts[p] == "keep"]
         for p in paths:
             owner[p]["scanned"] += 1
             owner[p]["scanned_bytes"] += self.sizes[p]
-        for k in keys:
-            plan[k] = sum(sp[k] for sp in plan["stores"].values())
+        plan = {k: sum(sp[k] for sp in stores.values()) for k in keys}
+        plan["stores"] = stores
         self.stamp(plan, paths)
         return paths, plan
 
@@ -1396,15 +1436,21 @@ class PrunedScan:
         )
         return _ScanDecoder(read_cols, work_cols, self.dnf, verify_crc)
 
-    def dataset(self, paths, work_cols=None, verify_crc=False):
-        """The decoded, exactly filtered rows of ``paths`` as a Dataset,
-        reading ``work_cols`` plus the predicate columns and emitting
-        ``work_cols`` (every column when None), on ``executor``'s side of
-        ``decoded_dataset``. A typed empty Dataset when nothing survived."""
+    def reader(self, work_cols=None, verify_crc=False):
+        """``(read, empty)``: the decoder's ``read(path)`` — a container's
+        exactly filtered rows, reading ``work_cols`` plus the predicate
+        columns and emitting ``work_cols`` (every column when None) — and
+        the typed 0-row table of that output."""
         names = list(self.schema) if work_cols is None else work_cols
         empty = pa.table({n: pa.array([], type=self.schema[n]) for n in names})
-        return decoded_dataset(paths, self._decoder(work_cols, verify_crc).read, empty,
-                               sum(self.sizes[p] for p in paths))
+        return self._decoder(work_cols, verify_crc).read, empty
+
+    def dataset(self, paths, work_cols=None, verify_crc=False):
+        """``reader``'s rows of ``paths`` as a Dataset, on ``executor``'s
+        side of ``decoded_dataset``. A typed empty Dataset when nothing
+        survived."""
+        read, empty = self.reader(work_cols, verify_crc)
+        return decoded_dataset(paths, read, empty, sum(self.sizes[p] for p in paths))
 
     def run(self, paths, partial, work_cols, verify_crc=False):
         """Decode + ``partial`` over ``paths`` in plain Ray tasks over

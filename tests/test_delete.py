@@ -91,13 +91,10 @@ def test_delete_conversations(ray_session, tmp_path):
 
 def _victim_pid(enc: str, victim: str) -> int:
     """The partition of ``victim``'s salt chunk 0 (its first turns)."""
-    import numpy as np
-
-    from parquet_converter_ray.decode import _part_for
-    from parquet_converter_ray.partition import stable_hash_strings
+    from parquet_converter_ray.partition import salt_chunk_parts, stable_hash_strings
 
     h = stable_hash_strings(pa.array([victim]))[0]
-    return _part_for(np.uint64(h), 0, int(mf.load_run_record(enc)["n_parts"]))
+    return int(salt_chunk_parts(h, 0, int(mf.load_run_record(enc)["n_parts"])))
 
 
 def _rewrite(op: str, enc: str, victim: str, expect_all: pa.Table):
@@ -239,14 +236,11 @@ def test_delete_recovers_crash_mid_step3(ray_session, tmp_path):
     enc, expect_all = _mk_store(tmp_path)
     victims = [sorted(set(expect_all["conv_id"].to_pylist()))[0]]
 
-    import numpy as np
-
-    from parquet_converter_ray.decode import _part_for
-    from parquet_converter_ray.partition import stable_hash_strings
+    from parquet_converter_ray.partition import salt_chunk_parts, stable_hash_strings
 
     params = mf.load_run_record(enc)
     h = stable_hash_strings(pa.array(victims))[0]
-    pid = _part_for(np.uint64(h), 0, int(params["n_parts"]))
+    pid = int(salt_chunk_parts(h, 0, int(params["n_parts"])))
     recs = [r for r in mf.load_records(enc) if int(r["part_id"]) == pid]
     gen_paths = [r["path"] for r in recs if r.get("generation", 0)]
     if not gen_paths:
@@ -282,14 +276,11 @@ def test_repair_store_finishes_interrupted_delete(ray_session, tmp_path):
     enc, expect_all = _mk_store(tmp_path)
     victims = [sorted(set(expect_all["conv_id"].to_pylist()))[0]]
 
-    import numpy as np
-
-    from parquet_converter_ray.decode import _part_for
-    from parquet_converter_ray.partition import stable_hash_strings
+    from parquet_converter_ray.partition import salt_chunk_parts, stable_hash_strings
 
     params = mf.load_run_record(enc)
     h = stable_hash_strings(pa.array(victims))[0]
-    pid = _part_for(np.uint64(h), 0, int(params["n_parts"]))
+    pid = int(salt_chunk_parts(h, 0, int(params["n_parts"])))
     gen_paths = [
         r["path"] for r in mf.load_records(enc)
         if int(r["part_id"]) == pid and r.get("generation", 0)
@@ -438,6 +429,72 @@ def test_delete_mixed_key_types_raises(ray_session, tmp_path):
     enc, _ = _mk_store(tmp_path, n=1000, append_n=200)
     with pytest.raises(TypeError, match="uniformly"):
         delete_conversations(enc, ["conv-a", 7])
+
+
+def test_delete_rows_routes_key_predicate(ray_session, tmp_path):
+    """``delete_rows`` on ``conv_id == v`` over a hash store routes like a
+    scan: only v's partition is rewritten, and the plan counts every other
+    container as ``pruned_hash`` (zone maps and probes cannot prune a
+    high-cardinality key that every hash partition spans)."""
+    t = make_transcripts(6000, seed=11)
+    inp = tmp_path / "in"
+    inp.mkdir()
+    pq.write_table(t, inp / "t.parquet")
+    enc = str(tmp_path / "enc")
+    encode_dataset(str(inp), enc, n_parts=8, salt_rows=0)
+    victim = t["conv_id"][0].as_py()
+    pid = _victim_pid(enc, victim)
+    n_other = sum(int(r["part_id"]) != pid for r in mf.load_records(enc))
+
+    s = delete_rows(enc, [("conv_id", "==", victim)])
+    assert s["parts_rewritten"] == 1
+    assert s["plan"]["pruned_hash"] == n_other > 0
+    assert set(s["plan"]) == {"parts_total", "pruned_hash", "pruned_stats",
+                              "pruned_dict", "pruned_bloom"}
+    assert s["rows_deleted"] == t.num_rows - _minus(t, [victim]).num_rows
+    assert _eq(_decode_all(enc), _minus(t, [victim]))
+    assert fsck_store(enc)["ok"]
+
+
+@pytest.mark.parametrize("key_type", ["int", "str"])
+def test_key_predicate_casts_to_key_type(ray_session, tmp_path, key_type):
+    """A key value of the other type — str '123' on an int key (what a CLI
+    ``--where "conv_id == '123'"`` gives), int 123 on a digit-string key —
+    is cast to the key column's type before it is routed, as the exact
+    filter casts it: scan, lookup and ``delete_rows`` find the key's rows in
+    its own partition instead of routing to another one and matching
+    nothing, and the dictionary probe casts it too."""
+    from parquet_converter_ray.zonemap import scan_store
+
+    t = make_transcripts(3000, seed=13)
+    ids = pc.add(t["conv_id"].combine_chunks().dictionary_encode().indices.cast(pa.int64()), 100)
+    t = t.set_column(t.schema.get_field_index("conv_id"), "conv_id",
+                     ids if key_type == "int" else ids.cast(pa.string()))
+    inp = tmp_path / "in"
+    inp.mkdir()
+    pq.write_table(t, inp / "t.parquet")
+    enc = str(tmp_path / "enc")
+    encode_dataset(str(inp), enc, n_parts=8, salt_rows=0)
+    # short conversations: their partitions hold many keys, so the key
+    # column is dict-encoded there and the footer probe sees the cast
+    # literals too
+    counts = sorted((c["counts"], c["values"]) for c in t["conv_id"].value_counts().to_pylist())
+    victims = [v for _, v in counts[:5]]
+    values = [str(v) if key_type == "int" else int(v) for v in victims]
+    n = {v: n for n, v in counts}
+
+    assert lookup_conversation(enc, values[0]).num_rows == n[victims[0]]
+    ds, plan = scan_store(enc, [("conv_id", "in", values)], return_plan=True)
+    assert ds.count() == sum(n[v] for v in victims) and plan["pruned_hash"] > 0
+
+    s = delete_rows(enc, [("conv_id", "==", values[0])])
+    assert s["rows_deleted"] == n[victims[0]] and s["parts_rewritten"] == 1
+    assert s["plan"]["pruned_hash"] > 0
+    s = delete_rows(enc, [("conv_id", "in", values[1:])])
+    assert s["rows_deleted"] == sum(n[v] for v in victims[1:])
+    dec = _decode_all(enc)
+    assert dec.num_rows == t.num_rows - sum(n[v] for v in victims)
+    assert dec.filter(pc.is_in(dec["conv_id"], value_set=pa.array(victims))).num_rows == 0
 
 
 # --- predicate row delete (retention / TTL) -------------------------------------------

@@ -1,7 +1,7 @@
 """Range-clustered store layout: zone maps must actually prune range scans
 (a hash layout never can — every partition spans the full domain), while the
-store lifecycle (decode fidelity, append with recorded cuts, delete via
-probe-everything, resume without resampling) stays correct."""
+store lifecycle (decode fidelity, append with recorded cuts, delete pruned
+by zone maps, resume without resampling) stays correct."""
 
 from __future__ import annotations
 
@@ -82,8 +82,8 @@ def test_range_scan_prunes_hash_scan_cannot(stores):
 
 def test_range_store_lookup_falls_back_to_pruned_scan(stores):
     """Point access on a range-clustered store has no hash route; lookup must
-    degrade to the predicate-pushdown scan and return the same rows a
-    hash-store lookup returns."""
+    fall back to the scan's pruning (zone maps, footer probe) and Ray-task
+    decode and return the same rows a hash-store lookup returns."""
     from parquet_converter_ray.decode import lookup_conversation
 
     key = int(stores["input"]["l_orderkey"][0].as_py())
@@ -99,8 +99,8 @@ def test_range_store_append_uses_recorded_cuts_and_delete_works(
     ray_session, stores, tmp_path
 ):
     """Appended rows must land in the bucket the recorded cuts dictate (scan
-    still prunes and finds them); delete removes a key entirely via the
-    probe-everything candidate set and the store stays fsck-clean."""
+    still prunes and finds them); delete removes a key entirely with no hash
+    route (zone maps prune instead) and the store stays fsck-clean."""
     import shutil
 
     from parquet_converter_ray.decode import decode_dataset

@@ -327,39 +327,100 @@ def test_resume_without_run_record_raises(ray_session, transcripts, tmp_path):
         encode_dataset(ray.data.from_arrow(transcripts), out, n_parts=4, resume=True)
 
 
-def test_lookup_conversation_matches_full_decode(ray_session, tmp_path):
-    """Point lookup must return exactly the full-decode filter for every
-    conversation — across salt-chunk boundaries — touching only the
-    containers that conversation maps to."""
-    import collections
+def _lookup_layout(layout: str, tmp_path) -> "tuple[list[str], pa.Table]":
+    """Store directories of one lookup layout and the rows they hold. The
+    appended and family layouts split the rows so that conversations span
+    generations / members; ``salt_rows=200`` splits the big conversations
+    (the biggest has ~1600 turns) into several salt chunks."""
+    import ray.data
 
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    from parquet_converter_ray.decode import decode_dataset, lookup_conversation
-    from parquet_converter_ray.encode import encode_dataset
-    from parquet_converter_ray.synth import make_transcripts
+    from parquet_converter_ray.encode import append_dataset
 
     t = make_transcripts(20000, seed=11)
-    inp = tmp_path / "in"
-    inp.mkdir()
-    pq.write_table(t, inp / "transcripts.parquet")
+    kw = {"hash": {"salt_rows": 0}, "range": {"salt_rows": 0, "cluster_by": "ts"}}
+    kw = kw.get(layout, {"salt_rows": 200})
+    if layout == "family":
+        dirs = [str(tmp_path / "d0"), str(tmp_path / "d1")]
+        encode_dataset(ray.data.from_arrow(t.slice(0, 10000)), dirs[0], n_parts=5, **kw)
+        encode_dataset(ray.data.from_arrow(t.slice(10000)), dirs[1], n_parts=5, **kw)
+        return dirs, t
     out = str(tmp_path / "enc")
-    # salt_rows=200 forces multi-chunk conversations (biggest conv ~1600 turns)
-    encode_dataset(str(inp), out, n_parts=5, salt_rows=200)
-    full = pa.concat_tables(list(decode_dataset(out).iter_batches(batch_format="pyarrow")))
+    if layout == "appended":
+        encode_dataset(ray.data.from_arrow(t.slice(0, 15000)), out, n_parts=5, **kw)
+        append_dataset(ray.data.from_arrow(t.slice(15000)), out)
+        assert any(r.get("generation", 0) for r in mf.load_records(out))
+    else:
+        encode_dataset(ray.data.from_arrow(t), out, n_parts=5, **kw)
+    return [out], t
+
+
+@pytest.mark.parametrize("layout", ["hash", "salted", "range", "appended", "family"])
+def test_lookup_conversation_matches_full_decode(ray_session, tmp_path, layout):
+    """Point lookup must return exactly the full-decode filter for every
+    conversation — across salt chunks, appended generations and family
+    members, on hash and range layouts — sorted by (conv, order), and cut
+    to ``columns`` even when they omit the key columns."""
+    import collections
+
+    import pyarrow.compute as pc
+
+    from parquet_converter_ray.decode import (
+        decode_family,
+        lookup_conversation,
+        lookup_conversation_multi,
+    )
+    from parquet_converter_ray.partition import salt_chunk_parts, stable_hash_strings
+
+    dirs, _ = _lookup_layout(layout, tmp_path)
+
+    def lookup(cv, columns=None):
+        if len(dirs) == 1:
+            return lookup_conversation(dirs[0], cv, columns=columns)
+        return lookup_conversation_multi(dirs, cv, columns=columns)
+
+    full = pa.concat_tables(list(decode_family(dirs).iter_batches(batch_format="pyarrow")))
     counts = collections.Counter(full["conv_id"].to_pylist())
     order = [("conv_id", "ascending"), ("turn_idx", "ascending")]
     probe = [max(counts, key=counts.get), min(counts, key=counts.get)]
+    if layout == "salted":  # the big conversation's chunks live in several partitions
+        ref = full.filter(pc.equal(full["conv_id"], probe[0]))
+        chunks = pc.unique(pc.divide(ref["turn_idx"], 200)).cast(pa.uint64()).to_numpy()
+        h = stable_hash_strings(pa.array([probe[0]]))
+        assert len(set(salt_chunk_parts(h[:, None], chunks, 5).ravel().tolist())) >= 2
     for cv in probe:
         ref = full.filter(pc.equal(full["conv_id"], cv)).sort_by(order).combine_chunks()
-        got = lookup_conversation(out, cv).sort_by(order).combine_chunks()
-        assert got.equals(ref), cv
-    # column pruning + missing key
-    one = lookup_conversation(out, probe[0], columns=["text"])
-    assert one.column_names == ["text"] and one.num_rows == counts[probe[0]]
-    assert lookup_conversation(out, "conv-99999999").num_rows == 0
+        assert lookup(cv).equals(ref), cv
+        # column pruning that drops both key columns keeps the (conv, order) sort
+        one = lookup(cv, columns=["text", "role"])
+        assert one.column_names == ["text", "role"]
+        assert one.equals(ref.select(["text", "role"])), cv
+    assert lookup("conv-99999999").num_rows == 0
+
+
+def test_lookup_absent_key_in_empty_partition(ray_session, tmp_path):
+    """A key routed to a partition that has no container (empty partitions
+    write none) is absent: a typed 0-row table, from one store and from a
+    family, never a missing-partition error."""
+    import ray.data
+
+    from parquet_converter_ray.decode import lookup_conversation, lookup_conversation_multi
+    from parquet_converter_ray.partition import salt_chunk_parts, stable_hash_strings
+
+    t = pa.table({
+        "conv_id": [f"c{i}" for i in range(5) for _ in range(3)],
+        "turn_idx": pa.array([j for _ in range(5) for j in range(3)], pa.int32()),
+        "text": [f"turn {i}" for i in range(15)],
+    })
+    dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
+    for d in dirs:
+        encode_dataset(ray.data.from_arrow(t), d, n_parts=16, salt_rows=0)
+    used = {int(r["part_id"]) for r in mf.load_records(dirs[0])}
+    assert len(used) < 16
+    key = next(k for k in (f"absent-{i}" for i in range(1000))
+               if int(salt_chunk_parts(stable_hash_strings(pa.array([k])), 0, 16)[0]) not in used)
+    want = lookup_conversation(dirs[0], "c0").schema
+    for got in (lookup_conversation(dirs[0], key), lookup_conversation_multi(dirs, key)):
+        assert got.num_rows == 0 and got.schema == want
 
 
 def test_compact_dataset_roundtrip_and_fewer_parts(ray_session, tmp_path):

@@ -7,10 +7,12 @@ Usage: python tools/verify_queries.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, so each copy of the repo checks its own engine
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def to_pandas(res):
