@@ -60,10 +60,19 @@ def run_kernels() -> dict:
     codec forced, no choice) is what the choice costs, in min-of-N ms.
     ``trials`` splits the choice per candidate: the trial's min-of-N ms and
     its wrapped sample bytes; a string column also reports ``fsst_trial``
-    ("run" or "skipped") and, when run, ``fsst_train_ms``."""
+    ("run" or "skipped") and, when run, ``fsst_train_ms``. An encode trains
+    each string column's FSST table once and hands it to every partition:
+    a string column also reports that one-time ``shared_train_ms``, and
+    ``auto_shared_ms`` and ``trials_shared``, the encode and the trials
+    given that table (no training)."""
     import pyarrow as pa
 
-    from parquet_converter_ray.codecs import codec_trials, decode_array, encode_array
+    from parquet_converter_ray.codecs import (
+        codec_trials,
+        decode_array,
+        encode_array,
+        train_table,
+    )
     from parquet_converter_ray.synth import make_transcripts
 
     pa.set_cpu_count(1)
@@ -73,7 +82,19 @@ def run_kernels() -> dict:
     for name in table.column_names:
         arr = table[name].chunk(0)
         enc_s, dec_s, forced_s, reps = [], [], [], []
+        strlike = pa.types.is_string(arr.type) or pa.types.is_binary(arr.type)
+        train_s, shared_s, shared_reps = [], [], []
         for _ in range(KERNEL_REPS):
+            if strlike:
+                t0 = time.perf_counter()
+                shared = train_table(arr)
+                train_s.append(time.perf_counter() - t0)
+                shared_reps.append(codec_trials(arr, shared))
+                t0 = time.perf_counter()
+                shared_blob = encode_array(arr, fsst_table=shared)
+                shared_s.append(time.perf_counter() - t0)
+                if not decode_array(shared_blob).equals(arr):
+                    raise AssertionError(f"{name}: shared-table decode differs from the input")
             reps.append(codec_trials(arr))
             t0 = time.perf_counter()
             blob = encode_array(arr)
@@ -106,6 +127,16 @@ def run_kernels() -> dict:
             cols[name]["fsst_trial"] = "skipped" if fsst[0]["skipped"] else "run"
             if not fsst[0]["skipped"]:
                 cols[name]["fsst_train_ms"] = round(min(t["train_s"] for t in fsst) * 1e3, 2)
+        if strlike:
+            cols[name].update(
+                shared_train_ms=round(min(train_s) * 1e3, 2),
+                auto_shared_ms=round(min(shared_s) * 1e3, 2),
+                shared_codec=shared_blob.codec,
+                shared_bytes_ratio=round(shared_blob.nbytes / arr.nbytes, 4),
+                trials_shared={t["codec"]: {"ms": round(min(r[i]["s"] for r in shared_reps) * 1e3, 2),
+                                            "bytes": t["bytes"]}
+                               for i, t in enumerate(shared_reps[0])},
+            )
     return {"mode": "kernels", "turns": KERNEL_TURNS, "reps": KERNEL_REPS,
             "arrow_threads": 1, "columns": cols, "host": host()}
 

@@ -162,7 +162,6 @@ def _from_physical(kind: str, vals, t: pa.DataType) -> pa.Array:
 # --- cost model -------------------------------------------------------------
 
 _SAMPLE_TARGET = 8192
-_SAMPLE_TARGET_STR = 2048  # string trials are byte-heavy; smaller sample suffices
 
 
 def _candidates(kind: str, vals) -> list[str]:
@@ -179,25 +178,40 @@ def _candidates(kind: str, vals) -> list[str]:
 
 
 def _sample(kind: str, vals, n: int):
-    target = _SAMPLE_TARGET if kind == "num" else _SAMPLE_TARGET_STR
-    if n <= target:
-        return vals, n
-    # 4 contiguous slices — contiguity preserves run/delta structure
-    k = target // 4
-    stride = (n - k) // 3
-    idx = [(i * stride, i * stride + k) for i in range(4)]
+    """The trial sample: 4 contiguous slices (contiguity preserves run/delta
+    structure) of ``_SAMPLE_TARGET`` rows in all. A string sample is also
+    capped at the payload bytes one FSST table trains on (a quarter per
+    slice), so no trial compresses more text than that."""
     if kind == "num":
-        return np.concatenate([vals[a:b] for a, b in idx]), 4 * k
-    parts = [vals.slice(a, b - a) for a, b in idx]
-    return pa.concat_arrays([p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p for p in parts]), 4 * k
+        if n <= _SAMPLE_TARGET:
+            return vals, n
+        k = _SAMPLE_TARGET // 4
+        stride = (n - k) // 3
+        return np.concatenate([vals[i * stride:i * stride + k] for i in range(4)]), 4 * k
+    if n <= 4:
+        return vals, n
+    offs = _str.str_offsets(vals)
+    if n <= _SAMPLE_TARGET and offs[-1] - offs[0] <= _fsst._SAMPLE_CAP:
+        return vals, n
+    k = min(n, _SAMPLE_TARGET) // 4
+    starts = np.arange(4) * ((n - k) // 3)
+    # each slice ends at k rows or at a quarter of the cap, keeping one row
+    cut = offs[starts].astype(np.int64) + _fsst._SAMPLE_CAP // 4
+    ends = np.searchsorted(offs, cut, side="right") - 1
+    ends = np.maximum(np.minimum(ends, starts + k), starts + 1)
+    parts = [vals.slice(a, b - a) for a, b in zip(starts.tolist(), ends.tolist())]
+    return pa.concat_arrays(parts), int((ends - starts).sum())
 
 
-def _trials(kind: str, vals, n: int) -> list[dict]:
+def _trials(kind: str, vals, n: int, fsst_table: "_fsst.FsstTable | None" = None) -> list[dict]:
     """The cost model's trials on a sample of ``vals``, in candidate order:
     one dict per candidate with its ``codec``, its wrapped sample ``bytes``
     (``None`` when the candidate raised or was skipped) and its trial
-    seconds ``s``. The FSST trial also carries ``skipped``, or its
-    sample-trained ``table`` and ``train_s``."""
+    seconds ``s``. Every string trial runs on the same sample, capped at
+    FSST's training bytes (``_sample``). The FSST trial also carries
+    ``skipped``, or its ``table``: ``fsst_table``, the column's table
+    trained once per encode and recorded in ``_run.json``, or when there
+    is none a table trained on the sample (its seconds in ``train_s``)."""
     table = _NUM_CODECS if kind == "num" else _STR_CODECS
     sample, _ = _sample(kind, vals, n)
     best_size = float("inf")
@@ -210,14 +224,16 @@ def _trials(kind: str, vals, n: int) -> list[dict]:
         try:
             if name == "fsst":
                 _, payload = _str.str_parts(sample)
-                # one FSST code stands for at most 8 payload bytes: training
-                # is the priciest trial, so skip it when a cheaper trial is
+                # one FSST code stands for at most 8 payload bytes: the
+                # trial is the priciest, so skip it when a cheaper trial is
                 # already at or below that bound
                 trial["skipped"] = best_size <= len(payload) / _fsst._MAX_SYMBOL_LEN
                 if trial["skipped"]:
                     continue
-                trial["table"] = _fsst.train(payload)
-                trial["train_s"] = time.perf_counter() - t0
+                trial["table"] = fsst_table
+                if fsst_table is None:
+                    trial["table"] = _fsst.train(payload)
+                    trial["train_s"] = time.perf_counter() - t0
                 _, bufs = enc(sample, table=trial["table"])
             else:
                 _, bufs = enc(sample)
@@ -230,11 +246,14 @@ def _trials(kind: str, vals, n: int) -> list[dict]:
     return out
 
 
-def choose_codec(kind: str, vals, n: int) -> tuple[str, dict]:
+def choose_codec(kind: str, vals, n: int,
+                 fsst_table: "_fsst.FsstTable | None" = None) -> tuple[str, dict]:
     """Sampled cost model: encode a sample with each candidate, pick the
     smallest (the first on a tie). Returns (codec_name, encode_params) —
-    params carry reusable trial artifacts (the FSST table trained on the
-    sample) so the full encode doesn't redo the training.
+    an FSST choice's params carry the trial's table: ``fsst_table``, the
+    column's table trained once per encode and recorded in ``_run.json``,
+    or the one trained on the sample when there is none, so the full
+    encode never trains.
 
     One skip rule: the FSST trial is not run when the best wrapped trial so
     far is at most 1/8 of the sample's raw payload bytes, FSST's best
@@ -242,27 +261,45 @@ def choose_codec(kind: str, vals, n: int) -> tuple[str, dict]:
     if n == 0:
         return "plain", {}
     best, best_size, best_params = "plain", float("inf"), {}
-    for trial in _trials(kind, vals, n):
+    for trial in _trials(kind, vals, n, fsst_table):
         if trial["bytes"] is not None and trial["bytes"] < best_size:
             best, best_size = trial["codec"], trial["bytes"]
             best_params = {"table": trial["table"]} if best == "fsst" else {}
     return best, best_params
 
 
-def codec_trials(arr: pa.Array) -> list[dict]:
-    """The cost model's trials (``_trials``) for one column, on the values
-    ``encode_array(arr)`` samples: nulls filled as the encode fills them."""
+def _filled(arr: pa.Array) -> pa.Array:
+    """``arr`` with nulls filled as the encode fills them."""
     if arr.null_count:
         arr = pc.fill_null(arr, pa.scalar(_fill_default(arr.type), type=arr.type))
-    kind, vals = _to_physical(arr)
-    return _trials(kind, vals, len(arr))
+    return arr
+
+
+def codec_trials(arr: pa.Array, fsst_table: "_fsst.FsstTable | None" = None) -> list[dict]:
+    """The cost model's trials (``_trials``) for one column, on the values
+    ``encode_array(arr, fsst_table=fsst_table)`` samples."""
+    kind, vals = _to_physical(_filled(arr))
+    return _trials(kind, vals, len(arr), fsst_table)
+
+
+def train_table(arr) -> "_fsst.FsstTable | None":
+    """The FSST table of a string or binary column, trained on (a cap of)
+    the payload of ``arr``, a sample of it; ``None`` when the sample holds
+    no payload bytes."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    _, payload = _str.str_parts(_filled(arr))
+    return _fsst.train(payload) if payload else None
 
 
 # --- top level --------------------------------------------------------------
 
 
-def encode_array(arr, codec: str = "auto") -> ColumnBlob:
+def encode_array(arr, codec: str = "auto", fsst_table: "_fsst.FsstTable | None" = None) -> ColumnBlob:
     """Encode one column; ``codec="auto"`` runs the sampled cost model.
+    ``fsst_table`` is a string column's table trained once per encode
+    (``train_table``): the FSST trial and an FSST encode use it instead of
+    training one on this column.
 
     Examples
     --------
@@ -280,13 +317,13 @@ def encode_array(arr, codec: str = "auto") -> ColumnBlob:
     if null_count:
         valid = arr.is_valid().to_numpy(zero_copy_only=False)
         validity_buf = wrap_buf(pack_validity(valid))
-        arr = pc.fill_null(arr, pa.scalar(_fill_default(t), type=t))
+        arr = _filled(arr)
     kind, vals = _to_physical(arr)
-    params: dict = {}
+    params: dict = {"table": fsst_table} if codec == "fsst" else {}
     choose_s = 0.0
     if codec == "auto":
         t0 = time.perf_counter()
-        codec, params = choose_codec(kind, vals, n)
+        codec, params = choose_codec(kind, vals, n, fsst_table)
         choose_s = time.perf_counter() - t0
     table = _NUM_CODECS if kind == "num" else _STR_CODECS
     enc, _ = table[codec]

@@ -29,13 +29,18 @@ from .numeric import (
 from .util import gather_slices
 
 
+def str_offsets(arr: pa.Array) -> np.ndarray:
+    """A string or binary array's ``len(arr) + 1`` value offsets (no copy)."""
+    off_dt = np.int64 if pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type) else np.int32
+    return np.frombuffer(arr.buffers()[1], dtype=off_dt)[arr.offset : arr.offset + len(arr) + 1]
+
+
 def str_parts(arr: pa.Array) -> tuple[np.ndarray, bytes]:
     """Null-free string array -> (lengths int64, concatenated utf8 bytes)."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    off_dt = np.int64 if pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type) else np.int32
     bufs = arr.buffers()
-    offs = np.frombuffer(bufs[1], dtype=off_dt)[arr.offset : arr.offset + len(arr) + 1]
+    offs = str_offsets(arr)
     if bufs[2] is None or len(arr) == 0:
         data = b""
     else:

@@ -138,12 +138,16 @@ def unpack_container(
     return footer, blobs
 
 
-def encode_table(table: pa.Table, codec: str | dict[str, str] = "auto") -> dict[str, ColumnBlob]:
-    """Encode every column of a table. ``codec`` may be a per-column dict."""
+def encode_table(table: pa.Table, codec: str | dict[str, str] = "auto",
+                 fsst_tables: "dict | None" = None) -> dict[str, ColumnBlob]:
+    """Encode every column of a table. ``codec`` may be a per-column dict;
+    ``fsst_tables`` maps a string column to the FSST table its encode was
+    given (``encode_array``'s ``fsst_table``)."""
     blobs: dict[str, ColumnBlob] = {}
     for name in table.column_names:
         c = codec.get(name, "auto") if isinstance(codec, dict) else codec
-        blobs[name] = encode_array(table.column(name), codec=c)
+        blobs[name] = encode_array(table.column(name), codec=c,
+                                   fsst_table=(fsst_tables or {}).get(name))
     return blobs
 
 

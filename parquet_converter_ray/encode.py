@@ -11,7 +11,8 @@ encode one partition — see ``encode_dataset``):
                                                 #   each partition encoded atomically:
                                                 #   sort by (conv_id, turn_idx),
                                                 #   per-column sampled cost model,
-                                                #   per-partition FSST tables/dicts,
+                                                #   the encode's FSST tables,
+                                                #   per-partition dicts,
                                                 #   atomic container write + lineage
       -> tiny lineage dataset -> manifest.jsonl
 
@@ -22,8 +23,11 @@ store schema before assigning part ids, and the reducer is a subclass of
 rewrites — upsert and both deletes — go through one crash-safe
 ``_rewrite_partition``.
 
-The group step holds per-partition encoder state (FSST symbol table, dictionary)
-for exactly one partition at a time, which is the memory-bounded alternative to
+Before the exchange the driver trains one FSST table per string column on a
+bounded sample of the input (``_Input.sample``) and records it in
+``_run.json``; every partition, and every later write into the store,
+compresses with it. The group step holds per-partition encoder state
+(dictionaries) for exactly one partition at a time, which is the memory-bounded alternative to
 fighting batch->actor affinity (SURVEY.md §7.5). Partition size is bounded by
 ``salt_rows`` chunking of mega-conversations, so the 10^12-turn scale story is:
 more partitions, same per-partition working set.
@@ -112,6 +116,7 @@ class EncodePartition:
         bound_cols: "frozenset[str]" = frozenset(),
         bloom_cols: "frozenset[str]" = frozenset(),
         text_bloom_cols: "frozenset[str]" = frozenset(),
+        fsst_tables: "dict | None" = None,
     ):
         self.out_dir = out_dir
         self.codec = codec
@@ -121,6 +126,7 @@ class EncodePartition:
         self.bound_cols = frozenset(bound_cols)  # force zone-map bounds (range-cluster string cols)
         self.bloom_cols = frozenset(bloom_cols)  # per-container Bloom filters (point-lookup pruning)
         self.text_bloom_cols = frozenset(text_bloom_cols)  # token blooms (hastok full-text pruning)
+        self.fsst_tables = dict(fsst_tables or {})  # column -> the encode's FsstTable
 
     def __call__(self, group: pa.Table) -> pa.Table:
         pin_arrow_threads(1)
@@ -148,7 +154,7 @@ class EncodePartition:
         if sort_cols:
             table = table.sort_by([(c, "ascending") for c in sort_cols])
         t_sort = time.monotonic()
-        blobs = encode_table(table, codec=self.codec)
+        blobs = encode_table(table, codec=self.codec, fsst_tables=self.fsst_tables)
         t_enc = time.monotonic()
         choose_s = sum(blob.choose_s for blob in blobs.values())
         from .zonemap import column_stats
@@ -390,6 +396,18 @@ def encode_dataset(
     the level and zone maps prune instead), while append reuses the
     recorded cuts. Resume reuses the recorded cuts — never resamples. The sample is a small Ray Data job on either
     executor, over the same read, so both executors cut identically.
+
+    Each string or binary column the cost model may FSST-encode gets one
+    FSST table, trained once per encode on the driver's bounded sample of
+    the input (``_Input.sample``) and recorded in ``_run.json``
+    (``fsst_tables``): every partition's FSST trial and encode use it, so
+    no reducer trains, and append, upsert, the deletes and resume reuse it.
+    An input with no driver-side read (a lazy Dataset, a remote or
+    partitioned path) records no table, and its partitions train their own.
+    The summary's ``fsst_shared`` names the columns that got a table; the
+    run record keeps the driver's sample and train seconds
+    (``fsst_sample_s``, ``fsst_train_s``), which a summary cannot carry:
+    summaries of the same write compare equal across executors.
     """
     os.makedirs(out_dir, exist_ok=True)
     from .partition import HASH_VERSION
@@ -484,6 +502,11 @@ def encode_dataset(
                 f"text_bloom_cols {bad} are not text columns — token blooms "
                 "serve the hastok full-text predicate over string columns"
             )
+    if resume and prior is not None:
+        # the recorded tables are the ones the completed partitions used
+        fsst = {k: prior[k] for k in ("fsst_tables", "fsst_sample_s", "fsst_train_s") if k in prior}
+    else:
+        fsst = _train_tables(inp, codec)
     run_params = {
         "n_parts": int(n_parts),
         "salt_rows": int(salt_rows),
@@ -501,6 +524,9 @@ def encode_dataset(
         # append reuses it by default
         "bloom_cols": list(bloom_cols or []),
         "text_bloom_cols": list(text_bloom_cols or []),
+        # not partitioning parameters either: the FSST table each string
+        # column's partitions compress with (absent = per-partition tables)
+        **fsst,
     }
     if resume and prior is not None:
         # stores written before range clustering existed have no
@@ -534,7 +560,27 @@ def encode_dataset(
     summary = mf.consolidate(out_dir)
     summary["n_parts"] = n_parts
     summary["executor"] = executor
+    summary["fsst_shared"] = sorted(encoder.fsst_tables)
     return summary
+
+
+def _train_tables(inp: "_Input", codec) -> dict:
+    """One FSST table per string or binary column whose codec may be FSST,
+    trained on the input's driver-side sample, as run-record entries: the
+    tables (``fsst_tables``) and the sample and train seconds. A column
+    whose sample holds no payload, and every column of an input with no
+    driver-side read, gets no table."""
+    from .codecs import _is_bin, _is_str, train_table
+
+    cols = [c for c, t in zip(inp.schema.names, inp.schema.types)
+            if (_is_str(t) or _is_bin(t))
+            and (codec.get(c, "auto") if isinstance(codec, dict) else codec) in ("auto", "fsst")]
+    t0 = time.monotonic()
+    sample = inp.sample(cols) if cols else None
+    t1 = time.monotonic()
+    tables = {c: train_table(sample[c]) for c in cols} if sample is not None else {}
+    return {"fsst_tables": {c: t.to_record() for c, t in tables.items() if t is not None},
+            "fsst_sample_s": round(t1 - t0, 3), "fsst_train_s": round(time.monotonic() - t1, 3)}
 
 
 def _assign_for(run: dict):
@@ -553,7 +599,9 @@ def _assign_for(run: dict):
 def _store_encoder(out_dir: str, run: dict, codec, cls: type = EncodePartition,
                    **kw) -> EncodePartition:
     """The partition encoder (``cls``) a run record calls for: its sort key,
-    range-cluster bounds and Bloom columns."""
+    range-cluster bounds, Bloom columns and FSST tables."""
+    from .codecs.fsst import FsstTable
+
     conv_col, order_col = run["conv_col"], run.get("order_col")
     return cls(
         out_dir, codec=codec,
@@ -561,6 +609,7 @@ def _store_encoder(out_dir: str, run: dict, codec, cls: type = EncodePartition,
         bound_cols=frozenset(run.get("cluster_by") or ()),
         bloom_cols=frozenset(run.get("bloom_cols") or ()),
         text_bloom_cols=frozenset(run.get("text_bloom_cols") or ()),
+        fsst_tables={c: FsstTable.from_record(r) for c, r in (run.get("fsst_tables") or {}).items()},
         **kw,
     )
 
@@ -578,7 +627,7 @@ class _Input:
             self.cpus = int(ray.cluster_resources().get("CPU", 8))
         except Exception:
             self.cpus = 8
-        self.source, self.ds, self.est, self.files = source, None, None, None
+        self.source, self.ds, self.est, self.files, self.blocks = source, None, None, None, None
         if isinstance(source, (str, list)):
             if n_parts is None:  # the default layout keeps Ray's size estimate
                 n_parts = _default_n_parts(
@@ -605,6 +654,30 @@ class _Input:
         if n_parts is None:
             n_parts = _default_n_parts(self.est or (64 << 20), self.cpus)
         self.n_parts = n_parts
+
+    def sample(self, columns: list[str]) -> "pa.Table | None":
+        """``columns`` of a bounded sample of the input, read on the driver
+        without a Ray Data job and a function of the input alone: the heads
+        of up to 4 evenly spaced row groups (local Parquet files) or blocks
+        (a materialized Dataset), ``codecs._SAMPLE_TARGET`` rows in all.
+        None for an input with no driver-side read (a lazy Dataset, a
+        remote or partitioned path)."""
+        from .codecs import _SAMPLE_TARGET
+
+        units = self.row_groups if self.files else self.blocks
+        if not units:
+            return None
+        picked = [units[i] for i in sorted({i * (len(units) - 1) // 3 for i in range(4)})]
+        rows = _SAMPLE_TARGET // len(picked)
+        if self.files:
+            schema = pa.schema([self.schema.field(c) for c in columns])
+            heads = [_read_head(f, rg, rows, schema) for f, rg in picked]
+        else:
+            from ray.data.block import BlockAccessor
+
+            heads = [BlockAccessor.for_block(b).to_arrow().select(columns).slice(0, rows)
+                     for b in ray.get(picked)]
+        return pa.concat_tables(heads)
 
     def dataset(self):
         """The streaming side's Dataset (a path source is read on first use)."""
@@ -692,6 +765,19 @@ def _read_row_groups(units: list, schema: pa.Schema) -> pa.Table:
         rgs = [i for g, i in units if g == f]
         tables.append(pq.ParquetFile(f).read_row_groups(rgs).cast(schema))
     return pa.concat_tables(tables)
+
+
+def _read_head(path: str, row_group: int, rows: int, schema: pa.Schema) -> pa.Table:
+    """The first ``rows`` rows of one Parquet row group's ``schema``
+    columns, cast to ``schema``: only the pages those rows need decode."""
+    import pyarrow.parquet as pq
+
+    batches = pq.ParquetFile(path).iter_batches(batch_size=rows, row_groups=[row_group],
+                                                columns=schema.names)
+    head = next(batches, None)
+    if head is None:
+        return schema.empty_table()
+    return pa.Table.from_batches([head]).cast(schema)
 
 
 def _concat_blocks(*blocks) -> pa.Table:
@@ -1192,6 +1278,7 @@ def append_dataset(
     summary["generation"] = gen
     summary["rows_appended"] = int(sum(r["rows"] for r in rows))
     summary["executor"] = executor
+    summary["fsst_shared"] = sorted(encoder.fsst_tables)
     return summary
 
 
@@ -1290,6 +1377,7 @@ def upsert_dataset(source, out_dir: str, codec: str | dict = "auto") -> dict:
     summary["rows_inserted"] = int(sum(r["inserted"] for r in rows))
     summary["parts_rewritten"] = len(rows)
     summary["executor"] = executor
+    summary["fsst_shared"] = sorted(encoder.fsst_tables)
     return summary
 
 
