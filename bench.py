@@ -64,7 +64,10 @@ def run_kernels() -> dict:
     each string column's FSST table once and hands it to every partition:
     a string column also reports that one-time ``shared_train_ms``, and
     ``auto_shared_ms`` and ``trials_shared``, the encode and the trials
-    given that table (no training)."""
+    given that table (no training), and ``shared_encode_MBps``: the encode
+    with the column's codec forced and that table given, so no choice and
+    no training — for an FSST column, the rate of the FSST encode kernel
+    itself."""
     import pyarrow as pa
 
     from parquet_converter_ray.codecs import (
@@ -83,7 +86,7 @@ def run_kernels() -> dict:
         arr = table[name].chunk(0)
         enc_s, dec_s, forced_s, reps = [], [], [], []
         strlike = pa.types.is_string(arr.type) or pa.types.is_binary(arr.type)
-        train_s, shared_s, shared_reps = [], [], []
+        train_s, shared_s, shared_reps, shared_forced_s = [], [], [], []
         for _ in range(KERNEL_REPS):
             if strlike:
                 t0 = time.perf_counter()
@@ -93,7 +96,11 @@ def run_kernels() -> dict:
                 t0 = time.perf_counter()
                 shared_blob = encode_array(arr, fsst_table=shared)
                 shared_s.append(time.perf_counter() - t0)
-                if not decode_array(shared_blob).equals(arr):
+                t0 = time.perf_counter()
+                shared_forced = encode_array(arr, codec=shared_blob.codec, fsst_table=shared)
+                shared_forced_s.append(time.perf_counter() - t0)
+                if not (decode_array(shared_blob).equals(arr)
+                        and decode_array(shared_forced).equals(arr)):
                     raise AssertionError(f"{name}: shared-table decode differs from the input")
             reps.append(codec_trials(arr))
             t0 = time.perf_counter()
@@ -131,6 +138,7 @@ def run_kernels() -> dict:
             cols[name].update(
                 shared_train_ms=round(min(train_s) * 1e3, 2),
                 auto_shared_ms=round(min(shared_s) * 1e3, 2),
+                shared_encode_MBps=round(mb / min(shared_forced_s), 1),
                 shared_codec=shared_blob.codec,
                 shared_bytes_ratio=round(shared_blob.nbytes / arr.nbytes, 4),
                 trials_shared={t["codec"]: {"ms": round(min(r[i]["s"] for r in shared_reps) * 1e3, 2),

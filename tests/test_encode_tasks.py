@@ -165,6 +165,91 @@ def test_resume_under_streaming_matches(data, tmp_path, monkeypatch):
     assert _crcs(out) == _crcs(ref)
 
 
+@pytest.mark.parametrize("executor", ["tasks", "ray_data"])
+def test_run_record_precedes_every_reducer(data, tmp_path, monkeypatch, executor):
+    """The task exchange trains the FSST tables while its map tasks run,
+    and submits no reducer before the run record holds the tables; the
+    streaming exchange trains before its job starts."""
+    from parquet_converter_ray import encode
+
+    out = str(tmp_path / "enc")
+    run_json = mf.run_record_path(out)
+
+    def check(part_id: int):
+        import json
+
+        with open(run_json) as f:
+            if not json.load(f).get("fsst_tables"):
+                raise RuntimeError("a reducer ran before the FSST tables were recorded")
+
+    events, real_remote, real_train = [], encode._remote, encode._train_tables
+
+    class Spy:
+        def __init__(self, fn):
+            self.fn, self.name = real_remote(fn), fn.__name__
+
+        def options(self, **kw):
+            self.fn = self.fn.options(**kw)
+            return self
+
+        def remote(self, *a):
+            events.append(self.name)
+            return self.fn.remote(*a)
+
+    def train(*a):
+        events.append("train")
+        return real_train(*a)
+
+    monkeypatch.setattr(encode, "_remote", Spy)
+    monkeypatch.setattr(encode, "_train_tables", train)
+    s = _encode(data["dir"], out, monkeypatch, executor, fault_hook=check)
+    assert s["rows"] == N and s["fsst_shared"] == ["conv_id", "role", "text", "tool"]
+    if executor == "tasks":
+        n_maps = events.count("_exchange_map")
+        assert n_maps > 1
+        assert events == ["_exchange_map"] * n_maps + ["train"] + ["_exchange_reduce"] * 4
+    else:
+        assert events == ["train"]
+
+
+def test_failed_training_drains_the_map_tasks(data, tmp_path, monkeypatch):
+    """Training raises while the map tasks still run: the call re-raises
+    only after every map task has finished, and no reducer, container or
+    run record is written."""
+    from parquet_converter_ray import encode
+
+    done_dir = tmp_path / "mapped"
+    done_dir.mkdir()
+    real_assign_for = encode._assign_for
+
+    def slow_assign_for(run):
+        assign = real_assign_for(run)
+
+        def slow(table):
+            import uuid
+
+            time.sleep(1.0)
+            open(os.path.join(str(done_dir), uuid.uuid4().hex), "w").close()
+            return assign(table)
+
+        return slow
+
+    def fail(*a):
+        raise RuntimeError("injected training failure")
+
+    monkeypatch.setattr(encode, "_assign_for", slow_assign_for)
+    monkeypatch.setattr(encode, "_train_tables", fail)
+    out = str(tmp_path / "enc")
+    monkeypatch.setattr(zonemap, "_TASKS_MAX_STORE_SHARE", 1 / 6)
+    with pytest.raises(RuntimeError, match="injected training failure"):
+        encode_dataset(data["dir"], out, n_parts=4, salt_rows=500)
+    finished = len(os.listdir(done_dir))
+    assert finished > 1
+    time.sleep(1.5)
+    assert len(os.listdir(done_dir)) == finished
+    assert os.listdir(out) == []  # no container, lineage record or run record
+
+
 def test_streaming_exchange_plans_the_sort_shuffle(data, tmp_path, monkeypatch):
     """The streaming exchange groups by ``part_id`` through Ray Data's sort
     shuffle. Ray 2.49's hash shuffle asks for 64 aggregator actors (16 CPUs,

@@ -148,6 +148,23 @@ def test_pushdown_is_one_ray_data_job(store, monkeypatch):
         assert len(jobs) == want_jobs.get(kind, 0), kind
 
 
+def test_small_scan_iteration_starts_no_job(store, monkeypatch):
+    """A small scan's Dataset holds its task outputs, its plan executed:
+    iterating or counting it starts no Ray Data job."""
+    from parquet_converter_ray.decode import decode_dataset
+
+    t = store["table"]
+    users = pc.sum(pc.equal(t["role"], "user")).as_py()
+    jobs = _count_jobs(monkeypatch)
+    ds, plan = scan_store(store["dir"], [("role", "==", "user")], ["turn_idx"], return_plan=True)
+    assert plan["executor"] == "tasks"
+    assert _collect(ds).num_rows == users and ds.count() == users
+    none = scan_store(store["dir"], [("role", "==", "nobody")])
+    assert none.count() == 0 and not list(none.iter_batches(batch_format="pyarrow"))
+    assert _collect(decode_dataset(store["dir"])).num_rows == N
+    assert not jobs
+
+
 class _SlowGroup:
     """Duck-typed sort-exchange group whose ``combine_chunks`` takes 50 ms."""
 
