@@ -86,6 +86,32 @@ def _parse_where(clause: str) -> tuple[str, str, object]:
     return (m.group(1), m.group(2), _val(m.group(3)))
 
 
+def _add_predicate_args(p) -> None:
+    """The pushdown verbs' predicate flags, read back by ``_predicate``."""
+    p.add_argument(
+        "--where", action="append", default=[], metavar="CLAUSE",
+        help="conjunct like 'turn_idx>=100', 'role==user', 'tool in search,browser', "
+             "'ts between 1000,2000', 'conv_id prefix conv-0001' (repeatable, ANDed)",
+    )
+    p.add_argument(
+        "--where-any", action="append", metavar="BRANCH",
+        help="OR-branch of '&'-separated conjuncts, e.g. "
+             "--where-any 'ts between 1000,2000 & role==user' --where-any 'turn_idx==0'; "
+             "branches are ORed (and ANDed with any --where conjuncts); a container "
+             "is pruned only when every branch proves no-match",
+    )
+
+
+def _predicate(args):
+    """The predicate of ``--where`` / ``--where-any``: the conjunct list, a
+    disjunction of branches each ANDed with the conjuncts, or None."""
+    common = [_parse_where(w) for w in args.where]
+    if args.where_any:
+        return ("or", [common + [_parse_where(c) for c in b.split("&")]
+                       for b in args.where_any])
+    return common or None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="parquet-converter-ray")
     ap.add_argument("--num-cpus", type=int, default=None)
@@ -240,18 +266,7 @@ def main(argv: list[str] | None = None) -> int:
              "plan, schemas must agree)",
     )
     p.add_argument("encoded_dir", nargs="+")
-    p.add_argument(
-        "--where", action="append", metavar="CLAUSE",
-        help="conjunct like 'turn_idx>=100', 'role==user', 'tool in search,browser', "
-             "'ts between 1000,2000', 'conv_id prefix conv-0001' (repeatable, ANDed)",
-    )
-    p.add_argument(
-        "--where-any", action="append", metavar="BRANCH",
-        help="OR-branch of '&'-separated conjuncts, e.g. "
-             "--where-any 'ts between 1000,2000 & role==user' --where-any 'turn_idx==0'; "
-             "branches are ORed (and ANDed with any --where conjuncts); a container "
-             "is pruned only when every branch proves no-match",
-    )
+    _add_predicate_args(p)
     p.add_argument("--columns", nargs="*", default=None)
     p.add_argument("--output", default=None, help="write matches as parquet instead of counting")
     p.add_argument("--limit", type=int, default=5, help="sample rows printed when not writing")
@@ -281,15 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         help="count | nn:col (non-null count) | min:col | max:col | sum:col "
              "| avg:col (repeatable)",
     )
-    p.add_argument(
-        "--where", action="append", default=[], metavar="CLAUSE",
-        help="conjunct like 'ts between 1000,2000' (repeatable, ANDed; optional)",
-    )
-    p.add_argument(
-        "--where-any", action="append", metavar="BRANCH",
-        help="OR-branch of '&'-separated conjuncts (repeatable; ORed, each "
-             "ANDed with any --where conjuncts) — same grammar as scan",
-    )
+    _add_predicate_args(p)
     p.add_argument(
         "--group-by", default=None, metavar="COL[,COL...]",
         help="GROUP BY columns: emits one row per group (JSON lines, sorted "
@@ -307,14 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("encoded_dir", nargs="+")
     p.add_argument("column", help="one column, or COL1,COL2 for distinct "
                    "TUPLES (delegates to the grouped-aggregate pushdown)")
-    p.add_argument(
-        "--where", action="append", default=[], metavar="CLAUSE",
-        help="conjunct (repeatable, ANDed; optional) — same grammar as scan",
-    )
-    p.add_argument(
-        "--where-any", action="append", metavar="BRANCH",
-        help="OR-branch of '&'-separated conjuncts — same grammar as scan",
-    )
+    _add_predicate_args(p)
     p.add_argument("--limit", type=int, default=20,
                    help="values printed (the count always prints)")
     p.add_argument("--max-values", type=int, default=None,
@@ -335,8 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("-k", type=int, default=10, help="rows to keep (default 10)")
     p.add_argument("--asc", action="store_true",
                    help="smallest first (default: largest first)")
-    p.add_argument("--where", action="append", default=[], metavar="CLAUSE")
-    p.add_argument("--where-any", action="append", metavar="BRANCH")
+    _add_predicate_args(p)
     p.add_argument("--columns", nargs="*", default=None)
     p.add_argument("--tiebreak", default=None, metavar="COL[,COL...]",
                    help="ascending tie-break columns (deterministic row set)")
@@ -362,8 +361,7 @@ def main(argv: list[str] | None = None) -> int:
                         "rows holding EVERY token (stronger pruning); "
                         "bm25: Okapi BM25 relevance (two-pass: exact df "
                         "stats, then tf/length-normalized scoring)")
-    p.add_argument("--where", action="append", default=[], metavar="CLAUSE")
-    p.add_argument("--where-any", action="append", metavar="BRANCH")
+    _add_predicate_args(p)
     p.add_argument("--columns", nargs="*", default=None)
     p.add_argument("--tiebreak", default=None, metavar="COL[,COL...]")
     p.add_argument("--snippet", action="store_true",
@@ -381,8 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("column")
     p.add_argument("--q", default="0.25,0.5,0.75", metavar="Q1,Q2,...",
                    help="quantiles in [0,1] (default quartiles)")
-    p.add_argument("--where", action="append", default=[], metavar="CLAUSE")
-    p.add_argument("--where-any", action="append", metavar="BRANCH")
+    _add_predicate_args(p)
 
     p = sub.add_parser(
         "sample",
@@ -398,8 +395,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="STRATIFIED: n rows per group (ROW_NUMBER over the "
                         "digest within each group)")
     p.add_argument("--seed", default="", help="redraws the sample (default '')")
-    p.add_argument("--where", action="append", default=[], metavar="CLAUSE")
-    p.add_argument("--where-any", action="append", metavar="BRANCH")
+    _add_predicate_args(p)
     p.add_argument("--columns", nargs="*", default=None)
     p.add_argument("--output", default=None,
                    help="write the sample as parquet instead of printing")
@@ -415,13 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("dirs", nargs="+", metavar="STORE_DIR",
                    help="two or more co-bucketed store directories")
     p.add_argument("--how", choices=["inner", "left"], default="inner")
-    p.add_argument("--left-columns", nargs="*", default=None,
-                   help="pruned columns for the first store")
-    p.add_argument("--right-columns", nargs="*", default=None,
-                   help="pruned columns for the second store (2-store form only)")
     p.add_argument("--columns", action="append", default=None, metavar="C1,C2|-",
                    help="per-store pruned column list (comma-separated, one flag "
-                        "per store in order; '-' = all columns) — the N-store form")
+                        "per store in order; '-' = all columns)")
     p.add_argument("--output", default=None, help="write joined rows as parquet instead of counting")
     p.add_argument("--limit", type=int, default=5, help="sample rows printed when not writing")
 
@@ -431,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
              "fingerprints over the shared columns) — validates compact / "
              "relocation / schema-evolution migrations. With --against, the "
              "positional stores form a FAMILY compared as one side (proves a "
-             "compact_family output equal to its deliveries)",
+             "compacted family's output equal to its deliveries)",
     )
     p.add_argument("stores", nargs="+",
                    help="without --against: exactly two stores, A vs B; with "
@@ -534,10 +526,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(json.dumps(summary))
         elif args.cmd == "decode":
-            from .decode import decode_family
+            from .decode import decode_dataset
 
-            ds = decode_family(args.input, columns=args.columns,
-                               max_generation=args.max_generation)
+            ds = decode_dataset(args.input, columns=args.columns,
+                                max_generation=args.max_generation)
             wkw = {"compression": cfg.compression}
             if args.partition_by:
                 wkw["partition_cols"] = list(args.partition_by)
@@ -589,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
             import pyarrow as pa
 
             from .codecs import str_to_type
-            from .encode import compact_family
+            from .encode import compact_dataset
 
             add = None
             if args.add_column:
@@ -604,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
                     else:
                         add[parts[0]] = typ
             kw = {"n_parts": args.n_parts} if args.n_parts else {}
-            summary = compact_family(
+            summary = compact_dataset(
                 args.input, args.output,
                 target_part_bytes=args.target_mb << 20,
                 drop_columns=args.drop_columns, add_columns=add, **kw,
@@ -619,15 +611,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(json.dumps(summary))
         elif args.cmd == "lookup":
-            from .decode import lookup_conversation, lookup_conversation_multi
+            from .decode import lookup_conversation
 
             key = int(args.key) if args.as_int else args.key
-            if len(args.encoded_dir) == 1:
-                tbl = lookup_conversation(args.encoded_dir[0], key,
-                                          columns=args.columns)
-            else:
-                tbl = lookup_conversation_multi(args.encoded_dir, key,
-                                                columns=args.columns)
+            tbl = lookup_conversation(args.encoded_dir, key, columns=args.columns)
             print(json.dumps({
                 "rows": tbl.num_rows,
                 "columns": tbl.column_names,
@@ -661,28 +648,21 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "scan":
             if not args.where and not args.where_any:
                 raise ValueError("scan needs --where and/or --where-any")
-            common = [_parse_where(w) for w in (args.where or [])]
-            if args.where_any:
-                predicate = ("or", [
-                    common + [_parse_where(c) for c in b.split("&")]
-                    for b in args.where_any
-                ])
-            else:
-                predicate = common
+            predicate = _predicate(args)
             if args.count:
                 # metadata-first: fully-matching containers answer from their
                 # recorded row counts without opening; only boundary
                 # containers decode (storeagg's three-class plan). Counts are
                 # additive, so a family folds per-store metadata answers.
-                from .storeagg import store_agg_multi
+                from .storeagg import store_agg
 
-                result, aplan = store_agg_multi(args.encoded_dir, ["count"],
+                result, aplan = store_agg(args.encoded_dir, ["count"],
                                                 predicate, return_plan=True)
                 print(json.dumps({"plan": aplan, "rows": result["count"]}))
                 return 0
-            from .zonemap import scan_store_multi
+            from .zonemap import scan_store
 
-            ds, plan = scan_store_multi(
+            ds, plan = scan_store(
                 args.encoded_dir, predicate, columns=args.columns,
                 return_plan=True,
             )
@@ -699,29 +679,17 @@ def main(argv: list[str] | None = None) -> int:
                     "sample": sample,
                 }, default=str))
         elif args.cmd == "storeprofile":
-            if len(args.encoded_dir) == 1:
-                from .zonemap import store_profile
+            from .zonemap import store_profile
 
-                prof = store_profile(args.encoded_dir[0])
-            else:
-                from .zonemap import store_profile_multi
-
-                prof = store_profile_multi(args.encoded_dir)
+            prof = store_profile(args.encoded_dir)
             print(json.dumps(prof, default=str))
         elif args.cmd == "agg":
-            common = [_parse_where(w) for w in args.where]
-            if args.where_any:
-                predicate = ("or", [
-                    common + [_parse_where(c) for c in b.split("&")]
-                    for b in args.where_any
-                ])
-            else:
-                predicate = common or None
+            predicate = _predicate(args)
             if args.group_by:
-                from .storegroup import store_agg_group_multi
+                from .storegroup import store_agg_group
 
                 gb = [c.strip() for c in args.group_by.split(",") if c.strip()]
-                tbl, plan = store_agg_group_multi(
+                tbl, plan = store_agg_group(
                     args.encoded_dir, gb, args.agg, predicate, return_plan=True,
                 )
                 tbl = tbl.sort_by([(c, "ascending") for c in gb])
@@ -729,23 +697,16 @@ def main(argv: list[str] | None = None) -> int:
                 for row in tbl.to_pylist():
                     print(json.dumps(row, default=str))
             else:
-                from .storeagg import store_agg_multi
+                from .storeagg import store_agg
 
-                result, plan = store_agg_multi(
+                result, plan = store_agg(
                     args.encoded_dir, args.agg, predicate, return_plan=True
                 )
                 print(json.dumps({"plan": plan, "result": result}, default=str))
         elif args.cmd == "distinct":
-            from .storedistinct import store_distinct_multi
+            from .storedistinct import store_distinct
 
-            common = [_parse_where(w) for w in args.where]
-            if args.where_any:
-                predicate = ("or", [
-                    common + [_parse_where(c) for c in b.split("&")]
-                    for b in args.where_any
-                ])
-            else:
-                predicate = common or None
+            predicate = _predicate(args)
             cols = [c.strip() for c in args.column.split(",") if c.strip()]
             if args.approx:
                 if len(cols) != 1:
@@ -762,12 +723,12 @@ def main(argv: list[str] | None = None) -> int:
                 # distinct TUPLES = GROUP BY with a count: single-valued
                 # containers still answer from manifest JSON; the count
                 # column doubles as SELECT COUNT(*) GROUP BY output
-                from .storegroup import store_agg_group_multi
+                from .storegroup import store_agg_group
 
                 kw = {}
                 if args.max_values is not None:
                     kw["max_partial_rows"] = args.max_values
-                tbl, plan = store_agg_group_multi(
+                tbl, plan = store_agg_group(
                     args.encoded_dir, cols, ["count"], predicate,
                     return_plan=True, **kw
                 )
@@ -780,7 +741,7 @@ def main(argv: list[str] | None = None) -> int:
                 kw = {}
                 if args.max_values is not None:
                     kw["max_values"] = args.max_values
-                tbl, plan = store_distinct_multi(
+                tbl, plan = store_distinct(
                     args.encoded_dir, cols[0], predicate, return_plan=True, **kw
                 )
                 print(json.dumps({"plan": plan, "n_values": tbl.num_rows},
@@ -788,28 +749,21 @@ def main(argv: list[str] | None = None) -> int:
                 for v in tbl[cols[0]].to_pylist()[: args.limit]:
                     print(json.dumps({cols[0]: v}, default=str))
         elif args.cmd == "topk":
-            from .storetopk import store_topk_multi
+            from .storetopk import store_topk
 
-            common = [_parse_where(w) for w in args.where]
-            if args.where_any:
-                predicate = ("or", [
-                    common + [_parse_where(c) for c in b.split("&")]
-                    for b in args.where_any
-                ])
-            else:
-                predicate = common or None
+            predicate = _predicate(args)
             tb = [c.strip() for c in (args.tiebreak or "").split(",") if c.strip()]
             if args.group_by:
-                from .storetopk import store_group_topk_multi
+                from .storetopk import store_group_topk
 
                 gb = [c.strip() for c in args.group_by.split(",") if c.strip()]
-                tbl, plan = store_group_topk_multi(
+                tbl, plan = store_group_topk(
                     args.encoded_dir, gb, args.by, args.k, desc=not args.asc,
                     predicate=predicate, columns=args.columns, tiebreak=tb,
                     return_plan=True,
                 )
             else:
-                tbl, plan = store_topk_multi(
+                tbl, plan = store_topk(
                     args.encoded_dir, args.by, args.k, desc=not args.asc,
                     predicate=predicate, columns=args.columns, tiebreak=tb,
                     return_plan=True,
@@ -823,18 +777,11 @@ def main(argv: list[str] | None = None) -> int:
                 for row in tbl.to_pylist():
                     print(json.dumps(row, default=str))
         elif args.cmd == "search":
-            from .storesearch import store_search_multi
+            from .storesearch import store_search
 
-            common = [_parse_where(w) for w in args.where]
-            if args.where_any:
-                predicate = ("or", [
-                    common + [_parse_where(c) for c in b.split("&")]
-                    for b in args.where_any
-                ])
-            else:
-                predicate = common or None
+            predicate = _predicate(args)
             tb = [c.strip() for c in (args.tiebreak or "").split(",") if c.strip()]
-            tbl, plan = store_search_multi(
+            tbl, plan = store_search(
                 args.encoded_dir, args.col, args.query, args.k,
                 mode=args.mode, predicate=predicate, columns=args.columns,
                 tiebreak=tb, snippet=args.snippet, return_plan=True,
@@ -845,14 +792,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "quantiles":
             from .storeagg import store_quantiles
 
-            common = [_parse_where(w) for w in args.where]
-            if args.where_any:
-                predicate = ("or", [
-                    common + [_parse_where(c) for c in b.split("&")]
-                    for b in args.where_any
-                ])
-            else:
-                predicate = common or None
+            predicate = _predicate(args)
             qs = [float(x) for x in args.q.split(",") if x.strip()]
             vals, plan = store_quantiles(
                 args.encoded_dir, args.column, qs, predicate, return_plan=True
@@ -862,16 +802,9 @@ def main(argv: list[str] | None = None) -> int:
                 default=str,
             ))
         elif args.cmd == "sample":
-            from .storesample import store_sample_multi
+            from .storesample import store_sample
 
-            common = [_parse_where(w) for w in args.where]
-            if args.where_any:
-                predicate = ("or", [
-                    common + [_parse_where(c) for c in b.split("&")]
-                    for b in args.where_any
-                ])
-            else:
-                predicate = common or None
+            predicate = _predicate(args)
             if args.group_by:
                 from .storesample import store_sample_stratified
 
@@ -881,7 +814,7 @@ def main(argv: list[str] | None = None) -> int:
                     predicate=predicate, columns=args.columns, return_plan=True,
                 )
             else:
-                tbl, plan = store_sample_multi(
+                tbl, plan = store_sample(
                     args.encoded_dir, args.key, args.n, seed=args.seed,
                     predicate=predicate, columns=args.columns, return_plan=True,
                 )
@@ -894,15 +827,10 @@ def main(argv: list[str] | None = None) -> int:
                 for row in tbl.to_pylist()[: args.limit]:
                     print(json.dumps(row, default=str))
         elif args.cmd == "join":
-            from .storejoin import store_join_multi
+            from .storejoin import store_join
 
             if len(args.dirs) < 2:
                 print("join needs at least 2 store directories", file=sys.stderr)
-                return 2
-            if args.columns is not None and (args.left_columns or args.right_columns):
-                print("pass either --columns (N-store form) or "
-                      "--left-columns/--right-columns (2-store form), not both",
-                      file=sys.stderr)
                 return 2
             cols = None
             if args.columns is not None:
@@ -913,9 +841,7 @@ def main(argv: list[str] | None = None) -> int:
                 cols = [None if c.strip() == "-" else
                         [x.strip() for x in c.split(",") if x.strip()]
                         for c in args.columns]
-            elif args.left_columns is not None or args.right_columns is not None:
-                cols = [args.left_columns, args.right_columns]
-            ds = store_join_multi(args.dirs, columns=cols, how=args.how)
+            ds = store_join(args.dirs, columns=cols, how=args.how)
             if args.output:
                 ds.write_parquet(args.output, compression=cfg.compression)
                 rows = ray.data.read_parquet(args.output).count()

@@ -127,7 +127,7 @@ def _decode_plan(out_dir: str, columns, max_generation) -> tuple:
 
 
 def decode_dataset(
-    out_dir: str,
+    store,
     *,
     columns: list[str] | None = None,
     verify_crc: bool = False,
@@ -138,15 +138,34 @@ def decode_dataset(
     decoding only ``columns`` (every column when None, in footer order);
     ``verify_crc`` checks each column's checksum.
 
-    A scan with no predicate: ``zonemap.decoded_dataset`` picks the
-    executor from the containers' recorded decoded bytes (plain Ray tasks
-    under the shared crossover, one streaming Ray Data job past it) and
-    ``zonemap._ScanDecoder`` decodes each container as
-    ``container.decode_table`` does."""
+    ``store`` is one directory, or a list decoded as ONE family (the export
+    path: ``decode DIR... OUT`` writes the whole family to parquet), member
+    after member. The members' emitted schemas must agree on (name, type)
+    — refused loudly before any decode; conform them via
+    ``compact_dataset`` first.
+
+    A scan with no predicate: one ``zonemap.decoded_dataset`` over every
+    member's containers picks the executor from their recorded decoded
+    bytes (plain Ray tasks under the shared crossover, one streaming Ray
+    Data job past it) and ``zonemap._ScanDecoder`` decodes each container
+    as ``container.decode_table`` does."""
+    from . import manifest as mf
     from .zonemap import _ScanDecoder, decoded_dataset
 
-    files, empty, nbytes = _decode_plan(out_dir, columns, max_generation)
-    return decoded_dataset(files, _ScanDecoder(columns, None, [], verify_crc).read, empty, nbytes)
+    dirs = mf.store_dirs(store)
+    plans = [_decode_plan(d, columns, max_generation) for d in dirs]
+    schemas = [list(zip(e.schema.names, e.schema.types)) for _, e, _ in plans]
+    if any(s != schemas[0] for s in schemas[1:]):
+        detail = "; ".join(
+            f"{d}: {[(n, str(t)) for n, t in s]}" for d, s in zip(dirs, schemas)
+        )
+        raise ValueError(
+            "store family schemas differ on the emitted columns — conform "
+            f"them via compact_dataset first: {detail}"
+        )
+    files = [f for fs, _, _ in plans for f in fs]
+    return decoded_dataset(files, _ScanDecoder(columns, None, [], verify_crc).read,
+                           plans[0][1], sum(n for _, _, n in plans))
 
 
 def roundtrip_table(
@@ -288,19 +307,16 @@ def store_diff(
 
     Either side may be a LIST of stores (a delivery family): the
     fingerprint fold is commutative, so a family's fingerprint is the fold
-    over all members' batches — which is exactly how ``compact_family``
+    over all members' batches — which is exactly how ``compact_dataset``
     output is proven equal to the family it conformed, without decoding
     anything twice or moving a row. Each side decodes as one
-    ``decode_family``, so its members must agree on the shared columns'
+    ``decode_dataset``, so its members must agree on the shared columns'
     types."""
     from .zonemap import _store_schema
 
     from . import manifest as mf
 
-    a_dirs = [a_dir] if isinstance(a_dir, str) else list(a_dir)
-    b_dirs = [b_dir] if isinstance(b_dir, str) else list(b_dir)
-    if not a_dirs or not b_dirs:
-        raise ValueError("store_diff needs at least one store on each side")
+    a_dirs, b_dirs = mf.store_dirs(a_dir), mf.store_dirs(b_dir)
 
     def _side_schema(dirs: list[str]) -> dict:
         # intersection of member schemas by name: a column must exist in
@@ -322,8 +338,8 @@ def store_diff(
             f"stores share no columns (a: {sorted(sa)}, b: {sorted(sb)}) — nothing to compare"
         )
 
-    fa = dataset_fingerprint(decode_family(a_dirs, columns=shared), columns=shared)
-    fb = dataset_fingerprint(decode_family(b_dirs, columns=shared), columns=shared)
+    fa = dataset_fingerprint(decode_dataset(a_dirs, columns=shared), columns=shared)
+    fb = dataset_fingerprint(decode_dataset(b_dirs, columns=shared), columns=shared)
     return {
         "equal": fa == fb,
         "columns": shared,
@@ -493,19 +509,12 @@ def verify_distributed(source: "ray.data.Dataset | str", out_dir: str) -> tuple[
 
 
 def lookup_conversation(
-    out_dir: str, conv_value, columns: list[str] | None = None
+    store, conv_value, columns: list[str] | None = None
 ) -> pa.Table:
-    """Fetch ONE conversation from an encoded dataset by key — decoding only
-    the containers its rows can live in, never scanning the dataset: the
-    one-store form of ``lookup_conversation_multi``."""
-    return lookup_conversation_multi([out_dir], conv_value, columns=columns)
-
-
-def lookup_conversation_multi(
-    dirs: "list[str]", conv_value, columns: list[str] | None = None
-) -> pa.Table:
-    """Point lookup across a FAMILY of delivery stores (a conversation's
-    later turns may arrive in later stores), as ONE plan over the family.
+    """Fetch ONE conversation by key, decoding only the containers its rows
+    can live in, never scanning the store. ``store`` is one directory or a
+    list read as ONE family of delivery stores (a conversation's later
+    turns may arrive in later stores), with one plan over the family.
 
     The plan is ``zonemap.PrunedScan.candidates`` of ``conv_col == value``.
     When every member is a hash store with zone maps, the partition router
@@ -530,8 +539,7 @@ def lookup_conversation_multi(
     from . import manifest as mf
     from .zonemap import PrunedScan, _unit_tables, route_pids
 
-    if not dirs:
-        raise ValueError("lookup_conversation_multi needs at least one store")
+    dirs = mf.store_dirs(store)
     params = [mf.load_run_record(d) for d in dirs]
     if None in params:
         raise ValueError(
@@ -551,36 +559,3 @@ def lookup_conversation_multi(
     if out.num_rows:
         out = out.sort_by([(c, "ascending") for c in keys])
     return (out if columns is None else out.select(columns)).combine_chunks()
-
-
-def decode_family(
-    dirs: "list[str]",
-    columns: list[str] | None = None,
-    max_generation: int | None = None,
-):
-    """Decode a FAMILY of delivery stores as one Dataset (the export path:
-    ``decode DIR... OUT`` writes the whole family to parquet; one directory
-    is a family of one). Each member decodes as ``decode_dataset`` does and
-    the members union metadata-only; emitted schemas must agree on (name,
-    type) — refused loudly before any decode, conform via
-    ``compact_family`` first."""
-    from .zonemap import _ScanDecoder, decoded_dataset
-
-    if not dirs:
-        raise ValueError("decode_family needs at least one store directory")
-    plans = [_decode_plan(d, columns, max_generation) for d in dirs]
-    schemas = [list(zip(e.schema.names, e.schema.types)) for _, e, _ in plans]
-    if any(s != schemas[0] for s in schemas[1:]):
-        detail = "; ".join(
-            f"{d}: {[(n, str(t)) for n, t in s]}" for d, s in zip(dirs, schemas)
-        )
-        raise ValueError(
-            "store family schemas differ on the emitted columns — conform "
-            f"them via compact_family first: {detail}"
-        )
-    dec = _ScanDecoder(columns, None, []).read
-    ds = None
-    for files, empty, nbytes in plans:
-        member = decoded_dataset(files, dec, empty, nbytes)
-        ds = member if ds is None else ds.union(member)
-    return ds

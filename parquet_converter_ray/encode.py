@@ -891,7 +891,7 @@ def _exchange_ray_data(ds, assign, encoder, done) -> list[dict]:
 
 
 def compact_dataset(
-    in_dir: str,
+    store,
     out_dir: str,
     target_part_bytes: int = TARGET_PART_BYTES,
     drop_columns: Sequence[str] | None = None,
@@ -911,55 +911,39 @@ def compact_dataset(
     logical layout, and re-encodes through the normal partition-atomic path —
     the result decodes bit-identically (tested).
 
-    Compaction is also the SCHEMA-EVOLUTION point (append deliberately
-    conforms deliveries to the store schema, so widening/narrowing must go
-    through a rewrite): ``drop_columns`` removes retired columns;
-    ``add_columns`` maps new name -> pyarrow type (typed-null fill) or
-    -> (type, constant) for a backfill default. Partition/order columns
-    cannot be dropped, and a column the store lacks is refused. This is
-    ``compact_family`` over a family of one."""
-    return compact_family([in_dir], out_dir, target_part_bytes, drop_columns, add_columns, **kw)
-
-
-def compact_family(
-    in_dirs: "Sequence[str]",
-    out_dir: str,
-    target_part_bytes: int = TARGET_PART_BYTES,
-    drop_columns: Sequence[str] | None = None,
-    add_columns: dict | None = None,
-    **kw,
-) -> dict:
-    """Compact a FAMILY of delivery stores into ONE conformed store.
-
-    The other half of the store-family lifecycle (``zonemap.scan_store_multi``
-    is the query half): incremental deliveries each encode on arrival into
-    their own store, and when the family grows unwieldy — too many undersized
-    containers, or schema drift to resolve — this rewrites them as a single
-    store with n_parts re-derived from the TOTAL recorded bytes. Each member
-    decodes as a stream and the members union (metadata-only in Ray Data)
-    before one partition-atomic encode, so peak memory is one partition's
-    working set regardless of family size.
+    ``store`` is one directory, or a list of delivery stores compacted into
+    ONE conformed store: the other half of the store-family lifecycle (the
+    pushdown verbs are the query half). When a family grows unwieldy — too
+    many undersized containers, or schema drift to resolve — this rewrites
+    it as a single store with n_parts re-derived from the TOTAL recorded
+    bytes. Each member decodes as a stream and the members union
+    (metadata-only in Ray Data) before one partition-atomic encode, so peak
+    memory is one partition's working set regardless of family size.
 
     Layout parameters must agree across members on (conv_col, order_col) —
     refused loudly otherwise, since rows from differently-keyed stores cannot
     share a hash route. Other parameters (sort key, salt, cluster_by,
     bloom_cols) follow the FIRST member's run record, overridable via
-    kwargs. ``drop_columns`` / ``add_columns`` apply uniformly to every
-    member, which is how a drifted family conforms: drop the retired column
-    from the members that still carry it — drops of columns absent from a
-    member are skipped for that member, and a drop no member carries is
-    refused — and/or add the new column with a typed-null/constant backfill.
-    Every check runs on the members' footer schemas before any decode.
-    After evolution the member schemas must agree on (name, type); any
-    residual drift is refused with per-store detail. No cross-delivery key
-    dedup happens here (deliveries are disjoint by contract; dedup is its
-    own operator family)."""
+    kwargs.
+
+    Compaction is also the SCHEMA-EVOLUTION point (append deliberately
+    conforms deliveries to the store schema, so widening/narrowing must go
+    through a rewrite): ``drop_columns`` removes retired columns;
+    ``add_columns`` maps new name -> pyarrow type (typed-null fill) or
+    -> (type, constant) for a backfill default. Partition/order columns
+    cannot be dropped. Both apply uniformly to every member, which is how a
+    drifted family conforms: drops of columns absent from a member are
+    skipped for that member, and a drop no member carries is refused. Every
+    check runs on the members' footer schemas before any decode. After
+    evolution the member schemas must agree on (name, type); any residual
+    drift is refused with per-store detail. No cross-delivery key dedup
+    happens here (deliveries are disjoint by contract; dedup is its own
+    operator family)."""
     from . import manifest as mf
     from .decode import decode_dataset
     from .zonemap import _store_schema
 
-    if not in_dirs:
-        raise ValueError("compact_family needs at least one store directory")
+    in_dirs = mf.store_dirs(store)
     priors = []
     for d in in_dirs:
         prior = mf.load_run_record(d)

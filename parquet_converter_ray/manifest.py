@@ -81,6 +81,16 @@ def load_run_record(out_dir: str) -> dict | None:
         return None
 
 
+def store_dirs(store) -> list[str]:
+    """The member directories of ``store``, the first argument of every
+    store verb: one directory, or a list of directories read as ONE family
+    (a single store is a family of one). Refuses an empty list."""
+    dirs = [store] if isinstance(store, str) else list(store)
+    if not dirs:
+        raise ValueError("a store verb needs at least one store directory")
+    return dirs
+
+
 def hash_layout(out_dir: str, *, unsalted: bool = False) -> dict:
     """The run record of a store whose keys route to partitions by the
     current hash arithmetic: the precondition of every job that relies on

@@ -309,15 +309,6 @@ def minhash_candidate_ds(
     return filtered.groupby("key").map_groups(pairs_of, batch_format="pandas")
 
 
-def minhash_candidates(sf_dir: str, bands: int = 16, rows: int = 4, m: int = 64) -> pa.Table:
-    """Globally unique LSH candidate pairs (collected — small result)."""
-    cand = minhash_candidate_ds(sf_dir, bands=bands, rows=rows, m=m).to_pandas()
-    if len(cand) == 0:
-        return pa.table(_EMPTY_PAIRS)
-    allp = np.unique(cand[["id_a", "id_b"]].to_numpy(), axis=0)
-    return pa.table({"id_a": pa.array(allp[:, 0], type=pa.int64()), "id_b": pa.array(allp[:, 1], type=pa.int64())})
-
-
 # --- packed-payload flat views + vectorized pair scoring ---------------------
 
 # Broadcast-verify doc-count threshold: below it the candidate payload set

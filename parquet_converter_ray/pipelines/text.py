@@ -267,11 +267,6 @@ def winnow_fingerprints(sf_dir: str, k: int = 5, w: int = 4) -> pa.Table:
     return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow"))).sort_by("doc_id")
 
 
-def hash_str64(s: str) -> int:
-    """Stable 64-bit string hash (md5-derived — process-independent)."""
-    return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
-
-
 def hash_tokens(tokens: list[str]) -> np.ndarray:
     """Vectorized stable uint64 hash per token (pandas siphash, fixed key —
     process-independent). C-speed; use instead of per-token md5 in hot paths."""

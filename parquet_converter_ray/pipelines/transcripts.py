@@ -490,10 +490,8 @@ def store_bucket_join(sf_dir: str) -> pa.Table:
 
     o_dir, l_dir = _bucketed_pair(sf_dir)
     ds = store_join(
-        o_dir,
-        l_dir,
-        left_columns=["o_orderkey", "o_orderpriority"],
-        right_columns=["l_extendedprice"],
+        [o_dir, l_dir],
+        columns=[["o_orderkey", "o_orderpriority"], ["l_extendedprice"]],
     )
 
     def partial(batch: pa.Table) -> "pd.DataFrame":
@@ -566,10 +564,8 @@ def rebucket_join(sf_dir: str) -> pa.Table:
         rebucket_dataset(wrong, fixed, on="l_orderkey", like=o_dir)
 
     ds = store_join(
-        o_dir,
-        fixed,
-        left_columns=["o_orderkey", "o_orderstatus"],
-        right_columns=["l_extendedprice", "l_discount"],
+        [o_dir, fixed],
+        columns=[["o_orderkey", "o_orderstatus"], ["l_extendedprice", "l_discount"]],
     )
 
     def partial(batch: pa.Table) -> "pd.DataFrame":
@@ -1127,7 +1123,7 @@ def lineitem_store_profile(sf_dir: str) -> pa.Table:
 def _customer_key_stores(sf_dir: str) -> tuple[str, str, str]:
     """Events + orders + customer stores hash-routed on the SHARED customer
     key with the same n_parts — the N-way co-partitioned set
-    ``storejoin.store_join_multi`` proves and exploits (cached per sf)."""
+    ``storejoin.store_join`` proves and exploits (cached per sf)."""
     import shutil
 
     tag = os.path.basename(os.path.normpath(sf_dir))
@@ -1156,7 +1152,7 @@ def _customer_key_stores(sf_dir: str) -> tuple[str, str, str]:
 
 def store_three_way_join(sf_dir: str) -> pa.Table:
     """THREE co-bucketed stores joined over one shared entity key with zero
-    exchange (``storejoin.store_join_multi``): events, orders and customer
+    exchange (``storejoin.store_join``): events, orders and customer
     are each hash-routed on the customer key at encode time, so every
     part_id decodes all three stores' containers in ONE task and chains the
     joins locally — the N-way star over a shared key (user/customer/
@@ -1167,11 +1163,11 @@ def store_three_way_join(sf_dir: str) -> pa.Table:
     import pandas as pd
     import pyarrow.compute as pc  # noqa: F401
 
-    from ..storejoin import store_join_multi
+    from ..storejoin import store_join
     from ._util import finish_on_driver, sql_round
 
     e_dir, o_dir, c_dir = _customer_key_stores(sf_dir)
-    ds = store_join_multi(
+    ds = store_join(
         [e_dir, o_dir, c_dir],
         columns=[["value"], ["o_totalprice"], ["c_mktsegment"]],
     )
@@ -1599,7 +1595,7 @@ def store_snapshot_travel(sf_dir: str) -> pa.Table:
 
 def _orders_family(sf_dir: str) -> list[str]:
     """Two 'delivery' stores of orders split at o_orderdate 1996-01-01 — the
-    incremental-ingest lifecycle ``scan_store_multi`` exists for: each
+    incremental-ingest lifecycle store families exist for: each
     delivery encoded on arrival into its own store (no rewrite of history),
     queried together as one family until compaction conforms them. Both
     deliveries range-cluster on o_orderdate so zone maps prune date bands
@@ -1640,16 +1636,16 @@ def _orders_family(sf_dir: str) -> list[str]:
 
 def store_family_scan(sf_dir: str) -> pa.Table:
     """Predicate-pushdown scan over a FAMILY of delivery stores as one
-    logical table: ``scan_store_multi`` runs the full per-store pruning
-    stack and unions survivors without moving rows (``Dataset.union`` is
-    metadata-only). The 1996 date band postdates the delivery split, so the
+    logical table: ``scan_store`` runs the full per-store pruning
+    stack and decodes every member's survivors in one Dataset, without
+    moving rows. The 1996 date band postdates the delivery split, so the
     historical store must answer entirely from manifest zone maps — zero of
     its containers open (asserted). Oracle: plain SQL over raw orders."""
-    from ..zonemap import scan_store_multi
+    from ..zonemap import scan_store
     from ._util import sql_round
 
     dirs = _orders_family(sf_dir)
-    ds, plan = scan_store_multi(
+    ds, plan = scan_store(
         dirs,
         [
             ("o_orderdate", "between", ("1996-03-01", "1996-09-30")),
@@ -1683,11 +1679,11 @@ def store_family_agg(sf_dir: str) -> pa.Table:
     comparison. The date band ends before the delivery split, so the post-
     split store contributes zero opened containers (every one pruned,
     asserted). Oracle: plain SQL over raw orders."""
-    from ..storeagg import store_agg_multi
+    from ..storeagg import store_agg
     from ._util import sql_round
 
     dirs = _orders_family(sf_dir)
-    res, plan = store_agg_multi(
+    res, plan = store_agg(
         dirs,
         ["count", "min:o_totalprice", "max:o_totalprice", "sum:o_totalprice"],
         [("o_orderdate", "between", ("1994-01-01", "1995-06-30"))],
@@ -1754,14 +1750,14 @@ def store_topk_scan(sf_dir: str) -> pa.Table:
 
 def store_family_topk(sf_dir: str) -> pa.Table:
     """Top-k over the delivery FAMILY as one logical table
-    (``storetopk.store_topk_multi``): the τ guarantee pool spans both
+    (``storetopk.store_topk``): the τ guarantee pool spans both
     members (top-k is a global question), the date-band predicate prunes
     pre-band containers inside the historical member (asserted), and one
     scan covers every surviving container across members. Oracle:
     WHERE + ORDER BY ... LIMIT over raw orders."""
-    from ..storetopk import store_topk_multi
+    from ..storetopk import store_topk
 
-    tbl, plan = store_topk_multi(
+    tbl, plan = store_topk(
         _orders_family(sf_dir),
         "o_totalprice",
         7,
@@ -1778,15 +1774,15 @@ def store_family_topk(sf_dir: str) -> pa.Table:
 
 def store_sample_pushdown(sf_dir: str) -> pa.Table:
     """Deterministic hash-sample over the delivery FAMILY
-    (``storesample.store_sample_multi``): the 120 rows whose
+    (``storesample.store_sample``): the 120 rows whose
     ``md5(o_orderkey || ':r5')`` digests sort lowest — a content-stable,
     engine-reproducible draw. Pass 1 decodes ONLY the key column of every
     member; pass 2 re-fetches the winners through the ordinary point-lookup
     scan stack. Oracle: the identical md5 ordering in SQL — randomness made
     hash-checkable."""
-    from ..storesample import store_sample_multi
+    from ..storesample import store_sample
 
-    return store_sample_multi(
+    return store_sample(
         _orders_family(sf_dir),
         "o_orderkey",
         120,
@@ -1958,16 +1954,16 @@ def store_group_agg(sf_dir: str) -> pa.Table:
 
 def store_family_group_agg(sf_dir: str) -> pa.Table:
     """GROUP BY over the delivery FAMILY as one logical table
-    (``storegroup.store_agg_group_multi``): per-member three-class plans
+    (``storegroup.store_agg_group``): per-member three-class plans
     share one partial pool, one scan covers every member's remainder,
     and the date band ending before the delivery split proves the post-split
     member contributes zero opened containers (asserted). Oracle: plain SQL
     GROUP BY over raw orders."""
-    from ..storegroup import store_agg_group_multi
+    from ..storegroup import store_agg_group
     from ._util import sql_round
 
     dirs = _orders_family(sf_dir)
-    tbl, plan = store_agg_group_multi(
+    tbl, plan = store_agg_group(
         dirs,
         ["o_orderpriority"],
         ["count", "min:o_totalprice", "max:o_totalprice", "sum:o_totalprice"],

@@ -412,11 +412,6 @@ def frequent_items(ds: "ray.data.Dataset", col: str, phi: float = 0.01) -> pa.Ta
     return pa.table({"key": out["key"], "cnt": out["cnt_sum"].cast(pa.int64())}).sort_by("key")
 
 
-def head_rows(ds: "ray.data.Dataset", n: int = 10) -> pa.Table:
-    """Preview head (reference verify_rows, converter.py:689)."""
-    return pa.Table.from_pylist(ds.take(n))
-
-
 def humanize_size(n_bytes: int) -> str:
     """Human-readable decimal size (reference get_file_size semantics via
     humanize.naturalsize: '4 Bytes', '1.2 kB', '3.4 MB').

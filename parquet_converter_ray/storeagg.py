@@ -48,7 +48,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .zonemap import PrunedScan, _int_physical, exact_int_sum
-from .zonemap import record_all_match  # noqa: F401  re-exported for callers of storeagg
 
 AGG_FNS = ("count", "nn", "min", "max", "sum", "avg")
 
@@ -207,24 +206,6 @@ class _AggPartial:
         return pa.table(row)
 
 
-def store_agg(
-    out_dir: str,
-    aggs,
-    predicate=None,
-    *,
-    verify_crc: bool = False,
-    return_plan: bool = False,
-):
-    """Aggregate an encoded store, answering from metadata wherever the zone
-    maps prove it sound and scanning (pruned, late-materialized) only the
-    containers they can't decide. Returns ``{agg_name: value}`` with min/max
-    in the column's logical type; ``return_plan=True`` also returns the
-    ``PrunedScan`` plan counters plus ``meta_answered``."""
-    result, plan = store_agg_multi([out_dir], aggs, predicate, verify_crc=verify_crc,
-                                   return_plan=True)
-    return (result, plan["stores"][out_dir]) if return_plan else result
-
-
 def _merge_partials(partials, aggs, acc: dict) -> None:
     for p in partials:
         for fn, col in aggs:
@@ -264,15 +245,20 @@ def _finalize_agg(aggs, acc: dict, schema: dict) -> dict:
     return result
 
 
-def store_agg_multi(
-    dirs,
+def store_agg(
+    store,
     aggs,
     predicate=None,
     *,
     verify_crc: bool = False,
     return_plan: bool = False,
 ):
-    """Aggregate a FAMILY of stores (``zonemap.scan_store_multi``'s sibling).
+    """Aggregate an encoded store (one directory, or a list read as ONE
+    family), answering from metadata wherever the zone maps prove it sound
+    and scanning (pruned, late-materialized) only the containers they can't
+    decide. Returns ``{agg_name: value}`` with min/max in the column's
+    logical type; ``return_plan=True`` also returns the ``PrunedScan`` plan
+    counters plus ``meta_answered``.
 
     Every supported aggregate is decomposable — ``count``/``nn``/``sum`` are
     additive, ``min``/``max`` combine by comparison — so the family answer
@@ -287,7 +273,7 @@ def store_agg_multi(
     requested = _normalize_aggs(aggs)
     aggs, _ = _expand_avg(requested)
     agg_cols = list(dict.fromkeys(c for _, c in aggs if c is not None))
-    scan = PrunedScan(dirs, predicate, dict.fromkeys(agg_cols, "aggregate"),
+    scan = PrunedScan(store, predicate, dict.fromkeys(agg_cols, "aggregate"),
                       what="aggregate/predicate")
     schema = scan.schema
     _check_sums(aggs, schema)
@@ -306,7 +292,7 @@ def store_agg_multi(
 
 
 def store_quantiles(
-    dirs,
+    store,
     col: str,
     qs,
     predicate=None,
@@ -330,11 +316,10 @@ def store_quantiles(
     ONE column (plus predicate columns) — 2-3 pruned scans at any store size
     vs the all-to-all exchange ``Dataset.sort`` would pay."""
     from .profile import exact_quantiles
-    from .zonemap import scan_store_multi
+    from .zonemap import scan_store
 
-    ds, plan = scan_store_multi([dirs] if isinstance(dirs, str) else dirs,
-                                predicate or [], columns=[col],
-                                verify_crc=verify_crc, return_plan=True)
+    ds, plan = scan_store(store, predicate or [], columns=[col],
+                          verify_crc=verify_crc, return_plan=True)
     vals = exact_quantiles(ds, col, list(qs), n_bins=n_bins,
                            collect_cap=collect_cap)
     return (vals, plan) if return_plan else vals

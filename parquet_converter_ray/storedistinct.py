@@ -175,7 +175,7 @@ def _finalize_distinct(
 
 
 def store_distinct(
-    out_dir: str,
+    store,
     col: str,
     predicate=None,
     *,
@@ -186,33 +186,15 @@ def store_distinct(
     """DISTINCT values of one store column, answered from manifest stats and
     dictionary footers wherever sound and scanning only the remainder.
     Returns a one-column ``pa.Table`` (logical type, sorted, NULL last);
-    ``return_plan=True`` also returns the container-class counters."""
-    return store_distinct_multi(
-        [out_dir],
-        col,
-        predicate,
-        verify_crc=verify_crc,
-        return_plan=return_plan,
-        max_values=max_values,
-    )
+    ``return_plan=True`` also returns the container-class counters.
 
-
-def store_distinct_multi(
-    dirs,
-    col: str,
-    predicate=None,
-    *,
-    verify_crc: bool = False,
-    return_plan: bool = False,
-    max_values: int = DEFAULT_MAX_VALUES,
-):
-    """DISTINCT over a FAMILY of stores as one logical table. Distinct is a
+    ``store`` is one directory or a list read as ONE family. Distinct is a
     set union, so per-member partials fold exactly; the column must carry
     the SAME type in every member (refused loudly). Scale shape: the class
     split is driver-side manifest JSON per member; the footer tasks and the
     scan each batch EVERY member's containers into one call of plain Ray
     tasks, so the query starts no Ray Data job."""
-    scan = PrunedScan(dirs, predicate, [col], what=f"{col!r}")
+    scan = PrunedScan(store, predicate, [col], what=f"{col!r}")
     t = scan.schema[col]
     physical = _group_physical(t)  # raises for unsupported (binary) columns
 
@@ -261,7 +243,7 @@ def store_distinct_multi(
 
 
 def store_approx_distinct(
-    dirs,
+    store,
     col: str,
     predicate=None,
     *,
@@ -277,10 +259,9 @@ def store_approx_distinct(
     fine here and loudly refused in the exact path). ~1% typical error
     (accuracy pytest-pinned in tests/test_profile.py for the sketch)."""
     from .profile import approx_distinct
-    from .zonemap import scan_store_multi
+    from .zonemap import scan_store
 
-    ds, plan = scan_store_multi([dirs] if isinstance(dirs, str) else dirs,
-                                predicate or [], columns=[col],
-                                verify_crc=verify_crc, return_plan=True)
+    ds, plan = scan_store(store, predicate or [], columns=[col],
+                          verify_crc=verify_crc, return_plan=True)
     n = approx_distinct(ds, col)
     return (n, plan) if return_plan else n

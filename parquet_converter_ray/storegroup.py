@@ -283,7 +283,7 @@ def _attach_group_avgs(tbl: pa.Table, group_by, requested) -> pa.Table:
 
 
 def store_agg_group(
-    out_dir: str,
+    store,
     group_by,
     aggs,
     predicate=None,
@@ -295,39 +295,24 @@ def store_agg_group(
     """GROUP BY aggregate over an encoded store (module docstring has the
     plan semantics). Returns a pyarrow Table with the group columns (logical
     types) plus one column per aggregate, named ``count`` / ``{fn}_{col}``;
-    group order is unspecified (sort on the result if you need one)."""
-    tbl, plan = store_agg_group_multi([out_dir], group_by, aggs, predicate,
-                                      verify_crc=verify_crc, return_plan=True,
-                                      max_partial_rows=max_partial_rows)
-    return (tbl, plan["stores"][out_dir]) if return_plan else tbl
+    group order is unspecified (sort on the result if you need one).
 
-
-def store_agg_group_multi(
-    dirs,
-    group_by,
-    aggs,
-    predicate=None,
-    *,
-    verify_crc: bool = False,
-    return_plan: bool = False,
-    max_partial_rows: int = 2_000_000,
-) -> pa.Table | tuple[pa.Table, dict]:
-    """GROUP BY aggregate over a store FAMILY: grouped partials are additive
-    across members exactly like the scalar folds, so the family answer is
-    one shared partial pool — metadata rows from every member's
-    fully-matching single-valued containers, ONE batch of footer-probe
-    tasks, ONE scan over every member's remainder (plain Ray tasks, no Ray
-    Data job), one driver fold. Group / aggregate / predicate columns must
-    carry the same type in every member (refused loudly with per-store
-    detail — ``compact_family`` conforms)."""
+    ``store`` is one directory or a list read as ONE family: grouped
+    partials are additive across members exactly like the scalar folds, so
+    the family answer is one shared partial pool — metadata rows from every
+    member's fully-matching single-valued containers, ONE batch of
+    footer-probe tasks, ONE scan over every member's remainder (plain Ray
+    tasks, no Ray Data job), one driver fold. Group / aggregate / predicate
+    columns must carry the same type in every member (refused loudly with
+    per-store detail — ``compact_dataset`` conforms)."""
     group_by = list(group_by)
     if not group_by:
         raise ValueError("store_agg_group needs at least one group column")
     requested = list(dict.fromkeys(_normalize_aggs(aggs)))
     aggs, _ = _expand_avg(requested)
     work_cols = list(dict.fromkeys(group_by + [c for _, c in aggs if c is not None]))
-    scan = PrunedScan(dirs, predicate, {**dict.fromkeys(work_cols, "aggregate"),
-                                        **dict.fromkeys(group_by, "group")},
+    scan = PrunedScan(store, predicate, {**dict.fromkeys(work_cols, "aggregate"),
+                                         **dict.fromkeys(group_by, "group")},
                       what="group/aggregate/predicate")
     schema = scan.schema
     for c in group_by:

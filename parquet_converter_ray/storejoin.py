@@ -8,8 +8,8 @@ on those columns therefore needs ZERO exchange — each part_id's containers
 from every store decode together in one task and join locally, the Hive /
 Spark bucketed-join idea (bucket metadata checked at plan time, map-side
 join per bucket) applied to this engine's container layout.
-``store_join_multi`` is the one body: it chains N stores on one shared key
-(store 0 is the left/probe side), and ``store_join`` is its two-store form.
+``store_join`` chains N >= 2 stores on one shared key (store 0 is the
+left/probe side).
 
 Partitioning assumptions enforced on every store (refused loudly,
 never silently wrong):
@@ -346,7 +346,7 @@ def store_join_dim(
 
 
 class _MultiBucketJoiner:
-    """The unit function of ``store_join_multi``: decode one part_id's
+    """The unit function of ``store_join``: decode one part_id's
     containers from ALL stores and chain local joins. State is column lists
     and schemas only."""
 
@@ -377,8 +377,8 @@ class _MultiBucketJoiner:
         return acc
 
 
-def store_join_multi(
-    dirs: list[str],
+def store_join(
+    dirs,
     *,
     ons: list[str | None] | None = None,
     columns: list[list[str] | None] | None = None,
@@ -414,8 +414,9 @@ def store_join_multi(
     Data's ``UserCodeException``."""
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
+    dirs = mf.store_dirs(dirs)
     if len(dirs) < 2:
-        raise ValueError("store_join_multi needs at least 2 stores")
+        raise ValueError("store_join needs at least 2 stores")
     layouts = [mf.hash_layout(d, unsalted=True) for d in dirs]
     ons = list(ons) if ons is not None else [None] * len(dirs)
     if len(ons) != len(dirs):
@@ -463,21 +464,3 @@ def store_join_multi(
     return decoded_dataset(buckets, _MultiBucketJoiner(ons, col_lists, how, schemas, empty),
                            empty, nbytes)
 
-
-def store_join(
-    left_dir: str,
-    right_dir: str,
-    *,
-    left_on: str | None = None,
-    right_on: str | None = None,
-    left_columns: list[str] | None = None,
-    right_columns: list[str] | None = None,
-    how: str = "inner",
-) -> "ray.data.Dataset":
-    """Join two co-partitioned stores on their partition columns -> Dataset:
-    ``store_join_multi`` over the pair. ``left_on``/``right_on`` default to
-    each store's recorded partition column. Output carries ``left_on`` (the
-    right key is folded into it) plus the pruned column selections; non-key
-    column names must be disjoint between the sides."""
-    return store_join_multi([left_dir, right_dir], ons=[left_on, right_on],
-                            columns=[left_columns, right_columns], how=how)

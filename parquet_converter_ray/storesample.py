@@ -85,7 +85,7 @@ class _BottomNPartial:
 
 
 def store_sample(
-    out_dir: str,
+    store,
     key: str,
     n: int,
     *,
@@ -95,38 +95,15 @@ def store_sample(
     verify_crc: bool = False,
     return_plan: bool = False,
 ):
-    """Deterministic n-row sample of one store (see module docstring)."""
-    return store_sample_multi(
-        [out_dir],
-        key,
-        n,
-        seed=seed,
-        predicate=predicate,
-        columns=columns,
-        verify_crc=verify_crc,
-        return_plan=return_plan,
-    )
-
-
-def store_sample_multi(
-    dirs,
-    key: str,
-    n: int,
-    *,
-    seed: str = "",
-    predicate=None,
-    columns: "list[str] | None" = None,
-    verify_crc: bool = False,
-    return_plan: bool = False,
-):
-    """Deterministic n-row sample over a FAMILY of stores as one logical
-    table (key uniqueness must hold across members)."""
+    """Deterministic n-row sample of a store (see module docstring).
+    ``store`` is one directory or a list sampled as ONE logical table (key
+    uniqueness must hold across members)."""
     if not (1 <= n <= MAX_N):
         raise ValueError(
             f"n={n} outside [1, {MAX_N}] — larger samples exceed the driver-fold "
             "contract; sample via decode_dataset(...).random_sample() instead"
         )
-    scan = PrunedScan(dirs, predicate, [key, *(columns or [])],
+    scan = PrunedScan(store, predicate, [key, *(columns or [])],
                       all_columns=columns is None, what="sample")
     kt = scan.schema[key]
     if not (pa.types.is_integer(kt) or _is_strlike(kt)):
@@ -216,7 +193,7 @@ class _GroupBottomNPartial:
 
 
 def store_sample_stratified(
-    dirs,
+    store,
     key: str,
     group_by,
     n: int,
@@ -239,15 +216,13 @@ def store_sample_stratified(
     bottom-n partials (≤ groups-per-block × n × blocks rows, the
     rollup-grade driver contract, guarded by ``max_partial_rows``); pass 2
     fetches winners through the point-lookup scan stack and re-ranks
-    exactly. ``dirs`` may be one store (str) or a family (list)."""
-    if isinstance(dirs, str):
-        dirs = [dirs]
+    exactly. ``store`` is one directory or a list read as ONE family."""
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n={n} outside [1, {MAX_N}] (per-group sample size)")
     group_by = list(group_by)
     if not group_by:
         raise ValueError("store_sample_stratified needs at least one group column")
-    scan = PrunedScan(dirs, predicate, [key, *group_by, *(columns or [])],
+    scan = PrunedScan(store, predicate, [key, *group_by, *(columns or [])],
                       what="sample key/group")
     kt = scan.schema[key]
     if not (pa.types.is_integer(kt) or _is_strlike(kt)):

@@ -172,7 +172,7 @@ def _snippets(texts: pa.Array, tokens, width: int = 40) -> pa.Array:
 
 
 def store_search(
-    out_dir: str,
+    store,
     col: str,
     query: str,
     k: int = 10,
@@ -185,7 +185,11 @@ def store_search(
     verify_crc: bool = False,
     return_plan: bool = False,
 ):
-    """k most relevant rows of one store for ``query`` (module docstring).
+    """k most relevant rows of a store for ``query`` (module docstring).
+    ``store`` is one directory or a list searched as ONE corpus: one batch
+    of footer-probe tasks + one scan across members, both plain Ray tasks
+    (no Ray Data job). ``snippet=True`` appends a ``snippet`` column: ±40
+    chars around each hit's first matched token.
 
     ``mode="bm25"`` mixes populations by design: N counts every manifest
     row (of every family member), while the document frequencies and avgdl
@@ -194,39 +198,6 @@ def store_search(
     takes all three over the corpus; here, with a selective predicate, idf
     weighs a token by its rarity in the whole store, not in the filtered
     slice."""
-    return store_search_multi(
-        [out_dir],
-        col,
-        query,
-        k,
-        mode=mode,
-        predicate=predicate,
-        columns=columns,
-        tiebreak=tiebreak,
-        snippet=snippet,
-        verify_crc=verify_crc,
-        return_plan=return_plan,
-    )
-
-
-def store_search_multi(
-    dirs,
-    col: str,
-    query: str,
-    k: int = 10,
-    *,
-    mode: str = "any",
-    predicate=None,
-    columns: "list[str] | None" = None,
-    tiebreak=(),
-    snippet: bool = False,
-    verify_crc: bool = False,
-    return_plan: bool = False,
-):
-    """Ranked search over a FAMILY of stores as one corpus: one batch of
-    footer-probe tasks + one scan across members, both plain Ray tasks (no
-    Ray Data job). ``snippet=True`` appends a ``snippet`` column: ±40 chars
-    around each hit's first matched token."""
     if not (1 <= k <= MAX_K):
         raise ValueError(f"k={k} outside [1, {MAX_K}]")
     if mode not in ("any", "all", "bm25"):
@@ -240,7 +211,7 @@ def store_search_multi(
     # scan's own type check refuses a non-text ``col``
     op = "hastok" if mode == "all" else "hasany"
     user = _normalize_dnf(predicate) if predicate else []
-    scan = PrunedScan(dirs, ("or", and_clause(user, (col, op, query))),
+    scan = PrunedScan(store, ("or", and_clause(user, (col, op, query))),
                       [col, *tiebreak, *(columns or [])],
                       all_columns=columns is None, what="search/predicate")
     paths, plan = scan.candidates()

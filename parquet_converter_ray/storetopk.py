@@ -148,7 +148,7 @@ def _tau_from_records(member_recs, col, t, dnf, k, desc):
 
 
 def store_topk(
-    out_dir: str,
+    store,
     order_by: str,
     k: int,
     *,
@@ -159,36 +159,11 @@ def store_topk(
     verify_crc: bool = False,
     return_plan: bool = False,
 ):
-    """Top-k rows of one store by ``order_by`` (see module docstring)."""
-    return store_topk_multi(
-        [out_dir],
-        order_by,
-        k,
-        desc=desc,
-        predicate=predicate,
-        columns=columns,
-        tiebreak=tiebreak,
-        verify_crc=verify_crc,
-        return_plan=return_plan,
-    )
-
-
-def store_topk_multi(
-    dirs,
-    order_by: str,
-    k: int,
-    *,
-    desc: bool = True,
-    predicate=None,
-    columns: "list[str] | None" = None,
-    tiebreak=(),
-    verify_crc: bool = False,
-    return_plan: bool = False,
-):
-    """Top-k over a FAMILY of stores as one logical table: the τ guarantee
-    pool spans every member (top-k is a global question), then one footer
-    probe + one scan batch all members' candidates (plain Ray tasks, no
-    Ray Data job)."""
+    """Top-k rows of a store by ``order_by`` (see module docstring).
+    ``store`` is one directory or a list read as ONE family: the τ
+    guarantee pool spans every member (top-k is a global question), then
+    one footer probe + one scan batch all members' candidates (plain Ray
+    tasks, no Ray Data job)."""
     if not (1 <= k <= MAX_K):
         raise ValueError(
             f"k={k} outside [1, {MAX_K}] — larger top-k exceeds the driver-fold "
@@ -197,7 +172,7 @@ def store_topk_multi(
     tiebreak = list(tiebreak)
     # with an explicit column list only the involved columns must agree; a
     # full-row top-k needs full schema agreement across members
-    scan = PrunedScan(dirs, predicate, [order_by, *tiebreak, *(columns or [])],
+    scan = PrunedScan(store, predicate, [order_by, *tiebreak, *(columns or [])],
                       all_columns=columns is None, what="ordering/predicate")
     t = scan.schema[order_by]
 
@@ -305,7 +280,7 @@ class _GroupTopKPartial:
 
 
 def store_group_topk(
-    out_dir: str,
+    store,
     group_by,
     order_by: str,
     k: int,
@@ -328,39 +303,11 @@ def store_group_topk(
     uses, guarded LOUDLY by ``max_partial_rows``. No τ threshold: a global
     value bound can't speak for every group (a per-group τ would need
     single-group containers; range-cluster by the group column and the
-    predicate pruning already does that job)."""
-    return store_group_topk_multi(
-        [out_dir],
-        group_by,
-        order_by,
-        k,
-        desc=desc,
-        predicate=predicate,
-        columns=columns,
-        tiebreak=tiebreak,
-        verify_crc=verify_crc,
-        return_plan=return_plan,
-        max_partial_rows=max_partial_rows,
-    )
+    predicate pruning already does that job).
 
-
-def store_group_topk_multi(
-    dirs,
-    group_by,
-    order_by: str,
-    k: int,
-    *,
-    desc: bool = True,
-    predicate=None,
-    columns: "list[str] | None" = None,
-    tiebreak=(),
-    verify_crc: bool = False,
-    return_plan: bool = False,
-    max_partial_rows: int = 2_000_000,
-):
-    """Grouped top-k over a FAMILY of stores as one logical table: one
-    batch of footer-probe tasks + one scan across members, both plain Ray
-    tasks; involved column types must agree."""
+    ``store`` is one directory or a list read as ONE family: one batch of
+    footer-probe tasks + one scan across members, both plain Ray tasks;
+    involved column types must agree."""
     if not (1 <= k <= MAX_K):
         raise ValueError(
             f"k={k} outside [1, {MAX_K}] — larger per-group top-k exceeds the "
@@ -371,7 +318,7 @@ def store_group_topk_multi(
     if not group_by:
         raise ValueError("store_group_topk needs at least one group column")
     tiebreak = list(tiebreak)
-    scan = PrunedScan(dirs, predicate, [*group_by, order_by, *tiebreak, *(columns or [])],
+    scan = PrunedScan(store, predicate, [*group_by, order_by, *tiebreak, *(columns or [])],
                       all_columns=columns is None, what="involved")
     is_float = pa.types.is_floating(scan.schema[order_by])
     paths, plan = scan.candidates()

@@ -1186,7 +1186,7 @@ _TEXT_OPS = ("hastok", "hasphrase", "hasany")
 # outputs to disk, which slows the scan but does not fail it.
 #
 # ``encode_dataset`` and every other ``decoded_dataset`` user
-# (``decode_dataset``, ``store_join_multi``, ``store_changes``) choose by
+# (``decode_dataset``, ``store_join``, ``store_changes``) choose by
 # the same share (``fits_tasks``), for the same reason: their task side
 # holds the whole input (encode: map pieces until the reduces read them) or
 # the whole output (the Dataset's tables) in the object store. On a
@@ -1202,7 +1202,7 @@ def fits_tasks(nbytes: int) -> bool:
     of the cluster's ``object_store_memory``. The one crossover test of
     every small-plan executor — ``PrunedScan.executor`` (scanned bytes),
     ``decoded_dataset``'s other users ``decode.decode_dataset``,
-    ``storejoin.store_join_multi`` and ``decode.store_changes`` (the
+    ``storejoin.store_join`` and ``decode.store_changes`` (the
     recorded bytes of the containers they read) and
     ``encode.encode_dataset`` (the input's estimated in-memory size)."""
     store = _cluster_resources().get("object_store_memory", 0)
@@ -1255,8 +1255,8 @@ def decoded_dataset(units: list, fn, empty: pa.Table, nbytes: int):
     """``fn(unit)``'s tables over ``units`` as one Dataset, in unit order:
     the one executor of every container fan-out. A unit is a container
     path for ``PrunedScan.dataset`` (a scan) and ``decode.decode_dataset``
-    (a whole store), one bucket's path lists for
-    ``storejoin.store_join_multi`` and one partition's old and new paths
+    (every container of a store or family), one bucket's path lists for
+    ``storejoin.store_join`` and one partition's old and new paths
     for ``decode.store_changes``. ``nbytes`` is the decoded size the plan
     holds; ``empty`` is the 0-row table of the output schema, and no units
     give a Dataset of it.
@@ -1327,7 +1327,8 @@ def prune_containers(members, dnf, keys, on_full=None, probe=True) -> "tuple[dic
 
 class PrunedScan:
     """The read path every pushdown operator shares, over a store FAMILY (a
-    single store is a family of one).
+    single store is a family of one): ``store`` is one directory or a list
+    of them (``manifest.store_dirs``).
 
     Construction loads each member's lineage records once, runs the
     stray-container guard, reads the schema and refuses loudly — never
@@ -1355,19 +1356,17 @@ class PrunedScan:
     AND a synthesized clause into it (``and_clause``) before calling
     ``candidates`` — top-k's threshold, a sample's winning keys."""
 
-    def __init__(self, dirs, predicate, columns=(), *, all_columns=False,
+    def __init__(self, store, predicate, columns=(), *, all_columns=False,
                  what="involved"):
         from . import manifest as mf
         from .container import read_footer_file
         from .decode import container_files, resolve_container_path
 
-        if not dirs:
-            raise ValueError("pushdown needs at least one store directory")
         self.dnf = _normalize_dnf(predicate) if predicate else []
         self.members = []  # (dir, records, paths); no records = glob-only store
         self.sizes = {}  # path -> decoded bytes at encode (file size when glob-only)
         schemas = []
-        for d in dirs:
+        for d in mf.store_dirs(store):
             recs = mf.load_records(d)
             files = container_files(d)  # stray-container guard
             paths = [resolve_container_path(d, r) for r in recs] if recs else files
@@ -1395,7 +1394,7 @@ class PrunedScan:
             )
             raise ValueError(
                 f"store family schemas differ — members disagree on {what} column "
-                f"types; conform them via compact_family (drop/add columns) first: {detail}"
+                f"types; conform them via compact_dataset (drop/add columns) first: {detail}"
             )
         for col, op, _ in clauses:
             t = self.schema[col]
@@ -1483,7 +1482,7 @@ class PrunedScan:
 
 
 def scan_store(
-    out_dir: str,
+    store,
     predicate,
     columns: list[str] | None = None,
     *,
@@ -1492,6 +1491,8 @@ def scan_store(
     return_plan: bool = False,
 ):
     """Predicate-pushdown scan of an encoded store -> streaming Dataset.
+    ``store`` is one directory or a list of them, scanned as ONE family
+    with one merged plan.
 
     Four pruning levels before any data buffer is decoded (``PrunedScan``):
 
@@ -1517,53 +1518,26 @@ def scan_store(
     Containers written before zone maps existed have no ``stats`` and are
     conservatively scanned. ``return_plan=True`` also returns
     ``{parts_total, pruned_hash, pruned_stats, pruned_dict, pruned_bloom,
-    scanned, scanned_bytes, executor}``.
+    scanned, scanned_bytes, executor}`` summed over the members, with the
+    per-member breakdown under ``"stores"``.
 
     ``predicate`` is a conjunct list (AND), or a disjunction of
     conjunctions — ``("or", [branch, ...])`` / ``{"or": [branch, ...]}`` —
     in which case every pruning level keeps a container when ANY branch may
     match it (Parquet/Iceberg OR-expression pruning semantics) and the
     exact filter is the OR of branch masks.
+
+    A family is the lifecycle of incremental deliveries, each encoded into
+    its own store (no rewrite of history) and compacted only when container
+    sizing demands it. Pruning state is per manifest, so every level runs
+    per member, and every member's survivors decode in one Dataset. Output
+    schemas must agree across members on (name, type) for the emitted
+    columns — refused loudly, never coerced (``compact_dataset``'s
+    drop/add path conforms a family). The footer probe batches every
+    member's candidate paths into ONE set of plain Ray tasks (at most one
+    per cluster CPU), so planning cost does not grow with family size.
     """
-    ds, plan = scan_store_multi([out_dir], predicate, columns, dict_probe=dict_probe,
-                                verify_crc=verify_crc, return_plan=True)
-    return (ds, plan["stores"][out_dir]) if return_plan else ds
-
-
-def scan_store_multi(
-    dirs: "list[str]",
-    predicate,
-    columns: list[str] | None = None,
-    *,
-    dict_probe: bool = True,
-    verify_crc: bool = False,
-    return_plan: bool = False,
-):
-    """Predicate-pushdown scan over a FAMILY of stores with one merged plan.
-
-    The lifecycle that produces store families: incremental deliveries each
-    encoded into their own store (cheapest ingest — no rewrite of history),
-    compacted only when container sizing demands it. A query should not care
-    how many deliveries exist, so this runs ``scan_store``'s full pruning
-    stack (hash route, manifest zone maps, dictionary/Bloom probes, sorted
-    ranges, page masks, late materialization) per member — pruning state is
-    per-manifest — and decodes every member's survivors in one Dataset.
-
-    Output schemas must agree across stores on (name, type) for the emitted
-    columns — refused loudly, never coerced (schema evolution goes through
-    ``compact_family``'s drop/add path, which is where a family gets
-    conformed). The merged plan sums each pruning counter and keeps the
-    per-store breakdown under ``"stores"``.
-
-    Scale shape: the hash/stats levels are driver-side JSON per member
-    (microseconds each), and the distributed footer probe — the only Ray
-    work in planning — batches every member's candidate paths into ONE set
-    of plain Ray tasks (at most one per cluster CPU), so planning cost does
-    not grow with family size and starts no Ray Data job. The decode of the
-    survivors is plain Ray tasks under ``PrunedScan``'s measured crossover
-    and the scan's one Ray Data job past it.
-    """
-    scan = PrunedScan(dirs, predicate, columns or (), all_columns=columns is None,
+    scan = PrunedScan(store, predicate, columns or (), all_columns=columns is None,
                       what="emitted/predicate")
     paths, plan = scan.candidates(probe=dict_probe)
     scan.stamp(plan, paths, scan.executor(paths))
@@ -1574,55 +1548,49 @@ def scan_store_multi(
 # --- metadata-only profile ------------------------------------------------------
 
 
-def store_profile(out_dir: str) -> dict:
-    """Profile an encoded store from manifest metadata alone — per-column
-    global bounds / null counts / codec mix plus store totals. Opens ZERO
-    container files; cost is the manifest JSON, independent of data size."""
-    from . import manifest as mf
-
-    recs = mf.load_records(out_dir)
-    if not recs:
-        raise FileNotFoundError(f"no manifest records under {out_dir}")
+def _profile(recs: list[dict]) -> dict:
+    """Fold lineage records into a profile: per-column codec counts, nulls
+    and stats parts sum; bounds combine while the recorded types agree, and
+    a type conflict nulls the bounds and flags ``t: "mixed"`` rather than
+    comparing across domains."""
     cols: dict[str, dict] = {}
     with_stats = 0
-    rows = bytes_in = bytes_out = 0
-    generations = set()
     for r in recs:
-        rows += int(r.get("rows", 0))
-        bytes_in += int(r.get("bytes_in", 0))
-        bytes_out += int(r.get("bytes_out", 0))
-        generations.add(int(r.get("generation", 0)))
-        for name, codec in (r.get("codecs") or {}).items():
-            c = cols.setdefault(
-                name,
-                {"codecs": {}, "nulls": 0, "min": None, "max": None, "t": None,
-                 "approx": False, "stats_parts": 0},
-            )
-            c["codecs"][codec] = c["codecs"].get(codec, 0) + 1
         st = r.get("stats") or {}
-        if st:
-            with_stats += 1
-        for name, ent in st.items():
+        codecs = r.get("codecs") or {}
+        with_stats += bool(st)
+        for name in dict.fromkeys([*codecs, *st]):
             c = cols.setdefault(
                 name,
                 {"codecs": {}, "nulls": 0, "min": None, "max": None, "t": None,
                  "approx": False, "stats_parts": 0},
             )
+            if name in codecs:
+                c["codecs"][codecs[name]] = c["codecs"].get(codecs[name], 0) + 1
+            if name not in st:
+                continue
+            ent = st[name]
             c["stats_parts"] += 1
             c["nulls"] += int(ent.get("nulls", 0))
-            c["t"] = c["t"] or ent.get("t")
             c["approx"] = c["approx"] or bool(ent.get("approx"))
+            t = ent.get("t")
+            if t is not None and c["t"] != t:
+                c["t"] = t if c["t"] is None else "mixed"
+            if c["t"] == "mixed":
+                c["min"] = c["max"] = None
+                c["approx"] = True
+                continue
             mn, mx = ent.get("min"), ent.get("max")
             if mn is not None and (c["min"] is None or mn < c["min"]):
                 c["min"] = mn
-            if mx is None and ent.get("approx"):
-                c["approx"] = True
             if mx is not None and (c["max"] is None or mx > c["max"]):
                 c["max"] = mx
+    bytes_in = sum(int(r.get("bytes_in", 0)) for r in recs)
+    bytes_out = sum(int(r.get("bytes_out", 0)) for r in recs)
     return {
         "partitions": len(recs),
-        "generations": len(generations),
-        "rows": rows,
+        "generations": len({int(r.get("generation", 0)) for r in recs}),
+        "rows": sum(int(r.get("rows", 0)) for r in recs),
         "bytes_in": bytes_in,
         "bytes_out": bytes_out,
         "ratio": bytes_out / max(bytes_in, 1),
@@ -1631,54 +1599,24 @@ def store_profile(out_dir: str) -> dict:
     }
 
 
-def store_profile_multi(dirs: "list[str]") -> dict:
-    """Profile a FAMILY of stores from manifest metadata alone — per-member
-    profiles fold into family totals (partitions/rows/bytes sum, per-column
-    nulls and codec counts sum, bounds combine when the member types agree;
-    a type conflict nulls the folded bounds and flags ``t: "mixed"`` rather
-    than comparing across domains). Opens ZERO container files."""
-    if not dirs:
-        raise ValueError("store_profile_multi needs at least one store directory")
-    per = {d: store_profile(d) for d in dirs}
-    cols: dict[str, dict] = {}
-    for p in per.values():
-        for name, c in p["columns"].items():
-            f = cols.setdefault(
-                name,
-                {"codecs": {}, "nulls": 0, "min": None, "max": None, "t": None,
-                 "approx": False, "stats_parts": 0},
-            )
-            for codec, n in c["codecs"].items():
-                f["codecs"][codec] = f["codecs"].get(codec, 0) + n
-            f["nulls"] += c["nulls"]
-            f["stats_parts"] += c["stats_parts"]
-            f["approx"] = f["approx"] or c["approx"]
-            if c["t"] is not None:
-                if f["t"] is None:
-                    f["t"] = c["t"]
-                elif f["t"] != c["t"] and f["t"] != "mixed":
-                    f["t"] = "mixed"
-            if f["t"] == "mixed":
-                f["min"] = f["max"] = None
-                f["approx"] = True
-                continue
-            if c["min"] is not None and (f["min"] is None or c["min"] < f["min"]):
-                f["min"] = c["min"]
-            if c["max"] is not None and (f["max"] is None or c["max"] > f["max"]):
-                f["max"] = c["max"]
-    parts = sum(p["partitions"] for p in per.values())
-    rows = sum(p["rows"] for p in per.values())
-    b_in = sum(p["bytes_in"] for p in per.values())
-    b_out = sum(p["bytes_out"] for p in per.values())
-    return {
-        "partitions": parts,
-        "rows": rows,
-        "bytes_in": b_in,
-        "bytes_out": b_out,
-        "ratio": b_out / max(b_in, 1),
-        "stats_coverage": sum(
-            p["stats_coverage"] * p["partitions"] for p in per.values()
-        ) / max(parts, 1),
-        "columns": cols,
-        "stores": per,
-    }
+def store_profile(store) -> dict:
+    """Profile an encoded store from manifest metadata alone — per-column
+    global bounds / null counts / codec mix plus store totals. Opens ZERO
+    container files; cost is the manifest JSON, independent of data size.
+
+    ``store`` is one directory, or a list of them profiled as ONE family:
+    the fold runs over every member's records, without ``generations``
+    (generation numbers count per member), and ``stores`` holds each
+    member's own profile."""
+    from . import manifest as mf
+
+    recs = {}
+    for d in mf.store_dirs(store):
+        recs[d] = mf.load_records(d)
+        if not recs[d]:
+            raise FileNotFoundError(f"no manifest records under {d}")
+    if isinstance(store, str):
+        return _profile(recs[store])
+    fam = _profile([r for rs in recs.values() for r in rs])
+    del fam["generations"]
+    return {**fam, "stores": {d: _profile(rs) for d, rs in recs.items()}}

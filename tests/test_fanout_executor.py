@@ -1,6 +1,6 @@
-"""The bucketed join (``storejoin.store_join_multi``, which ``store_join``
-calls) and CDC (``decode.store_changes``) run on the executor every
-container fan-out shares, ``zonemap.decoded_dataset``: plain Ray tasks
+"""The bucketed join (``storejoin.store_join``) and CDC
+(``decode.store_changes``) run on the executor every container fan-out
+shares, ``zonemap.decoded_dataset``: plain Ray tasks
 under the small-plan crossover, one streaming Ray Data job past it.
 
 These tests pin, on both executors, the same sorted rows (and CDC plan) as
@@ -30,7 +30,7 @@ from parquet_converter_ray.encode import (
     upsert_dataset,
 )
 from parquet_converter_ray.snapshot import snapshot_path, snapshot_store
-from parquet_converter_ray.storejoin import store_join, store_join_multi
+from parquet_converter_ray.storejoin import store_join
 from test_footer_tasks import _count_jobs
 from test_task_executor import SHARES
 
@@ -100,9 +100,9 @@ def states(ray_session, tmp_path_factory):
 def _cases(stores, states):
     a, b, c = stores
     return {
-        "join_inner": lambda: store_join(a, b),
-        "join_left": lambda: store_join(a, b, how="left", right_columns=["b_v"]),
-        "join_3": lambda: store_join_multi([a, b, c], columns=[["a_v"], ["b_v"], None]),
+        "join_inner": lambda: store_join([a, b]),
+        "join_left": lambda: store_join([a, b], columns=[None, ["b_v"]], how="left"),
+        "join_3": lambda: store_join([a, b, c], columns=[["a_v"], ["b_v"], None]),
         "changes": lambda: store_changes(*states, return_plan=True),
     }
 
@@ -153,7 +153,7 @@ def truncated(ray_session, tmp_path):
     for v in victims:
         with open(v, "r+b") as f:
             f.truncate(os.path.getsize(v) // 2)
-    return {"join": lambda: store_join(a, b),
+    return {"join": lambda: store_join([a, b]),
             "changes": lambda: store_changes(snapshot_path(a, "base"), a)}
 
 

@@ -51,30 +51,28 @@ def family(ray_session, tmp_path_factory):
 
 
 def _ops():
-    from parquet_converter_ray.storeagg import store_agg_multi
-    from parquet_converter_ray.storedistinct import store_distinct_multi
-    from parquet_converter_ray.storegroup import store_agg_group_multi
-    from parquet_converter_ray.storesample import store_sample_multi, store_sample_stratified
-    from parquet_converter_ray.storesearch import store_search_multi
-    from parquet_converter_ray.storetopk import store_group_topk_multi, store_topk_multi
-    from parquet_converter_ray.zonemap import scan_store_multi
+    from parquet_converter_ray.storeagg import store_agg
+    from parquet_converter_ray.storedistinct import store_distinct
+    from parquet_converter_ray.storegroup import store_agg_group
+    from parquet_converter_ray.storesample import store_sample, store_sample_stratified
+    from parquet_converter_ray.storesearch import store_search
+    from parquet_converter_ray.storetopk import store_group_topk, store_topk
+    from parquet_converter_ray.zonemap import scan_store
 
     return {
-        "scan": lambda d, p: scan_store_multi(d, p, ["conv_id"], return_plan=True),
-        "agg": lambda d, p: store_agg_multi(d, ["count", "sum:price"], p, return_plan=True),
-        "group": lambda d, p: store_agg_group_multi(d, ["flag"], ["count"], p,
+        "scan": lambda d, p: scan_store(d, p, ["conv_id"], return_plan=True),
+        "agg": lambda d, p: store_agg(d, ["count", "sum:price"], p, return_plan=True),
+        "group": lambda d, p: store_agg_group(d, ["flag"], ["count"], p, return_plan=True),
+        "topk": lambda d, p: store_topk(d, "price", 5, predicate=p, columns=["conv_id"],
+                                        return_plan=True),
+        "group_topk": lambda d, p: store_group_topk(d, ["flag"], "price", 2, predicate=p,
                                                     return_plan=True),
-        "topk": lambda d, p: store_topk_multi(d, "price", 5, predicate=p,
-                                              columns=["conv_id"], return_plan=True),
-        "group_topk": lambda d, p: store_group_topk_multi(d, ["flag"], "price", 2,
-                                                          predicate=p, return_plan=True),
-        "distinct": lambda d, p: store_distinct_multi(d, "flag", p, return_plan=True),
-        "sample": lambda d, p: store_sample_multi(d, "conv_id", 5, predicate=p,
-                                                  return_plan=True),
+        "distinct": lambda d, p: store_distinct(d, "flag", p, return_plan=True),
+        "sample": lambda d, p: store_sample(d, "conv_id", 5, predicate=p, return_plan=True),
         "stratified": lambda d, p: store_sample_stratified(d, "conv_id", ["flag"], 2,
                                                            predicate=p, return_plan=True),
-        "search": lambda d, p: store_search_multi(d, "text", "xyzzy alpha", 3,
-                                                  predicate=p, return_plan=True),
+        "search": lambda d, p: store_search(d, "text", "xyzzy alpha", 3, predicate=p,
+                                            return_plan=True),
     }
 
 
@@ -99,17 +97,95 @@ def test_plan_classes_partition_parts_total(family, op, pred):
 
 
 def test_single_store_plans_are_the_member_breakdown(family):
-    from parquet_converter_ray.storeagg import store_agg, store_agg_multi
-    from parquet_converter_ray.storegroup import store_agg_group, store_agg_group_multi
+    """A single store is a family of one: its plan's top-level counters
+    are its own breakdown under ``stores``."""
+    from parquet_converter_ray.storeagg import store_agg
+    from parquet_converter_ray.storegroup import store_agg_group
 
     d = family["dirs"][0]
     pred = [("flag", "==", "A")]
-    _, one = store_agg(d, ["count"], pred, return_plan=True)
-    _, fam = store_agg_multi([d], ["count"], pred, return_plan=True)
-    assert one == fam["stores"][d]
-    _, one = store_agg_group(d, ["flag"], ["count"], pred, return_plan=True)
-    _, fam = store_agg_group_multi([d], ["flag"], ["count"], pred, return_plan=True)
-    assert one == fam["stores"][d]
+    for _, plan in (store_agg(d, ["count"], pred, return_plan=True),
+                    store_agg_group(d, ["flag"], ["count"], pred, return_plan=True)):
+        assert set(plan["stores"]) == {d}
+        member = plan["stores"][d]
+        assert {k: plan[k] for k in member} == member
+
+
+def _verbs():
+    """Every store verb as ``run(store, out) -> (result, plan | None)``:
+    ``store`` is one directory or a list, ``out`` a fresh directory for a
+    verb that writes a store."""
+    from parquet_converter_ray.decode import decode_dataset, lookup_conversation
+    from parquet_converter_ray.encode import compact_dataset
+    from parquet_converter_ray.storeagg import store_quantiles
+    from parquet_converter_ray.storedistinct import store_approx_distinct
+    from parquet_converter_ray.storejoin import store_join
+    from parquet_converter_ray.zonemap import store_profile
+
+    pred = [("price", "<", 500.0)]
+    verbs = {name: (lambda op: lambda s, _out: op(s, pred))(op)
+             for name, op in _ops().items()}
+
+    def profile(s, _out):
+        prof = store_profile(s)
+        return {k: v for k, v in prof.items() if k not in ("generations", "stores")}, None
+
+    def compact(s, out):
+        compact_dataset(s, out, n_parts=2)
+        return _rows(decode_dataset(out)), None
+
+    return {
+        **verbs,
+        "quantiles": lambda s, _out: store_quantiles(s, "price", [0.1, 0.5], pred,
+                                                     return_plan=True),
+        "approx_distinct": lambda s, _out: store_approx_distinct(s, "flag", pred,
+                                                                 return_plan=True),
+        "profile": profile,
+        "lookup": lambda s, _out: (lookup_conversation(s, 7), None),
+        "decode": lambda s, _out: (decode_dataset(s, columns=["conv_id", "flag"]), None),
+        "join": lambda s, _out: (store_join(s, columns=[["flag"], ["price"]], how="left"),
+                                 None),
+        "compact": compact,
+    }
+
+
+def _rows(x):
+    """A verb's result in a comparable form: a Dataset's or table's rows,
+    sorted; anything else as is."""
+    if isinstance(x, ray.data.Dataset):
+        x = x.take_all()
+    elif isinstance(x, pa.Table):
+        x = x.to_pylist()
+    else:
+        return x
+    return sorted(x, key=lambda r: [str(v) for v in r.values()])
+
+
+def _outcome(run, store, out):
+    try:
+        res, plan = run(store, out)
+    except ValueError as e:  # a refusal is an outcome too (a 1-store join)
+        return ("refused", str(e)), None
+    return _rows(res), plan
+
+
+@pytest.mark.parametrize("verb", list(_verbs()))
+def test_verb_takes_a_store_or_a_family(family, verb, tmp_path):
+    """One name per store verb: ``verb(d)`` and ``verb([d])`` give equal
+    results and equal plans (``stores`` included), and a 2-member family
+    goes through the same name."""
+    run = _verbs()[verb]
+    d = family["dirs"][0]
+    one, one_plan = _outcome(run, d, str(tmp_path / "one"))
+    fam, fam_plan = _outcome(run, [d], str(tmp_path / "fam"))
+    assert one == fam
+    assert one_plan == fam_plan
+    if one_plan is not None:
+        assert set(one_plan["stores"]) == {d}
+    both, both_plan = _outcome(run, family["dirs"], str(tmp_path / "both"))
+    assert not (isinstance(both, tuple) and both[0] == "refused"), both
+    if both_plan is not None:
+        assert set(both_plan["stores"]) == set(family["dirs"])
 
 
 # --- validation by construction ----------------------------------------------
@@ -117,23 +193,23 @@ def test_single_store_plans_are_the_member_breakdown(family):
 
 def test_search_multi_refuses_member_type_drift(family, tmp_path):
     """A member whose conv_id is a string is refused before any scan."""
-    from parquet_converter_ray.storesearch import store_search_multi
+    from parquet_converter_ray.storesearch import store_search
 
     drift = _table(2 * N, 500, 3)
     drift = drift.set_column(0, "conv_id", pc.cast(drift["conv_id"], pa.string()))
     other = _encode(drift, str(tmp_path / "drift"))
-    with pytest.raises(ValueError, match="conform them via compact_family"):
-        store_search_multi([family["dirs"][0], other], "text", "alpha", 3)
+    with pytest.raises(ValueError, match="conform them via compact_dataset"):
+        store_search([family["dirs"][0], other], "text", "alpha", 3)
 
 
 def test_scan_multi_refuses_text_op_on_int_column(family):
-    from parquet_converter_ray.zonemap import scan_store, scan_store_multi
+    from parquet_converter_ray.zonemap import scan_store
 
     pred = [("conv_id", "hastok", "abc")]
     with pytest.raises(ValueError) as one:
         scan_store(family["dirs"][0], pred)
     with pytest.raises(ValueError, match="hastok predicate needs a text column") as fam:
-        scan_store_multi(family["dirs"], pred)
+        scan_store(family["dirs"], pred)
     assert str(fam.value) == str(one.value)
 
 

@@ -364,21 +364,15 @@ def test_lookup_conversation_matches_full_decode(ray_session, tmp_path, layout):
 
     import pyarrow.compute as pc
 
-    from parquet_converter_ray.decode import (
-        decode_family,
-        lookup_conversation,
-        lookup_conversation_multi,
-    )
+    from parquet_converter_ray.decode import decode_dataset, lookup_conversation
     from parquet_converter_ray.partition import salt_chunk_parts, stable_hash_strings
 
     dirs, _ = _lookup_layout(layout, tmp_path)
 
     def lookup(cv, columns=None):
-        if len(dirs) == 1:
-            return lookup_conversation(dirs[0], cv, columns=columns)
-        return lookup_conversation_multi(dirs, cv, columns=columns)
+        return lookup_conversation(dirs, cv, columns=columns)
 
-    full = pa.concat_tables(list(decode_family(dirs).iter_batches(batch_format="pyarrow")))
+    full = pa.concat_tables(list(decode_dataset(dirs).iter_batches(batch_format="pyarrow")))
     counts = collections.Counter(full["conv_id"].to_pylist())
     order = [("conv_id", "ascending"), ("turn_idx", "ascending")]
     probe = [max(counts, key=counts.get), min(counts, key=counts.get)]
@@ -403,7 +397,7 @@ def test_lookup_absent_key_in_empty_partition(ray_session, tmp_path):
     family, never a missing-partition error."""
     import ray.data
 
-    from parquet_converter_ray.decode import lookup_conversation, lookup_conversation_multi
+    from parquet_converter_ray.decode import lookup_conversation
     from parquet_converter_ray.partition import salt_chunk_parts, stable_hash_strings
 
     t = pa.table({
@@ -419,7 +413,7 @@ def test_lookup_absent_key_in_empty_partition(ray_session, tmp_path):
     key = next(k for k in (f"absent-{i}" for i in range(1000))
                if int(salt_chunk_parts(stable_hash_strings(pa.array([k])), 0, 16)[0]) not in used)
     want = lookup_conversation(dirs[0], "c0").schema
-    for got in (lookup_conversation(dirs[0], key), lookup_conversation_multi(dirs, key)):
+    for got in (lookup_conversation(dirs[0], key), lookup_conversation(dirs, key)):
         assert got.num_rows == 0 and got.schema == want
 
 

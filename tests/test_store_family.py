@@ -2,9 +2,10 @@
 
 The lifecycle that produces families: incremental deliveries each encoded
 into their own store (no rewrite of history), queried together until a
-compaction conforms them. ``scan_store_multi`` must run the full pruning
-stack per store, union the survivors without moving rows, and refuse
-schema drift loudly.
+compaction conforms them. Every store verb takes a directory or a list of
+them (a list is one family): ``scan_store`` over a family must run the full
+pruning stack per store, decode the survivors without moving rows, and
+refuse schema drift loudly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import ray
 
 from parquet_converter_ray.encode import encode_dataset
 from parquet_converter_ray.synth import make_transcripts
-from parquet_converter_ray.zonemap import scan_store, scan_store_multi
+from parquet_converter_ray.zonemap import scan_store
 
 N = 9_000
 
@@ -51,7 +52,7 @@ def family(ray_session, tmp_path_factory):
 
 def test_family_scan_equals_filter_over_union(family):
     pred = [("role", "==", "user"), ("turn_idx", "<", 40)]
-    ds, plan = scan_store_multi(family["dirs"], pred, return_plan=True)
+    ds, plan = scan_store(family["dirs"], pred, return_plan=True)
     got = _sorted(_collect(ds))
     want = _sorted(
         family["all"].filter(
@@ -73,17 +74,16 @@ def test_family_single_member_matches_scan_store(family):
     d = family["dirs"][0]
     pred = [("turn_idx", ">=", 100)]
     a_ds, a_plan = scan_store(d, pred, return_plan=True)
-    m_ds, m_plan = scan_store_multi([d], pred, return_plan=True)
+    m_ds, m_plan = scan_store([d], pred, return_plan=True)
     assert _sorted(_collect(a_ds)).equals(_sorted(_collect(m_ds)))
-    assert m_plan["stores"][d] == a_plan
-    for k, v in a_plan.items():
-        assert m_plan[k] == v
+    assert m_plan["stores"][d] == a_plan["stores"][d]
+    assert m_plan == a_plan
 
 
 def test_family_pruning_still_applies_per_store(family):
     # hash routing on the partition key prunes inside EACH member store
     conv = family["all"]["conv_id"][0].as_py()
-    ds, plan = scan_store_multi(family["dirs"], [("conv_id", "==", conv)],
+    ds, plan = scan_store(family["dirs"], [("conv_id", "==", conv)],
                                 return_plan=True)
     got = _collect(ds)
     assert got.num_rows == pc.sum(
@@ -98,9 +98,9 @@ def test_family_schema_drift_refused(ray_session, family, tmp_path):
     t = make_transcripts(2_000, seed=23).drop_columns(["tool"])
     encode_dataset(ray.data.from_arrow(t), drifted, n_parts=2)
     with pytest.raises(ValueError, match="family schemas differ"):
-        scan_store_multi(family["dirs"] + [drifted], [("role", "==", "user")])
+        scan_store(family["dirs"] + [drifted], [("role", "==", "user")])
     # restricting to the agreeing column subset makes the family scannable
-    ds = scan_store_multi(
+    ds = scan_store(
         family["dirs"] + [drifted],
         [("role", "==", "user")],
         columns=["conv_id", "turn_idx", "role"],
@@ -115,7 +115,7 @@ def test_family_schema_drift_refused(ray_session, family, tmp_path):
 
 def test_family_empty_input_refused():
     with pytest.raises(ValueError, match="at least one store"):
-        scan_store_multi([], [("role", "==", "user")])
+        scan_store([], [("role", "==", "user")])
 
 
 def test_cli_scan_family_count_and_rows(family, capsys):
@@ -140,16 +140,16 @@ def test_cli_scan_family_count_and_rows(family, capsys):
     assert set(out2["plan"]["stores"]) == set(family["dirs"])
 
 
-# --- compact_family: the lifecycle's other half -------------------------------
+# --- compact_dataset over a family: the lifecycle's other half -------------------------------
 
 
 def test_compact_family_roundtrip(family, tmp_path):
     from parquet_converter_ray import manifest as mf
     from parquet_converter_ray.decode import decode_dataset
-    from parquet_converter_ray.encode import compact_family
+    from parquet_converter_ray.encode import compact_dataset
 
     out = str(tmp_path / "conformed")
-    summary = compact_family(family["dirs"], out, n_parts=3)
+    summary = compact_dataset(family["dirs"], out, n_parts=3)
     assert summary["rows"] == family["all"].num_rows
     got = _sorted(pa.concat_tables(
         list(decode_dataset(out).iter_batches(batch_format="pyarrow"))
@@ -167,7 +167,7 @@ def test_compact_family_roundtrip(family, tmp_path):
 
 def test_compact_family_conforms_schema_drift(ray_session, family, tmp_path):
     from parquet_converter_ray.decode import decode_dataset
-    from parquet_converter_ray.encode import compact_family, encode_dataset
+    from parquet_converter_ray.encode import compact_dataset, encode_dataset
 
     drifted = str(tmp_path / "drifted")
     t = make_transcripts(2_000, seed=24, conv_offset=20_000_000).drop_columns(["tool"])
@@ -176,11 +176,11 @@ def test_compact_family_conforms_schema_drift(ray_session, family, tmp_path):
 
     # un-evolved drift is refused with per-store detail
     with pytest.raises(ValueError, match="still differ after drop/add"):
-        compact_family(dirs, str(tmp_path / "never"))
+        compact_dataset(dirs, str(tmp_path / "never"))
 
     # dropping the retired column conforms the family (members without it skip)
     out = str(tmp_path / "conformed")
-    summary = compact_family(dirs, out, drop_columns=["tool"])
+    summary = compact_dataset(dirs, out, drop_columns=["tool"])
     assert summary["rows"] == family["all"].num_rows + t.num_rows
     got = pa.concat_tables(
         list(decode_dataset(out).iter_batches(batch_format="pyarrow"))
@@ -190,7 +190,7 @@ def test_compact_family_conforms_schema_drift(ray_session, family, tmp_path):
 
     # adding a typed-constant column backfills uniformly across members
     out2 = str(tmp_path / "widened")
-    compact_family(dirs, out2, drop_columns=["tool"],
+    compact_dataset(dirs, out2, drop_columns=["tool"],
                    add_columns={"delivery": (pa.string(), "legacy")})
     got2 = pa.concat_tables(
         list(decode_dataset(out2, columns=["delivery"]).iter_batches(
@@ -200,7 +200,7 @@ def test_compact_family_conforms_schema_drift(ray_session, family, tmp_path):
 
 
 def test_compact_family_key_mismatch_refused(ray_session, family, tmp_path):
-    from parquet_converter_ray.encode import compact_family, encode_dataset
+    from parquet_converter_ray.encode import compact_dataset, encode_dataset
 
     other = str(tmp_path / "otherkey")
     t = make_transcripts(1_000, seed=25, conv_offset=30_000_000)
@@ -208,7 +208,7 @@ def test_compact_family_key_mismatch_refused(ray_session, family, tmp_path):
                    conv_col="role", order_col="turn_idx",
                    sort_key=("role", "turn_idx"), salt_rows=0)
     with pytest.raises(ValueError, match="disagree on \\(conv_col"):
-        compact_family([family["dirs"][0], other], str(tmp_path / "never"))
+        compact_dataset([family["dirs"][0], other], str(tmp_path / "never"))
 
 
 def test_compact_refuses_drop_no_member_carries(ray_session, family, tmp_path):
@@ -216,13 +216,13 @@ def test_compact_refuses_drop_no_member_carries(ray_session, family, tmp_path):
     before anything is written, for one store and for a family. A column
     that only some members carry is still skipped where it is absent
     (``test_compact_family_conforms_schema_drift``)."""
-    from parquet_converter_ray.encode import compact_dataset, compact_family
+    from parquet_converter_ray.encode import compact_dataset
 
     one, fam = tmp_path / "one", tmp_path / "fam"
     with pytest.raises(ValueError, match=r"drop_columns \['tol'\] are in no member"):
         compact_dataset(family["dirs"][0], str(one), drop_columns=["tol"])
     with pytest.raises(ValueError, match=r"drop_columns \['tol'\] are in no member"):
-        compact_family(family["dirs"], str(fam), drop_columns=["tool", "tol"])
+        compact_dataset(family["dirs"], str(fam), drop_columns=["tool", "tol"])
     assert not one.exists() and not fam.exists()
 
 
@@ -242,13 +242,13 @@ def test_cli_compact_family(family, tmp_path, capsys):
     assert got.num_rows == family["all"].num_rows
 
 
-# --- store_agg_multi: metadata-first aggregates over a family -----------------
+# --- store_agg: metadata-first aggregates over a family -----------------
 
 
 def test_agg_family_folds_exactly(family):
-    from parquet_converter_ray.storeagg import store_agg_multi
+    from parquet_converter_ray.storeagg import store_agg
 
-    res, plan = store_agg_multi(
+    res, plan = store_agg(
         family["dirs"],
         ["count", "nn:tool", "min:turn_idx", "max:turn_idx", "sum:turn_idx"],
         return_plan=True,
@@ -266,9 +266,9 @@ def test_agg_family_folds_exactly(family):
 
 
 def test_agg_family_predicate_matches_ground_truth(family):
-    from parquet_converter_ray.storeagg import store_agg_multi
+    from parquet_converter_ray.storeagg import store_agg
 
-    res = store_agg_multi(
+    res = store_agg(
         family["dirs"], ["count", "sum:turn_idx"], [("role", "==", "user")]
     )
     mask = pc.equal(family["all"]["role"], "user")
@@ -280,7 +280,7 @@ def test_agg_family_predicate_matches_ground_truth(family):
 
 def test_agg_family_type_mismatch_refused(ray_session, family, tmp_path):
     from parquet_converter_ray.encode import encode_dataset
-    from parquet_converter_ray.storeagg import store_agg_multi
+    from parquet_converter_ray.storeagg import store_agg
 
     # same column name, different type family: turn_idx as float
     t = make_transcripts(1_000, seed=26, conv_offset=40_000_000)
@@ -292,9 +292,9 @@ def test_agg_family_type_mismatch_refused(ray_session, family, tmp_path):
     other = str(tmp_path / "floatidx")
     encode_dataset(ray.data.from_arrow(t), other, n_parts=2)
     with pytest.raises(ValueError, match="disagree on aggregate/predicate column types"):
-        store_agg_multi([family["dirs"][0], other], ["sum:turn_idx"])
+        store_agg([family["dirs"][0], other], ["sum:turn_idx"])
     # columns the aggregate never touches may drift freely
-    res = store_agg_multi([family["dirs"][0], other], ["count"])
+    res = store_agg([family["dirs"][0], other], ["count"])
     assert res["count"] == N + 1_000
 
 
@@ -320,10 +320,10 @@ def test_cli_agg_family(family, capsys):
 def test_diff_family_vs_conformed(family, tmp_path, capsys):
     from parquet_converter_ray.cli import main
     from parquet_converter_ray.decode import store_diff
-    from parquet_converter_ray.encode import compact_family
+    from parquet_converter_ray.encode import compact_dataset
 
     out = str(tmp_path / "conformed")
-    compact_family(family["dirs"], out, n_parts=2)
+    compact_dataset(family["dirs"], out, n_parts=2)
     res = store_diff(family["dirs"], out)
     assert res["equal"] and res["a"]["rows"] == family["all"].num_rows
 
@@ -356,7 +356,7 @@ def test_family_probe_is_one_job(family, monkeypatch):
         return real(paths, dnf)
 
     monkeypatch.setattr(zonemap, "probe_verdicts", spy)
-    ds, plan = scan_store_multi(
+    ds, plan = scan_store(
         family["dirs"], [("role", "==", "user")], return_plan=True
     )
     got = _collect(ds).num_rows
@@ -369,7 +369,7 @@ def test_family_lookup_spans_deliveries(ray_session, tmp_path, capsys):
     """A conversation whose turns arrive across two deliveries reads back
     whole and in turn order from the family lookup."""
     from parquet_converter_ray.cli import main
-    from parquet_converter_ray.decode import lookup_conversation_multi
+    from parquet_converter_ray.decode import lookup_conversation
 
     t = make_transcripts(4_000, seed=27)
     conv = t["conv_id"][0].as_py()  # the mega-conversation: many turns
@@ -385,7 +385,7 @@ def test_family_lookup_spans_deliveries(ray_session, tmp_path, capsys):
         encode_dataset(ray.data.from_arrow(part), out, n_parts=2, salt_rows=64)
         dirs.append(out)
 
-    got = lookup_conversation_multi(dirs, conv)
+    got = lookup_conversation(dirs, conv)
     assert got.num_rows == mine.num_rows
     assert got["turn_idx"].to_pylist() == sorted(mine["turn_idx"].to_pylist())
 
@@ -401,7 +401,7 @@ def test_family_scan_disjunction(family):
         [("turn_idx", "<", 3)],
         [("role", "==", "system"), ("turn_idx", ">=", 100)],
     ])
-    ds, plan = scan_store_multi(family["dirs"], pred, return_plan=True)
+    ds, plan = scan_store(family["dirs"], pred, return_plan=True)
     got = _collect(ds)
     t = family["all"]
     want = pc.sum(pc.or_(
@@ -413,9 +413,9 @@ def test_family_scan_disjunction(family):
 
 
 def test_family_profile_folds_metadata_only(family):
-    from parquet_converter_ray.zonemap import store_profile, store_profile_multi
+    from parquet_converter_ray.zonemap import store_profile
 
-    prof = store_profile_multi(family["dirs"])
+    prof = store_profile(family["dirs"])
     t = family["all"]
     assert prof["rows"] == t.num_rows
     assert prof["partitions"] == 7
@@ -425,19 +425,23 @@ def test_family_profile_folds_metadata_only(family):
     assert c["min"] == pc.min(t["turn_idx"]).as_py()
     assert c["max"] == pc.max(t["turn_idx"]).as_py()
     assert prof["columns"]["tool"]["nulls"] == t["tool"].null_count
-    assert set(prof["stores"]) == set(family["dirs"])
+    assert prof["stores"] == dict(zip(family["dirs"], per))
+    # a family of one folds to the store's own profile
+    d = family["dirs"][0]
+    one = {k: v for k, v in per[0].items() if k != "generations"}
+    assert store_profile([d]) == {**one, "stores": {d: per[0]}}
 
 
 def test_family_decode_export(family, tmp_path, capsys):
     from parquet_converter_ray.cli import main
-    from parquet_converter_ray.decode import decode_family
+    from parquet_converter_ray.decode import decode_dataset
 
-    got = _sorted(_collect(decode_family(family["dirs"])))
+    got = _sorted(_collect(decode_dataset(family["dirs"])))
     want = _sorted(family["all"])
     assert got.select(want.column_names).equals(want)
 
     # column-pruned family decode
-    two = _collect(decode_family(family["dirs"], columns=["conv_id", "role"]))
+    two = _collect(decode_dataset(family["dirs"], columns=["conv_id", "role"]))
     assert two.column_names == ["conv_id", "role"]
     assert two.num_rows == want.num_rows
 
@@ -449,18 +453,43 @@ def test_family_decode_export(family, tmp_path, capsys):
     assert back == want.num_rows
 
 
-def test_family_decode_schema_drift_refused(ray_session, family, tmp_path):
-    from parquet_converter_ray.decode import decode_family
+def test_family_decode_schema_drift_refused(ray_session, family, tmp_path, monkeypatch):
+    """Disagreeing member schemas are refused before any container decodes."""
+    from parquet_converter_ray import zonemap
+    from parquet_converter_ray.decode import decode_dataset
     from parquet_converter_ray.encode import encode_dataset
 
     drifted = str(tmp_path / "drifted2")
     t = make_transcripts(1_500, seed=28, conv_offset=50_000_000).drop_columns(["tool"])
     encode_dataset(ray.data.from_arrow(t), drifted, n_parts=2)
+    real, fanouts = zonemap.decoded_dataset, []
+    monkeypatch.setattr(zonemap, "decoded_dataset",
+                        lambda *a: fanouts.append(a) or real(*a))
     with pytest.raises(ValueError, match="family schemas differ"):
-        decode_family(family["dirs"] + [drifted])
+        decode_dataset(family["dirs"] + [drifted])
+    assert not fanouts
     # pruning to the agreeing subset exports fine
-    ds = decode_family(family["dirs"] + [drifted], columns=["conv_id", "turn_idx"])
+    ds = decode_dataset(family["dirs"] + [drifted], columns=["conv_id", "turn_idx"])
     assert _collect(ds).num_rows == family["all"].num_rows + t.num_rows
+
+
+def test_family_decode_starts_no_job(family, monkeypatch):
+    """A family under the crossover decodes as ONE fan-out over every
+    member's containers, in plain Ray tasks: no Ray Data job, neither to
+    build the Dataset nor to iterate or count it."""
+    from test_footer_tasks import _count_jobs
+
+    from parquet_converter_ray import zonemap
+    from parquet_converter_ray.decode import decode_dataset
+
+    real, fanouts = zonemap.decoded_dataset, []
+    monkeypatch.setattr(zonemap, "decoded_dataset",
+                        lambda *a: fanouts.append(a) or real(*a))
+    jobs = _count_jobs(monkeypatch)
+    ds = decode_dataset(family["dirs"])
+    assert _collect(ds).num_rows == ds.count() == family["all"].num_rows
+    assert len(fanouts) == 1 and len(fanouts[0][0]) == 7  # 4 + 3 containers
+    assert not jobs
 
 
 def test_agg_family_scan_remainder_is_one_job(family, monkeypatch):
@@ -477,7 +506,7 @@ def test_agg_family_scan_remainder_is_one_job(family, monkeypatch):
     monkeypatch.setattr(zonemap.PrunedScan, "run", spy)
     # role== is not provable full-match by zone maps (mixed roles per
     # container), so every unpruned container lands in the scan remainder
-    res, plan = storeagg.store_agg_multi(
+    res, plan = storeagg.store_agg(
         family["dirs"], ["count"], [("role", "==", "user")], return_plan=True
     )
     assert res["count"] == pc.sum(pc.equal(family["all"]["role"], "user")).as_py()

@@ -13,8 +13,8 @@ import pytest
 import ray
 
 from parquet_converter_ray.encode import encode_dataset
-from parquet_converter_ray.storeagg import _normalize_aggs, record_all_match, store_agg
-from parquet_converter_ray.zonemap import exact_int_sum
+from parquet_converter_ray.storeagg import _normalize_aggs, store_agg
+from parquet_converter_ray.zonemap import exact_int_sum, record_all_match
 
 N = 20_000
 

@@ -12,7 +12,7 @@ import pytest
 import ray
 
 from parquet_converter_ray.encode import encode_dataset
-from parquet_converter_ray.storedistinct import store_distinct, store_distinct_multi
+from parquet_converter_ray.storedistinct import store_distinct
 
 N = 20_000
 
@@ -159,7 +159,7 @@ def test_distinct_family(store, table, tmp_path_factory, ray_session):
         ray.data.from_arrow(t2), out2, conv_col="k", order_col="k",
         salt_rows=0, n_parts=2,
     )
-    got = store_distinct_multi([store, out2], "flag")
+    got = store_distinct([store, out2], "flag")
     assert _as_set(got["flag"]) == _as_set(_duck_distinct(table, "flag")) | {"Z"}
 
 
@@ -176,7 +176,7 @@ def test_distinct_family_type_mismatch_refused(store, tmp_path_factory, ray_sess
         salt_rows=0, n_parts=1,
     )
     with pytest.raises(ValueError, match="disagree"):
-        store_distinct_multi([store, out3], "flag")
+        store_distinct([store, out3], "flag")
 
 
 def test_distinct_unknown_column_refused(store):

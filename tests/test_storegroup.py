@@ -12,7 +12,7 @@ import pytest
 import ray
 
 from parquet_converter_ray.encode import encode_dataset
-from parquet_converter_ray.storegroup import store_agg_group, store_agg_group_multi
+from parquet_converter_ray.storegroup import store_agg_group
 
 N = 20_000
 
@@ -203,7 +203,7 @@ def test_family_fold_matches_single(ray_session, table, store, tmp_path_factory)
             ray.data.from_arrow(t), d, conv_col="k", order_col="ln",
             sort_key=("k", "ln"), salt_rows=0, n_parts=3,
         )
-    fam = store_agg_group_multi([d1, d2], ["flag"], ["count", "sum:qty", "min:price"])
+    fam = store_agg_group([d1, d2], ["flag"], ["count", "sum:qty", "min:price"])
     single = store_agg_group(store, ["flag"], ["count", "sum:qty", "min:price"])
     a = fam.sort_by([("flag", "ascending")]).to_pydict()
     b = single.sort_by([("flag", "ascending")]).to_pydict()
@@ -219,7 +219,7 @@ def test_family_fold_matches_single(ray_session, table, store, tmp_path_factory)
         sort_key=("k", "ln"), salt_rows=0, n_parts=3,
     )
     with pytest.raises(ValueError, match="disagree"):
-        store_agg_group_multi([d1, d3], ["flag"], ["sum:qty"])
+        store_agg_group([d1, d3], ["flag"], ["sum:qty"])
 
 
 def test_cli_group_by(store, table, capsys):

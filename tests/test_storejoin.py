@@ -41,11 +41,9 @@ def stores(ray_session, tmp_path_factory):
 
 def test_inner_join_matches_duckdb(stores):
     o_dir, l_dir = stores
-    t = _collect(store_join(
-        o_dir, l_dir,
-        left_columns=["o_orderkey", "o_orderpriority"],
-        right_columns=["l_extendedprice", "l_quantity"],
-    ))
+    t = _collect(store_join([o_dir, l_dir], columns=[
+        ["o_orderkey", "o_orderpriority"], ["l_extendedprice", "l_quantity"],
+    ]))
     n, s = duckdb.sql(
         f"""SELECT count(*), round(sum(l_extendedprice), 2)
             FROM '{SF_DIR}/orders.parquet' JOIN '{SF_DIR}/lineitem.parquet'
@@ -59,10 +57,7 @@ def test_inner_join_matches_duckdb(stores):
 
 def test_left_join_keeps_unmatched(stores):
     o_dir, l_dir = stores
-    t = _collect(store_join(
-        o_dir, l_dir, how="left",
-        left_columns=["o_orderkey"], right_columns=["l_quantity"],
-    ))
+    t = _collect(store_join([o_dir, l_dir], columns=[["o_orderkey"], ["l_quantity"]], how="left"))
     n = duckdb.sql(
         f"""SELECT count(*) FROM '{SF_DIR}/orders.parquet'
             LEFT JOIN '{SF_DIR}/lineitem.parquet' ON o_orderkey = l_orderkey"""
@@ -85,14 +80,14 @@ def test_refuses_wrong_layouts(stores, tmp_path):
                    conv_col="l_orderkey", order_col="l_linenumber",
                    sort_key=("l_orderkey", "l_linenumber"), salt_rows=0)
     with pytest.raises(ValueError, match="n_parts mismatch"):
-        store_join(o_dir, other)
+        store_join([o_dir, other])
     # salted store
     salted = str(tmp_path / "lineitem_salted")
     encode_dataset(f"{SF_DIR}/lineitem.parquet", salted, n_parts=8,
                    conv_col="l_orderkey", order_col="l_linenumber",
                    sort_key=("l_orderkey", "l_linenumber"), salt_rows=500)
     with pytest.raises(ValueError, match="salt_rows"):
-        store_join(o_dir, salted)
+        store_join([o_dir, salted])
     # range-clustered store
     ranged = str(tmp_path / "lineitem_range")
     encode_dataset(f"{SF_DIR}/lineitem.parquet", ranged, n_parts=8,
@@ -100,13 +95,13 @@ def test_refuses_wrong_layouts(stores, tmp_path):
                    sort_key=("l_orderkey", "l_linenumber"), salt_rows=0,
                    cluster_by="l_shipdate")
     with pytest.raises(ValueError, match="range-clustered"):
-        store_join(o_dir, ranged)
+        store_join([o_dir, ranged])
     # join column that is not the partition column
     with pytest.raises(ValueError, match="partitioned on"):
-        store_join(o_dir, l_dir, right_on="l_partkey")
+        store_join([o_dir, l_dir], ons=[None, "l_partkey"])
     # overlapping non-key output columns
     with pytest.raises(ValueError, match="not in store schemas"):
-        store_join(o_dir, l_dir, right_columns=["nope"])
+        store_join([o_dir, l_dir], columns=[None, ["nope"]])
 
 
 def test_store_diff_validates_compaction(stores, tmp_path):
@@ -140,12 +135,10 @@ def test_rebucket_restores_joinability(stores, tmp_path):
                    conv_col="l_orderkey", order_col="l_linenumber",
                    sort_key=("l_orderkey", "l_linenumber"), salt_rows=0)
     with pytest.raises(ValueError, match="n_parts mismatch"):
-        store_join(o_dir, twelve)
+        store_join([o_dir, twelve])
     rebucketed = str(tmp_path / "lineitem8")
     compact_dataset(twelve, rebucketed, n_parts=8)
-    t = _collect(store_join(o_dir, rebucketed,
-                            left_columns=["o_orderkey"],
-                            right_columns=["l_extendedprice"]))
+    t = _collect(store_join([o_dir, rebucketed], columns=[["o_orderkey"], ["l_extendedprice"]]))
     n, s = duckdb.sql(
         f"""SELECT count(*), round(sum(l_extendedprice), 2)
             FROM '{SF_DIR}/orders.parquet' JOIN '{SF_DIR}/lineitem.parquet'
@@ -168,12 +161,10 @@ def test_rebucket_dataset_full_repair(stores, tmp_path):
                    conv_col="l_suppkey", order_col="l_orderkey",
                    sort_key=("l_suppkey", "l_orderkey"), salt_rows=0)
     with pytest.raises(ValueError, match="n_parts mismatch|partitioned on"):
-        store_join(o_dir, wrong, right_on="l_orderkey")
+        store_join([o_dir, wrong], ons=[None, "l_orderkey"])
     fixed = str(tmp_path / "orderkeyed")
     rebucket_dataset(wrong, fixed, on="l_orderkey", like=o_dir)
-    t = _collect(store_join(o_dir, fixed,
-                            left_columns=["o_orderkey"],
-                            right_columns=["l_extendedprice"]))
+    t = _collect(store_join([o_dir, fixed], columns=[["o_orderkey"], ["l_extendedprice"]]))
     n, s = duckdb.sql(
         f"""SELECT count(*), round(sum(l_extendedprice), 2)
             FROM '{SF_DIR}/orders.parquet' JOIN '{SF_DIR}/lineitem.parquet'
@@ -232,9 +223,7 @@ def test_cli_rebucket(stores, tmp_path, capsys):
     rc = main(["rebucket", wrong, fixed, "--like", o_dir])
     assert rc == 0
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["rows"] > 0
-    t = _collect(store_join(o_dir, fixed,
-                            left_columns=["o_orderkey"],
-                            right_columns=["l_quantity"]))
+    t = _collect(store_join([o_dir, fixed], columns=[["o_orderkey"], ["l_quantity"]]))
     n = duckdb.sql(
         f"""SELECT count(*) FROM '{SF_DIR}/orders.parquet'
             JOIN '{SF_DIR}/lineitem.parquet' ON o_orderkey = l_orderkey"""
@@ -371,9 +360,8 @@ def tri_stores(ray_session, tmp_path_factory):
 
 
 def test_three_way_join_matches_duckdb_zero_exchange(tri_stores):
-    from parquet_converter_ray.storejoin import store_join_multi
 
-    ds = store_join_multi(
+    ds = store_join(
         tri_stores,
         columns=[["value"], ["o_totalprice"], ["c_mktsegment"]],
     )
@@ -395,10 +383,9 @@ def test_three_way_join_matches_duckdb_zero_exchange(tri_stores):
 
 
 def test_three_way_left_join_keeps_unmatched(tri_stores):
-    from parquet_converter_ray.storejoin import store_join_multi
 
     # customers with no events drop in inner; anchor on customer + how=left
-    ds = store_join_multi(
+    ds = store_join(
         [tri_stores[2], tri_stores[1], tri_stores[0]],
         columns=[["c_mktsegment"], ["o_totalprice"], ["value"]],
         how="left",
@@ -413,15 +400,14 @@ def test_three_way_left_join_keeps_unmatched(tri_stores):
 
 
 def test_store_join_multi_refusals(tri_stores, tmp_path):
-    from parquet_converter_ray.storejoin import store_join_multi
 
     with pytest.raises(ValueError, match="at least 2"):
-        store_join_multi([tri_stores[0]])
+        store_join([tri_stores[0]])
     with pytest.raises(ValueError, match="join columns"):
-        store_join_multi(tri_stores, ons=["user_id", "o_custkey"])
+        store_join(tri_stores, ons=["user_id", "o_custkey"])
     # non-key column overlap across sides
     with pytest.raises(ValueError, match="multiple sides"):
-        store_join_multi(
+        store_join(
             [tri_stores[0], tri_stores[1], tri_stores[1]],
             columns=[["value"], ["o_totalprice"], ["o_totalprice"]],
         )
@@ -431,7 +417,7 @@ def test_store_join_multi_refusals(tri_stores, tmp_path):
                    conv_col="user_id", order_col="event_id",
                    sort_key=("user_id", "event_id"), salt_rows=0)
     with pytest.raises(ValueError, match="n_parts"):
-        store_join_multi([tri_stores[0], tri_stores[1], bad])
+        store_join([tri_stores[0], tri_stores[1], bad])
 
 
 def test_cli_join_three_stores(tri_stores):
@@ -455,11 +441,11 @@ def test_cli_join_three_stores(tri_stores):
             JOIN '{SF_DIR}/customer.parquet' ON c_custkey = user_id"""
     ).fetchone()
     assert out["rows"] == n
-    # two-store legacy flags still work through the same subcommand
+    # two stores go through the same subcommand and flags
     cp2 = subprocess.run(
         [sys.executable, "-m", "parquet_converter_ray.cli", "--num-cpus", "4",
          "join", tri_stores[0], tri_stores[1],
-         "--left-columns", "value", "--right-columns", "o_totalprice", "--limit", "0"],
+         "--columns", "value", "--columns", "o_totalprice", "--limit", "0"],
         capture_output=True, text=True, cwd=repo, timeout=300,
     )
     assert cp2.returncode == 0, cp2.stderr[-2000:]
@@ -644,7 +630,7 @@ def test_bucket_that_joins_to_nothing_keeps_output_schema(sparse_stores, monkeyp
 
     monkeypatch.setattr(storejoin, "_MultiBucketJoiner", Spy)
     dirs = sparse_stores[:n]
-    ds = store_join(*dirs) if n == 2 else storejoin.store_join_multi(dirs)
+    ds = store_join(dirs)
     (joiner,) = made
     by_part = [storejoin._paths_by_part(d) for d in dirs]
     outs = [joiner([m[p] for m in by_part])
@@ -661,13 +647,14 @@ def test_bucket_that_joins_to_nothing_keeps_output_schema(sparse_stores, monkeyp
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])
-def test_store_join_equals_multi(stores, how):
-    from parquet_converter_ray.storejoin import store_join_multi
-
+def test_store_join_default_ons(stores, how):
+    """A None join column (or ``ons=None``) is the store's recorded
+    partition column."""
     o_dir, l_dir = stores
     cols = ["l_quantity", "l_shipdate"]
-    a = _collect(store_join(o_dir, l_dir, how=how, right_columns=cols))
-    b = _collect(store_join_multi([o_dir, l_dir], columns=[None, cols], how=how))
+    a = _collect(store_join([o_dir, l_dir], columns=[None, cols], how=how))
+    b = _collect(store_join([o_dir, l_dir], ons=["o_orderkey", None], columns=[None, cols],
+                            how=how))
     assert a.num_rows > 0 and a.column_names == b.column_names
     key = [(c, "ascending") for c in a.column_names]
     assert a.sort_by(key).equals(b.sort_by(key))

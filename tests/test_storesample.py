@@ -9,7 +9,7 @@ import pytest
 import ray
 
 from parquet_converter_ray.encode import encode_dataset
-from parquet_converter_ray.storesample import store_sample, store_sample_multi
+from parquet_converter_ray.storesample import store_sample
 
 N = 10_000
 
@@ -111,7 +111,7 @@ def test_sample_family(store, table, tmp_path_factory, ray_session):
         ray.data.from_arrow(t2), out2, conv_col="k", order_col="k",
         salt_rows=0, n_parts=2,
     )
-    got = store_sample_multi([store, out2], "k", 60, seed="f", columns=["k"])
+    got = store_sample([store, out2], "k", 60, seed="f", columns=["k"])
     both = pa.concat_tables([table.select(["k"]), t2.select(["k"])])
     exp = _duck(
         both, "SELECT k FROM t ORDER BY md5(CAST(k AS VARCHAR) || ':f'), k LIMIT 60"

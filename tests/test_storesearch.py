@@ -9,7 +9,7 @@ import pytest
 import ray
 
 from parquet_converter_ray.encode import encode_dataset
-from parquet_converter_ray.storesearch import store_search, store_search_multi
+from parquet_converter_ray.storesearch import store_search
 
 N = 6_000
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "kappa", "sigma", "theta"]
@@ -122,7 +122,7 @@ def test_search_family(store, table, tmp_path_factory, ray_session):
         ray.data.from_arrow(t2), out2, conv_col="doc_id", order_col="doc_id",
         salt_rows=0, n_parts=1, text_bloom_cols=frozenset({"text"}),
     )
-    got = store_search_multi(
+    got = store_search(
         [store, out2], "text", "alpha beta gamma delta", 10,
         columns=["doc_id", "lang"], tiebreak=["doc_id"],
     )

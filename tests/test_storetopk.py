@@ -9,7 +9,7 @@ import pytest
 import ray
 
 from parquet_converter_ray.encode import encode_dataset
-from parquet_converter_ray.storetopk import store_topk, store_topk_multi
+from parquet_converter_ray.storetopk import store_topk
 
 N = 20_000
 
@@ -164,7 +164,7 @@ def test_topk_family(store, table, tmp_path_factory, ray_session):
         ray.data.from_arrow(t2), out2, conv_col="k", order_col="k",
         salt_rows=0, n_parts=2,
     )
-    got, plan = store_topk_multi(
+    got, plan = store_topk(
         [store, out2], "price", 5, columns=["k", "price"], tiebreak=["k"],
         return_plan=True,
     )

@@ -102,10 +102,10 @@ def test_tasks_match_streaming_job(family, monkeypatch, op, pred):
 def test_plan_records_executor_and_bytes(family):
     """``scanned_bytes`` sums the recorded bytes of each member's scanned
     containers; a member that scans nothing has no executor."""
-    from parquet_converter_ray.zonemap import scan_store_multi
+    from parquet_converter_ray.zonemap import scan_store
 
     a, b = family["dirs"]
-    _, plan = scan_store_multi(family["dirs"], [("conv_id", "<", N)], return_plan=True)
+    _, plan = scan_store(family["dirs"], [("conv_id", "<", N)], return_plan=True)
     scan = PrunedScan(family["dirs"], None)
     a_paths = scan.members[0][2]
     assert plan["stores"][a]["scanned"] == len(a_paths)
